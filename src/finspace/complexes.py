@@ -125,9 +125,6 @@ class IntegerMatrix:
         width = cols if cols is not None else (len(rows[0]) if rows else 0)
         return cls(len(rows), width, tuple(tuple(r) for r in rows))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ComplexError("dimension mismatch in product")

@@ -2,17 +2,33 @@
 
 Three generators live here:
 
-* :func:`enumerate_posets` - every poset on up to six points, grown by
+* :func:`enumerate_posets` - every poset on up to seven points, grown by
   repeatedly attaching a new maximal element above an order ideal.  It is
   deliberately simple and serves as the sanity oracle for the others.
 * :func:`enumerate_height2_cores` - connected beat-point-free posets of
-  height exactly two, stratified by element height.  Incidence rows between
-  strata are generated as non-increasing bitmask multisets to prune label
-  symmetry early; survivors are deduplicated by canonical code.
+  height exactly two, stratified by element height.
 * :func:`enumerate_height1_cores` - connected beat-point-free bipartite
   posets (every maximal above at least two minimals and vice versa).
 
-Cheap arithmetic facts prune the height-2 search hard: in a core every
+Both core generators build 0/1 incidence matrices row by row through one
+orderly row generator, :func:`_orderly_rows`.  Rows come as non-increasing
+bitmask tuples, which removes row symmetry.  Column symmetry is removed as
+the rows are built: two adjacent columns that are equal over the rows so far
+are *tied*, and the next row may not put a 1 in the lower of two tied columns
+and a 0 in the higher one (every matrix can be brought into this form by
+permuting its rows and columns; Lubiw, "Doubly lexical orderings of
+matrices", SIAM J. Comput. 1987).  A rejected row cuts off its whole subtree.
+Survivors are deduplicated by canonical code, keeping the first member of
+each class.
+
+The rule never rejects that first member.  Without the rule the generation
+order is descending lexicographic, so the first member of a class is its
+lexicographically greatest one.  If it broke the rule, swapping the two
+tied columns would keep the earlier rows, raise the offending row, and so
+give a greater member of the same class.  The kept representatives are
+therefore exactly those of plain row-sorted generation.
+
+Cheap arithmetic facts prune the height-2 search further: in a core every
 height-1 element sits above at least two minimals, every height-1 element
 lies below zero or at least two height-2 elements, and strata of size one
 force beat points, so level shapes with any class smaller than two are
@@ -22,9 +38,9 @@ skipped outright.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations_with_replacement
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from finspace.posets import Poset, _bits, _popcount
 
@@ -49,8 +65,39 @@ class LevelShape(NamedTuple):
         return self.m2 + self.m1 + self.m0
 
 
-def _nonempty_masks(width: int, min_bits: int = 1) -> list[int]:
-    return [m for m in range(1, 1 << width) if _popcount(m) >= min_bits]
+def _descending_masks(width: int, min_bits: int) -> list[int]:
+    return [m for m in range((1 << width) - 1, 0, -1) if _popcount(m) >= min_bits]
+
+
+def _all_tied(width: int) -> int:
+    """Ties mask with every adjacent pair of ``width >= 1`` columns tied."""
+    return (1 << width) - 2
+
+
+def _orderly_rows(
+    choices: list[int], nrows: int, ties: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(rows, ties)`` for every non-increasing ``nrows``-tuple drawn
+    from the descending list ``choices`` that keeps tied columns ordered.
+
+    Bit k of ``ties`` says columns k-1 and k are equal over the rows chosen
+    so far.  A row with a 1 in column k-1 and a 0 in column k of a tied pair
+    is rejected with every extension of it; an accepted row unties each pair
+    it tells apart.  The yielded ``ties`` holds the pairs still tied after
+    the last row.
+    """
+
+    def extend(prefix: tuple[int, ...], start: int, ties: int):
+        if len(prefix) == nrows:
+            yield prefix, ties
+            return
+        for at in range(start, len(choices)):
+            row = choices[at]
+            if ties & (row << 1) & ~row:
+                continue
+            yield from extend(prefix + (row,), at, ties & ~(row ^ (row << 1)))
+
+    return extend((), 0, ties)
 
 
 # -- general small-n enumeration ---------------------------------------------
@@ -90,8 +137,8 @@ def enumerate_posets(n: int) -> list[Poset]:
     Every poset arises this way because deleting any maximal element leaves
     a poset whose class was already generated.
     """
-    if not 1 <= n <= 6:
-        raise SizeTooLarge("general enumeration is capped at 6 points")
+    if not 1 <= n <= 7:
+        raise SizeTooLarge("general enumeration is capped at 7 points")
     current = {Poset.antichain(1).canonical_code: Poset.antichain(1)}
     for _ in range(n - 1):
         grown: dict[bytes, Poset] = {}
@@ -123,43 +170,47 @@ def level_shapes(n: int) -> list[LevelShape]:
     return out
 
 
-def _shape_candidates(shape: LevelShape) -> Iterable[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+def _shape_candidates(shape: LevelShape) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (middle_rows, top_rows) incidence assignments for one shape.
 
     middle_rows[i] is the minimal-set mask under height-1 element i (at
-    least two bits).  top_rows[k] is a pair (middle mask, extra minimal
-    mask); a height-2 element with a single middle predecessor must take at
-    least one extra minimal cover, else that middle point would be the
-    maximum of its punctured down-set.
+    least two bits).  top_rows[k] encodes height-2 element k as
+    ``smask << m0 | emask``: the middles below it and the extra minimals it
+    covers directly.  A height-2 element with a single middle predecessor
+    must take at least one extra minimal cover, else that middle point would
+    be the maximum of its punctured down-set.
+
+    Both levels come from :func:`_orderly_rows`.  The middles start with all
+    minimal columns tied.  The tops start with the minimal columns still
+    tied after the middles, plus middle column i tied to column i-1 when the
+    two middles have equal rows, since swapping them changes nothing below.
+    Assignments come in the order of plain row-sorted generation (middles
+    first, then tops), minus those breaking the column rule; the first
+    assignment of each isomorphism class is never among those removed (see
+    the module docstring).
     """
     m2, m1, m0 = shape
-    middle_choices = sorted(_nonempty_masks(m0, 2), reverse=True)
-    for middles in combinations_with_replacement(middle_choices, m1):
-        union_cache: dict[int, int] = {}
-        tops: list[tuple[int, int]] = []
-        for smask in _nonempty_masks(m1):
-            low_union = union_cache.get(smask)
-            if low_union is None:
-                low_union = 0
-                for i in _bits(smask):
-                    low_union |= middles[i]
-                union_cache[smask] = low_union
-            free = ((1 << m0) - 1) & ~low_union
-            single = _popcount(smask) == 1
-            extra = free
-            emasks = []
-            sub = extra
+    minimals = (1 << m0) - 1
+    for middles, ties in _orderly_rows(_descending_masks(m0, 2), m1, _all_tied(m0)):
+        unions = [0]  # unions[smask]: the minimals below the middles in smask
+        for row in middles:
+            unions += [u | row for u in unions]
+        tops = []
+        for smask in range(1, 1 << m1):
+            free = minimals & ~unions[smask]
+            single = smask & (smask - 1) == 0
+            emask = free
             while True:
-                emasks.append(sub)
-                if sub == 0:
+                if emask or not single:
+                    tops.append(smask << m0 | emask)
+                if emask == 0:
                     break
-                sub = (sub - 1) & extra
-            for emask in emasks:
-                if single and emask == 0:
-                    continue
-                tops.append((smask, emask))
+                emask = (emask - 1) & free
         tops.sort(reverse=True)
-        for chosen in combinations_with_replacement(tops, m2):
+        for i in range(1, m1):
+            if middles[i] == middles[i - 1]:
+                ties |= 1 << (m0 + i)
+        for chosen, _ in _orderly_rows(tops, m2, ties):
             yield middles, chosen
 
 
@@ -169,9 +220,9 @@ def _assemble_masks(shape: LevelShape, middles, tops) -> list[int]:
     down = [0] * shape.n
     for i, umask in enumerate(middles):
         down[m0 + i] = umask
-    for k, (smask, emask) in enumerate(tops):
-        acc = emask
-        for i in _bits(smask):
+    for k, top in enumerate(tops):
+        acc = top & ((1 << m0) - 1)
+        for i in _bits(top >> m0):
             acc |= middles[i] | (1 << (m0 + i))
         down[m0 + m1 + k] = acc
     return down
@@ -235,8 +286,8 @@ def _cores_for_shape(shape: LevelShape) -> list[Poset]:
     for middles, tops in _shape_candidates(shape):
         # a middle point below exactly one top is an up beat point
         counts = [0] * shape.m1
-        for smask, _ in tops:
-            for i in _bits(smask):
+        for top in tops:
+            for i in _bits(top >> shape.m0):
                 counts[i] += 1
         if any(c == 1 for c in counts):
             continue
@@ -257,6 +308,10 @@ def _worker_count(workers: int | None) -> int:
     try:
         return max(1, int(raw))
     except ValueError:
+        print(
+            f"warning: ignoring malformed {WORKERS_ENV}={raw!r}; using 1 worker",
+            file=sys.stderr,
+        )
         return 1
 
 
@@ -311,8 +366,8 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
             width, nrows, transposed = n_min, n_max, False
         else:
             width, nrows, transposed = n_max, n_min, True
-        choices = sorted(_nonempty_masks(width, 2), reverse=True)
-        for rows in combinations_with_replacement(choices, nrows):
+        choices = _descending_masks(width, 2)
+        for rows, _ in _orderly_rows(choices, nrows, _all_tied(width)):
             colcount = [0] * width
             for r in rows:
                 for j in _bits(r):

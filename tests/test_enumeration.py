@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from finspace.complexes import poset_homology
 from finspace.enumeration import (
     LevelShape,
     SizeTooLarge,
+    _orderly_rows,
     enumerate_height1_cores,
     enumerate_height2_cores,
     enumerate_posets,
@@ -45,7 +47,7 @@ class TestEnumeratePosets:
 
     def test_size_cap(self):
         with pytest.raises(SizeTooLarge):
-            enumerate_posets(7)
+            enumerate_posets(8)
         with pytest.raises(SizeTooLarge):
             enumerate_posets(0)
 
@@ -58,6 +60,87 @@ class TestEnumeratePosets:
         for n in (3, 4, 5):
             codes = [p.canonical_code for p in enumerate_posets(n)]
             assert len(codes) == len(set(codes))
+
+
+@pytest.fixture(scope="module")
+def posets7():
+    return enumerate_posets(7)
+
+
+class TestOracleAtSeven:
+    def test_count(self, posets7):
+        assert len(posets7) == 2045  # OEIS A000112
+
+    @pytest.mark.parametrize(
+        "height, generator, count",
+        [(2, enumerate_height2_cores, 7), (1, enumerate_height1_cores, 18)],
+    )
+    def test_cores_match_oracle(self, posets7, height, generator, count):
+        oracle = {
+            p.canonical_code
+            for p in posets7
+            if p.height == height and p.is_connected and not p.beat_points()
+        }
+        fast = [p.canonical_code for p in generator(7)]
+        assert len(fast) == count
+        assert set(fast) == oracle
+
+
+def _tied_column_perms(width: int, ties: int) -> list[list[int]]:
+    """Bit-permutation tables for every permutation of ``width`` columns
+    that moves columns only within their run of tied columns."""
+    blocks: list[list[int]] = []
+    for k in range(width):
+        if k and ties >> k & 1:
+            blocks[-1].append(k)
+        else:
+            blocks.append([k])
+    tables = []
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        sigma = [j for image in images for j in image]
+        tables.append(
+            [sum(1 << sigma[k] for k in range(width) if m >> k & 1) for m in range(1 << width)]
+        )
+    return tables
+
+
+class TestOrderlyRows:
+    def test_keeps_greatest_member_of_every_orbit(self):
+        for width in range(1, 5):
+            choices = list(range((1 << width) - 1, -1, -1))
+            for ties in range(0, 1 << width, 2):
+                tables = _tied_column_perms(width, ties)
+                for nrows in range(1, 5):
+                    emitted = [rows for rows, _ in _orderly_rows(choices, nrows, ties)]
+                    assert emitted == sorted(emitted, reverse=True)
+                    assert all(list(rows) == sorted(rows, reverse=True) for rows in emitted)
+                    kept = set(emitted)
+                    for rows in itertools.combinations_with_replacement(choices, nrows):
+                        greatest = max(
+                            tuple(sorted((t[r] for r in rows), reverse=True)) for t in tables
+                        )
+                        assert greatest in kept, (width, ties, rows)
+
+    def test_reports_remaining_ties(self):
+        for rows, ties in _orderly_rows([0b11, 0b10, 0b01], 2, 0b10):
+            expected = 0b10 if all(r in (0, 0b11) for r in rows) else 0
+            assert ties == expected, rows
+
+
+def _representatives_digest(cores) -> str:
+    pairs = sorted((p.labels, p.covers) for p in cores)
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+def test_kept_representatives_are_stable():
+    """The labelled posets kept for each class at n=8, independent of the
+    canonical code's byte format."""
+    assert _representatives_digest(enumerate_height2_cores(8)) == (
+        "df2bedf70d38270b2322143403a58b0bee780fa00efe91566c57bf4fc46daab9"
+    )
+    assert _representatives_digest(enumerate_height1_cores(8)) == (
+        "5d40eea2821e809b8c80b46cc490e5eedbdbdbb212e16e2320bc14f1ce360bd1"
+    )
 
 
 class TestLevelShapes:
@@ -125,14 +208,18 @@ class TestHeight2Cores:
         sharded = [p.canonical_code for p in enumerate_height2_cores(7, workers=2)]
         assert serial == sharded
 
-    def test_worker_count_from_environment(self, monkeypatch):
+    def test_worker_count_from_environment(self, monkeypatch, capsys):
         from finspace.enumeration import WORKERS_ENV, _worker_count
 
         monkeypatch.setenv(WORKERS_ENV, "3")
         assert _worker_count(None) == 3
         assert _worker_count(2) == 2
+        assert capsys.readouterr().err == ""
         monkeypatch.setenv(WORKERS_ENV, "garbage")
         assert _worker_count(None) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert WORKERS_ENV in err and "garbage" in err
 
     def test_cap(self):
         with pytest.raises(SizeTooLarge):
