@@ -166,11 +166,8 @@ def _cmd_pi1(args) -> int:
 def _enumerated(args):
     if args.height == 1:
         return enumerate_height1_cores(args.n)
-    done = 0
 
     def progress(shape, found) -> None:
-        nonlocal done
-        done += 1
         print(f"shape {shape.m0}+{shape.m1}+{shape.m2}: {found} cores", file=sys.stderr)
 
     return enumerate_height2_cores(args.n, progress=progress)

@@ -81,10 +81,6 @@ class SimplificationStatus:
         return cls(kind="free", rank=rank)
 
     @classmethod
-    def trivial(cls) -> "SimplificationStatus":
-        return cls(kind="trivial")
-
-    @classmethod
     def inconclusive(cls, remaining: Presentation) -> "SimplificationStatus":
         return cls(kind="inconclusive", remaining=remaining)
 

@@ -25,7 +25,14 @@ from finspace.classify import (
     inventory,
     min_model_search,
 )
-from finspace.complexes import order_complex, homology, poset_homology
+from finspace.complexes import (
+    boundary_matrices,
+    f2_rank,
+    homology,
+    order_complex,
+    poset_homology,
+    smith_normal_form,
+)
 from finspace.enumeration import enumerate_height1_cores
 from finspace.presentations import poset_presentation, tietze_simplify
 
@@ -298,5 +305,34 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
                 circle_wedge_size_closed_form(n_circles, rounding),
                 "matches law" if circle_wedge_size_closed_form(n_circles, rounding) == law else "does NOT match law",
             )
+
+    # -- oracle-free invariants of the height-2 inventories ------------------------
+    # Each holds on every record whatever the published counts say, so a
+    # fault in enumeration, duality or either rank computation shows here.
+    not_closed = []
+    euler_bad = []
+    gf2_bad = []
+    for n in (7, 8):
+        records = inventories[(n, 2)].records
+        codes = {r.code for r in records}
+        for rec in records:
+            code = rec.code.decode("ascii")
+            if rec.dual_code not in codes:
+                not_closed.append(code)
+            prof = rec.profile
+            if prof.euler != sum((-1) ** d * b for d, b in enumerate(prof.betti)):
+                euler_bad.append(code)
+            for d, b in enumerate(boundary_matrices(order_complex(rec.poset())), 1):
+                snf = smith_normal_form(b)
+                even = sum(1 for v in snf.invariant_factors if v % 2 == 0)
+                if f2_rank(b) != snf.rank - even:
+                    gf2_bad.append(f"{code} d{d}")
+    emit("height-2 cores on 7 and 8 points closed under duality", [], not_closed)
+    emit("euler equals alternating betti sum on 7- and 8-point cores", [], euler_bad)
+    emit(
+        "GF(2) rank equals integer rank minus even invariant factors on 7- and 8-point cores",
+        [],
+        gf2_bad,
+    )
 
     return VerificationReport(tuple(checks))

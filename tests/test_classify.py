@@ -40,7 +40,7 @@ class TestLabel:
 
     def test_contractible(self):
         prof = profile((1,), (1,))
-        got = label(prof, SimplificationStatus.trivial(), 0)
+        got = label(prof, SimplificationStatus.free_of_rank(0), 0)
         assert got == WedgeLabel(circles=0, spheres=0, pi1_verified=True)
 
     def test_inconclusive_pi1_left_unverified(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finspace import figures
+from finspace import figures, presentations
 from finspace.complexes import (
     ComplexError,
     IntegerMatrix,
@@ -16,8 +16,10 @@ from finspace.complexes import (
     order_complex,
     poset_homology,
     smith_normal_form,
+    _dense_snf,
 )
 from finspace.posets import Poset
+from finspace.presentations import abelianized_rank, poset_presentation
 
 
 def rational_rank(m: IntegerMatrix) -> int:
@@ -163,6 +165,84 @@ class TestSmithNormalForm:
             assert smith_normal_form(m).rank == rational_rank(m)
 
 
+def scrambled(rng: random.Random, diagonal, rows: int, cols: int) -> IntegerMatrix:
+    """``diagonal`` on a rows x cols zero matrix, hidden by random unimodular
+    row and column operations, so its invariant factors are known."""
+    a = [[0] * cols for _ in range(rows)]
+    for k, v in enumerate(diagonal):
+        a[k][k] = v
+    for _ in range(rows + cols):
+        i, j = rng.sample(range(rows), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        i, j = rng.sample(range(cols), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        for row in a:
+            row[i] += q * row[j]
+    return IntegerMatrix.from_rows(a, cols)
+
+
+def assert_matches_dense(m: IntegerMatrix, where="") -> None:
+    assert smith_normal_form(m) == _dense_snf(m), where
+
+
+class TestSparseAgainstDenseSNF:
+    """The sparse unit-pivot pass plus dense leftover must give exactly the
+    invariant factors of the dense routine run on the whole matrix."""
+
+    def test_random_matrices_with_non_unit_entries(self):
+        rng = random.Random(37)
+        values = (0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -6)
+        for _ in range(300):
+            rows = rng.randint(1, 8)
+            cols = rng.randint(1, 8)
+            m = IntegerMatrix.from_rows(
+                [[rng.choice(values) for _ in range(cols)] for _ in range(rows)], cols
+            )
+            assert_matches_dense(m, m)
+
+    @pytest.mark.parametrize(
+        "diagonal, rows, cols, factors",
+        [
+            ((2, 4, 6, 0), 4, 4, (2, 2, 12)),
+            ((2, 4, 6), 5, 6, (2, 2, 12)),
+            ((1, 3, 9, 0), 4, 5, (1, 3, 9)),
+            ((2, 2, 1), 3, 3, (1, 2, 2)),
+            ((5, 0), 3, 2, (5,)),
+        ],
+    )
+    def test_scrambled_torsion(self, diagonal, rows, cols, factors):
+        rng = random.Random(41)
+        for _ in range(20):
+            m = scrambled(rng, diagonal, rows, cols)
+            assert smith_normal_form(m).invariant_factors == factors, m
+            assert_matches_dense(m, m)
+
+    def test_boundary_matrices(self):
+        complexes = {fid: order_complex(figures.poset(fid)) for fid in figures.all_ids()}
+        complexes["rp2"] = rp2()
+        complexes["chain7"] = order_complex(Poset.chain(7))
+        for name, k in complexes.items():
+            for d, b in enumerate(boundary_matrices(k), 1):
+                assert_matches_dense(b, f"{name} d{d}")
+
+    def test_relator_matrices(self, monkeypatch):
+        fed = []
+
+        def recording(m):
+            fed.append(m)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(presentations, "smith_normal_form", recording)
+        for fid in figures.all_ids():
+            p = figures.poset(fid)
+            if p.is_connected and p.height <= 2:
+                abelianized_rank(poset_presentation(p))
+        assert len(fed) > 30
+        for m in fed:
+            assert_matches_dense(m, m)
+
+
 class TestF2Rank:
     def test_matches_rationals_without_two_torsion(self):
         for fid in ("fig17a", "fig14c", "fig05a", "fig21b"):
@@ -203,6 +283,11 @@ class TestHomology:
         # with 2-torsion the GF(2) rank must drop below the rational rank
         d2 = boundary_matrices(rp2())[1]
         assert f2_rank(d2) == rational_rank(d2) - 1
+
+    def test_tall_chain_is_contractible(self):
+        prof = poset_homology(Poset.chain(12))
+        assert prof.betti == (1,) + (0,) * 11
+        assert not prof.has_torsion
 
     def test_circle(self):
         prof = homology(TRIANGLE_BOUNDARY)

@@ -151,4 +151,4 @@ class TestStatus:
     def test_certifies(self):
         assert SimplificationStatus.free_of_rank(3).certifies_free_rank(3)
         assert not SimplificationStatus.free_of_rank(3).certifies_free_rank(2)
-        assert SimplificationStatus.trivial().certifies_free_rank(0)
+        assert SimplificationStatus.free_of_rank(0).certifies_free_rank(0)

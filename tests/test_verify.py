@@ -49,3 +49,14 @@ class TestReport:
 
     def test_deterministic(self):
         assert verify_paper().to_json_lines() == verify_paper().to_json_lines()
+
+    def test_oracle_free_invariants_checked(self):
+        report = verify_paper()
+        by_name = {c.check: c for c in report.checks}
+        for name in (
+            "height-2 cores on 7 and 8 points closed under duality",
+            "euler equals alternating betti sum on 7- and 8-point cores",
+            "GF(2) rank equals integer rank minus even invariant factors on 7- and 8-point cores",
+        ):
+            assert by_name[name].expected == []
+            assert by_name[name].passed
