@@ -1,6 +1,6 @@
 """Workbench for finite topological spaces and minimal models of wedges of spheres."""
 
-from finspace.posets import CoverRelations, Poset
+from finspace.posets import Poset
 
-__all__ = ["Poset", "CoverRelations"]
+__all__ = ["Poset"]
 __version__ = "0.1.0"

@@ -105,8 +105,10 @@ def parse_poset_json(text: str) -> Poset:
         covers = obj["covers"]
     except KeyError as exc:
         raise PosetFormatError(f"missing key {exc}") from exc
-    if not isinstance(n, int) or not isinstance(elements, list):
-        raise PosetFormatError("'n' must be an integer and 'elements' a list")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise PosetFormatError("'n' must be an integer")
+    if not isinstance(elements, list) or not isinstance(covers, list):
+        raise PosetFormatError("'elements' and 'covers' must be lists")
     pairs = []
     for item in covers:
         if not isinstance(item, list) or len(item) != 2:

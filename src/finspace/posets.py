@@ -46,22 +46,6 @@ def _popcount(mask: int) -> int:
 
 
 @dataclass(frozen=True)
-class CoverRelations:
-    """A Hasse diagram: ``pairs`` lists (lower, upper) cover edges."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        for lo, hi in self.pairs:
-            if not (0 <= lo < self.n and 0 <= hi < self.n):
-                raise PosetError(f"cover ({lo}, {hi}) out of range for n={self.n}")
-            if lo == hi:
-                raise CycleDetected(f"cover ({lo}, {hi}) relates an element to itself")
-
-
-@dataclass(frozen=True)
 class RolePartition:
     """Maximal / middle / minimal elements; isolated points appear in both
     mxl and mnl and are flagged separately."""
@@ -120,16 +104,29 @@ class Poset:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_cover_relations(cls, covers: CoverRelations) -> "Poset":
+    def from_covers(
+        cls,
+        n: int,
+        pairs: Iterable[tuple[int, int]],
+        labels: Sequence[str] | None = None,
+    ) -> "Poset":
         """Build the poset whose order is the reflexive-transitive closure of
-        the given Hasse diagram.
+        the Hasse diagram whose (lower, upper) cover edges are ``pairs``.
 
-        Raises :class:`CycleDetected` if the closure is not antisymmetric and
-        :class:`NotCover` if a listed pair is implied by the others.
+        Raises :class:`PosetError` for an index outside ``0..n-1``,
+        :class:`CycleDetected` for a self-cover or a closure that is not
+        antisymmetric, and :class:`NotCover` if a listed pair is implied by
+        the others.
         """
-        n = covers.n
+        if not 1 <= n <= MAX_ELEMENTS:
+            raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
+        pairs = tuple(pairs)
         above = [0] * n  # direct successors
-        for lo, hi in covers.pairs:
+        for lo, hi in pairs:
+            if not (0 <= lo < n and 0 <= hi < n):
+                raise PosetError(f"cover ({lo}, {hi}) out of range for n={n}")
+            if lo == hi:
+                raise CycleDetected(f"cover ({lo}, {hi}) relates an element to itself")
             above[lo] |= 1 << hi
         up = [1 << i | above[i] for i in range(n)]
         changed = True
@@ -146,25 +143,15 @@ class Poset:
             for j in _bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
                     raise CycleDetected(f"elements {i} and {j} lie on a cycle")
-        poset = cls(up, covers.labels)
+        poset = cls(up, labels)
         strict = poset._strict_up
-        for lo, hi in covers.pairs:
+        for lo, hi in pairs:
             between = strict[lo] & poset._strict_down[hi]
             if between:
                 raise NotCover(
                     f"pair ({lo}, {hi}) is implied through element {next(_bits(between))}"
                 )
         return poset
-
-    @classmethod
-    def from_covers(
-        cls,
-        n: int,
-        pairs: Iterable[tuple[int, int]],
-        labels: Sequence[str] | None = None,
-    ) -> "Poset":
-        lab = tuple(labels) if labels is not None else None
-        return cls.from_cover_relations(CoverRelations(n, tuple(pairs), lab))
 
     @classmethod
     def antichain(cls, n: int, labels: Sequence[str] | None = None) -> "Poset":
@@ -219,9 +206,6 @@ class Poset:
                     out.append((i, j))
         return tuple(sorted(out))
 
-    def cover_relations(self) -> CoverRelations:
-        return CoverRelations(self.n, self.covers, self.labels)
-
     # -- heights and roles ---------------------------------------------------
 
     @cached_property
@@ -233,16 +217,6 @@ class Poset:
             below = self._strict_down[i]
             h[i] = 1 + max((h[j] for j in _bits(below)), default=-1)
         return tuple(h)
-
-    @cached_property
-    def _element_depths(self) -> tuple[int, ...]:
-        """Longest chain strictly above each element."""
-        order = sorted(range(self.n), key=lambda i: _popcount(self._up[i]))
-        d = [0] * self.n
-        for i in order:
-            above = self._strict_up[i]
-            d[i] = 1 + max((d[j] for j in _bits(above)), default=-1)
-        return tuple(d)
 
     def element_height(self, x: int) -> int:
         return self.element_heights[x]
@@ -402,98 +376,14 @@ class Poset:
     # -- isomorphism ------------------------------------------------------------
 
     @cached_property
-    def _refined_cells(self) -> tuple[tuple[int, ...], ...]:
-        """Equitable partition of the elements into isomorphism-invariant
-        cells, ordered canonically."""
-        n = self.n
-        sd = self._strict_down
-        su = self._strict_up
-        colors = [
-            (
-                self.element_heights[i],
-                self._element_depths[i],
-                _popcount(sd[i]),
-                _popcount(su[i]),
-            )
-            for i in range(n)
-        ]
-        while True:
-            keys = [
-                (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in _bits(sd[i]))),
-                    tuple(sorted(colors[j] for j in _bits(su[i]))),
-                )
-                for i in range(n)
-            ]
-            ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-            new = [(ranking[keys[i]],) for i in range(n)]
-            if len(set(new)) == len(set(colors)):
-                colors = new
-                break
-            colors = new
-        cells: dict[tuple, list[int]] = {}
-        for i in range(n):
-            cells.setdefault(colors[i], []).append(i)
-        return tuple(tuple(cells[c]) for c in sorted(cells))
-
-    @cached_property
     def canonical_code(self) -> bytes:
         """A byte string equal for two posets iff they are isomorphic.
 
-        Cells from the equitable refinement fix the block structure of the
-        allowed relabelings; within that structure the code is the
-        lexicographically least position-by-position relation profile, found
-        by branch-and-bound with interchangeable-twin pruning.
+        ``"<n>:<rows>"``, where rows are the strict up-set masks, in hex,
+        under the canonical labelling of :func:`_canonical_rows`.
         """
-        n = self.n
-        sd = self._strict_down
-        su = self._strict_up
-        cell_of_pos: list[tuple[int, ...]] = []
-        for cell in self._refined_cells:
-            cell_of_pos.extend([cell] * len(cell))
-        best: list[tuple[int, int]] | None = None
-
-        def pair_for(x: int, placed: list[int]) -> tuple[int, int]:
-            dmask = 0
-            umask = 0
-            for pos, y in enumerate(placed):
-                if sd[x] >> y & 1:
-                    dmask |= 1 << pos
-                if su[x] >> y & 1:
-                    umask |= 1 << pos
-            return (dmask, umask)
-
-        def dfs(pos: int, used: int, placed: list[int], prefix: list[tuple[int, int]]):
-            nonlocal best
-            if best is not None and prefix > best[: len(prefix)]:
-                return
-            if pos == n:
-                if best is None or prefix < best:
-                    best = list(prefix)
-                return
-            seen_twins = set()
-            scored = []
-            for x in cell_of_pos[pos]:
-                if used >> x & 1:
-                    continue
-                twin = (sd[x], su[x])
-                if twin in seen_twins:
-                    continue
-                seen_twins.add(twin)
-                scored.append((pair_for(x, placed), x))
-            scored.sort()
-            for pv, x in scored:
-                placed.append(x)
-                prefix.append(pv)
-                dfs(pos + 1, used | 1 << x, placed, prefix)
-                placed.pop()
-                prefix.pop()
-
-        dfs(0, 0, [], [])
-        assert best is not None
-        body = ",".join(f"{d}.{u}" for d, u in best)
-        return f"{n}:{body}".encode("ascii")
+        rows = _canonical_rows(self._strict_down, self._strict_up)
+        return (f"{self.n}:" + ",".join(f"{r:x}" for r in rows)).encode("ascii")
 
     def is_isomorphic(self, other: "Poset") -> bool:
         return self.canonical_code == other.canonical_code
@@ -503,6 +393,193 @@ class Poset:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         pairs = ", ".join(f"{self.labels[i]}<{self.labels[j]}" for i, j in self.covers)
         return f"Poset(n={self.n}, covers=[{pairs}])"
+
+
+# -- canonical labelling --------------------------------------------------------
+#
+# Partition backtracking (McKay, "Practical graph isomorphism", 1981; McKay &
+# Piperno, "Practical graph isomorphism, II", 2014).  An ordered partition is
+# a list of disjoint bitmask cells.  Refinement and the choice of where to
+# branch look only at the order relation and at cell positions, never at
+# element indices, so an isomorphism carries one poset's search tree onto the
+# other's and the least leaf certificate is a canonical form.
+
+
+def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[int]) -> None:
+    """Refine the ordered partition ``cells`` in place until it is equitable:
+    elements of one cell have equally many elements below them, and equally
+    many above, in every cell.
+
+    ``queue`` lists the splitter cells still to apply.  A splitter S splits
+    each cell by the key (|below x & S|, |above x & S|), pieces in key order.
+    A split cell that is not queued itself queues all its pieces but the
+    first largest, whose counts follow from the others' (Hopcroft's rule).
+    """
+    n = len(sd)
+    pending = set(queue)
+    head = 0
+    while head < len(queue) and len(cells) < n:
+        s = queue[head]
+        head += 1
+        if s not in pending:  # split since it was queued; its pieces are queued
+            continue
+        pending.discard(s)
+        single = not s & (s - 1)
+        above = below = 0  # elements above / below some element of s
+        for y in _bits(s):
+            above |= su[y]
+            below |= sd[y]
+        touched = above | below
+        i = 0
+        while i < len(cells):
+            c = cells[i]
+            if not (c & (c - 1) and c & touched):
+                i += 1
+                continue
+            if single:  # keys (0, 0), (0, 1), (1, 0)
+                pieces = [p for p in (c & ~touched, c & below, c & above) if p]
+            else:
+                groups: dict[int, int] = {}
+                for x in _bits(c):
+                    key = (sd[x] & s).bit_count() << 7 | (su[x] & s).bit_count()
+                    groups[key] = groups.get(key, 0) | 1 << x
+                pieces = [groups[key] for key in sorted(groups)]
+            if len(pieces) > 1:
+                cells[i : i + 1] = pieces
+                skip = -1
+                if c in pending:
+                    pending.discard(c)
+                else:
+                    sizes = [p.bit_count() for p in pieces]
+                    skip = sizes.index(max(sizes))
+                for k, p in enumerate(pieces):
+                    if k != skip:
+                        queue.append(p)
+                        pending.add(p)
+            i += len(pieces)
+
+
+def _orbit_roots(
+    cell: int, fixed: list[int], gens: list[list[int]], sd: Sequence[int], su: Sequence[int]
+) -> dict[int, int]:
+    """Orbit representative of each element of ``cell`` under the twin
+    transpositions inside it and the automorphisms in ``gens`` that fix
+    every element of ``fixed``."""
+    parent: dict[int, int] = {}
+    first_twin: dict[tuple[int, int], int] = {}
+    for x in _bits(cell):
+        parent[x] = first_twin.setdefault((sd[x], su[x]), x)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in gens:
+        if all(g[v] == v for v in fixed):
+            for x in _bits(cell):
+                a, b = find(x), find(g[x])
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    return {x: find(x) for x in _bits(cell)}
+
+
+def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
+    """Least certificate over the individualization-refinement tree.
+
+    The root is the equitable refinement of the unit partition.  A node
+    branches on its first non-singleton cell: each child individualizes one
+    element (it becomes a singleton cell just before the rest of the cell)
+    and refines.  A cell whose elements are all twins (equal strict down- and
+    up-sets) is split into singletons without branching, since any order of
+    twins gives the same certificate.  At a leaf every cell is a singleton;
+    the certificate lists each element's strict up-set with elements renamed
+    by cell position, and the code is the least certificate.
+
+    A leaf whose certificate equals the first or the best leaf's gives an
+    automorphism.  A node skips a child in the orbit of a child it already
+    explored, under the automorphisms found so far that fix the node's path,
+    and the search jumps back to the node where the new leaf's path left the
+    matching leaf's path, whose subtree maps onto the one just searched.
+    """
+    n = len(sd)
+    cells = [(1 << n) - 1]
+    _refine(cells, cells[:], sd, su)
+    gens: list[list[int]] = []  # automorphisms, g[x] = image of x
+    first: tuple[list[int], list[int], list[int]] | None = None  # rows, order, path
+    best = first
+    explore_on = n + 1  # returned when no jump is due
+
+    def leaf(cells: list[int], path: list[int]) -> int:
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for p, x in enumerate(order):
+            pos[x] = p
+        rows = []
+        for x in order:
+            m = su[x]
+            r = 0
+            while m:
+                low = m & -m
+                r |= 1 << pos[low.bit_length() - 1]
+                m ^= low
+            rows.append(r)
+        if first is None:
+            first = best = (rows, order, path)
+            return explore_on
+        for ref_rows, ref_order, ref_path in (first, best):
+            if rows == ref_rows:
+                g = [0] * n
+                for p, x in enumerate(order):
+                    g[x] = ref_order[p]
+                gens.append(g)
+                k = 0
+                while path[k] == ref_path[k]:
+                    k += 1
+                return k
+        if rows < best[0]:
+            best = (rows, order, path)
+        return explore_on
+
+    def visit(cells: list[int], path: list[int]) -> int:
+        """Search below a node; return the level of the node to resume at."""
+        while True:
+            for i, cell in enumerate(cells):
+                if cell & (cell - 1):
+                    break
+            else:
+                return leaf(cells, path)
+            x = cell.bit_length() - 1
+            down, up = sd[x], su[x]
+            if not all(sd[y] == down and su[y] == up for y in _bits(cell)):
+                break
+            twins = list(_bits(cell))
+            cells = cells[:i] + [1 << y for y in twins] + cells[i + 1 :]
+            path = path + twins
+        level = len(path)
+        explored: list[int] = []
+        known = -1  # automorphisms reflected in roots
+        roots: dict[int, int] = {}
+        for x in _bits(cell):
+            if explored:
+                if known != len(gens):
+                    known = len(gens)
+                    roots = _orbit_roots(cell, path, gens, sd, su)
+                if any(roots[e] == roots[x] for e in explored):
+                    continue
+            explored.append(x)
+            child = cells[:i] + [1 << x, cell & ~(1 << x)] + cells[i + 1 :]
+            _refine(child, [1 << x], sd, su)
+            resume = visit(child, path + [x])
+            if resume < level:
+                return resume
+        return explore_on
+
+    visit(cells, [])
+    assert best is not None
+    return best[0]
 
 
 def fence() -> Poset:

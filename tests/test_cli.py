@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from finspace.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -87,6 +95,19 @@ class TestExitCodes:
         bad.write_text("poset 2\nelements a b\ncover a z\n")
         assert main(["homology", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "elements": ["a", "b"], "covers": 5}',
+            '{"n": true, "elements": ["a"], "covers": []}',
+        ],
+    )
+    def test_data_error_malformed_json(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["show", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_enumerate_cap(self, capsys):
         assert main(["enumerate", "--n", "99", "--height", "2"]) == 2
 
@@ -109,6 +130,22 @@ class TestPipelines:
         assert code == 0
         code, second, _ = run(capsys, "enumerate", "--n", "6", "--height", "2")
         assert first == second
+
+    def test_enumerate_independent_of_hash_seed(self):
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            done = subprocess.run(
+                [sys.executable, "-m", "finspace.cli", "enumerate", "--n", "8", "--height", "2"],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_classify_counts(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "7", "--height", "2")

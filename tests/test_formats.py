@@ -73,6 +73,20 @@ class TestJsonFormat:
         with pytest.raises(PosetFormatError):
             parse_poset_json('{"n": 1, "elements": ["a"], "covers": [["a"]]}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "elements": ["a", "b"], "covers": 5}',
+            '{"n": 1, "elements": "a", "covers": []}',
+            '{"n": true, "elements": ["a"], "covers": []}',
+            '{"n": 10000000000, "elements": ["a"], "covers": []}',
+        ],
+        ids=["covers-number", "elements-string", "n-boolean", "n-huge"],
+    )
+    def test_bad_field(self, text):
+        with pytest.raises(PosetFormatError):
+            parse_poset_json(text)
+
 
 class TestDot:
     def test_fence_dot(self):
@@ -89,3 +103,4 @@ class TestDot:
         p = Poset.chain(3, ["x", "y", "z"])
         dot = poset_to_dot(p)
         assert dot.index('rank=same; "x"') < dot.index('rank=same; "y"')
+

@@ -4,8 +4,13 @@ import pytest
 
 from finspace import figures
 from finspace.complexes import poset_homology
+from finspace.enumeration import (
+    enumerate_height1_cores,
+    enumerate_height2_cores,
+    enumerate_posets,
+)
+from finspace.formats import load_poset
 from finspace.posets import (
-    CoverRelations,
     CycleDetected,
     NotCover,
     Poset,
@@ -14,6 +19,7 @@ from finspace.posets import (
     sphere_model,
     two_point_discrete,
 )
+from oracle_code import oracle_code
 
 
 def build(labels: str, covers: str) -> Poset:
@@ -50,7 +56,7 @@ class TestConstruction:
 
     def test_self_cover_rejected(self):
         with pytest.raises(CycleDetected):
-            CoverRelations(2, ((1, 1),))
+            Poset.from_covers(2, [(1, 1)])
 
     def test_not_cover(self):
         with pytest.raises(NotCover):
@@ -71,7 +77,7 @@ class TestConstruction:
     def test_cover_round_trip(self):
         for fid in ("fig04a", "fig17a", "fig21c"):
             p = figures.poset(fid)
-            rebuilt = Poset.from_cover_relations(p.cover_relations())
+            rebuilt = Poset.from_covers(p.n, p.covers, p.labels)
             assert rebuilt.same_order_as(p)
 
 
@@ -298,3 +304,180 @@ class TestIsomorphism:
         b = build("x y z", "x<y x<z")
         assert not a.is_isomorphic(b)
         assert a.dual().is_isomorphic(b)
+
+
+def _codes_agree(posets) -> bool:
+    """True iff canonical_code and the oracle split ``posets`` alike:
+    two posets share a code iff they share an oracle code."""
+    new = [p.canonical_code for p in posets]
+    old = [oracle_code(p) for p in posets]
+    return len(set(new)) == len(set(old)) == len(set(zip(new, old)))
+
+
+class TestCanonicalAgainstOracle:
+    def test_all_posets_on_seven_points(self):
+        ps = enumerate_posets(7)
+        assert len({p.canonical_code for p in ps}) == 2045
+        assert _codes_agree(ps)
+
+    def test_random_pairs_and_relabelled_copies(self):
+        from conftest import random_poset
+
+        rng = random.Random(4321)
+        for _ in range(300):
+            n_max = rng.choice((4, 6, 8))
+            p = random_poset(rng, n_max=n_max)
+            q = random_poset(rng, n_max=n_max)
+            sigma = list(range(q.n))
+            rng.shuffle(sigma)
+            copy = q.permuted(sigma)
+            assert copy.canonical_code == q.canonical_code
+            assert _codes_agree([p, q, copy])
+
+    def test_fixtures(self, fixture_dir):
+        ps = [load_poset(path) for path in sorted(fixture_dir.glob("*.poset"))]
+        assert len(ps) == 61
+        assert _codes_agree(ps)
+
+    def test_cores_on_eight_points_and_duals(self):
+        cores = enumerate_height2_cores(8) + enumerate_height1_cores(8)
+        assert _codes_agree(cores + [p.dual() for p in cores])
+
+
+def cycle_crown(m: int) -> Poset:
+    """2m points: minimal i lies below maximals i and i+1 (mod m)."""
+    up = [1 << i for i in range(2 * m)]
+    for i in range(m):
+        up[i] |= 1 << (m + i) | 1 << (m + (i + 1) % m)
+    return Poset(up)
+
+
+def matching_crown(m: int) -> Poset:
+    """2m points: minimal i lies below every maximal but maximal i."""
+    up = [1 << i for i in range(2 * m)]
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                up[i] |= 1 << (m + j)
+    return Poset(up)
+
+
+def disjoint_union(p: Poset, q: Poset) -> Poset:
+    up = [sum(1 << y for y in p.up_set(x)) for x in range(p.n)]
+    up += [sum(1 << p.n + y for y in q.up_set(x)) for x in range(q.n)]
+    return Poset(up)
+
+
+class TestCrowns:
+    """Symmetric twin-free posets, where only automorphism pruning keeps the
+    search small."""
+
+    @pytest.mark.parametrize("crown", [cycle_crown, matching_crown])
+    def test_relabelling_invariance(self, crown):
+        p = crown(10)
+        rng = random.Random(10)
+        for _ in range(5):
+            sigma = list(range(p.n))
+            rng.shuffle(sigma)
+            assert p.permuted(sigma).canonical_code == p.canonical_code
+
+    def test_cycle_crown_against_two_smaller_crowns(self):
+        # every element of both has one neighbour set size: only the search
+        # tells them apart
+        one = cycle_crown(10)
+        two = disjoint_union(cycle_crown(5), cycle_crown(5))
+        assert one.n == two.n == 20
+        assert one.canonical_code != two.canonical_code
+        rng = random.Random(20)
+        sigma = list(range(20))
+        rng.shuffle(sigma)
+        assert two.permuted(sigma).canonical_code == two.canonical_code
+
+    def test_small_crowns_against_oracle(self):
+        ps = [cycle_crown(m) for m in range(2, 7)] + [matching_crown(m) for m in range(2, 7)]
+        ps.append(disjoint_union(cycle_crown(3), cycle_crown(3)))
+        assert _codes_agree(ps)
+        assert cycle_crown(3).is_isomorphic(matching_crown(3))
+
+
+def cayley_z4z4(shifts) -> list[int]:
+    """Neighbour masks of the Cayley graph on Z4 x Z4 with connection set
+    ``shifts``; vertex (a, b) is 4a + b."""
+    return [
+        sum(1 << 4 * ((a + s) % 4) + (b + t) % 4 for s, t in shifts)
+        for a in range(4)
+        for b in range(4)
+    ]
+
+
+# the two strongly regular graphs with parameters (16, 6, 2, 2)
+SHRIKHANDE = cayley_z4z4([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+ROOK_4X4 = cayley_z4z4([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+
+
+def double_cover(nbrs: list[int]) -> Poset:
+    """Minimal i lies below maximal j iff i and j are adjacent."""
+    n = len(nbrs)
+    return Poset([1 << i | nbrs[i] << n for i in range(n)] + [1 << n + j for j in range(n)])
+
+
+def vertex_edge_incidence(nbrs: list[int]) -> Poset:
+    """Each vertex lies below the edges that contain it."""
+    n = len(nbrs)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if nbrs[i] >> j & 1]
+    up = [1 << i for i in range(n + len(edges))]
+    for k, (i, j) in enumerate(edges):
+        up[i] |= 1 << n + k
+        up[j] |= 1 << n + k
+    return Poset(up)
+
+
+def biadjacency_isomorphic(a: list[int], b: list[int]) -> bool:
+    """Whether permuting rows and columns turns 0/1 matrix ``a`` into ``b``
+    (rows as column masks): map rows one at a time, keeping for each column
+    the columns of ``b`` it can still map to.  True only once every column
+    has exactly one image, so a True answer exhibits the isomorphism."""
+    n = len(a)
+    full = (1 << n) - 1
+
+    def extend(row: int, used: int, images: list[int]) -> bool:
+        if row == n:
+            return all(m and not m & (m - 1) for m in images) and len(set(images)) == n
+        for target in range(n):
+            if used >> target & 1:
+                continue
+            narrowed = [
+                m & (b[target] if a[row] >> col & 1 else full & ~b[target])
+                for col, m in enumerate(images)
+            ]
+            if all(narrowed) and extend(row + 1, used | 1 << target, narrowed):
+                return True
+        return False
+
+    return extend(0, 0, [full] * n)
+
+
+class TestStronglyRegular:
+    """After one element is fixed, refinement leaves cells that hold several
+    orbits, so these codes depend on the search and its pruning."""
+
+    @pytest.mark.parametrize("build", [double_cover, vertex_edge_incidence])
+    @pytest.mark.parametrize("nbrs", [SHRIKHANDE, ROOK_4X4], ids=["shrikhande", "rook"])
+    def test_relabelling_invariance(self, build, nbrs):
+        p = build(nbrs)
+        rng = random.Random(p.n)
+        for _ in range(30):
+            sigma = list(range(p.n))
+            rng.shuffle(sigma)
+            assert p.permuted(sigma).canonical_code == p.canonical_code
+
+    def test_double_covers_agree_although_graphs_differ(self):
+        assert biadjacency_isomorphic(SHRIKHANDE, ROOK_4X4)
+        assert double_cover(SHRIKHANDE).is_isomorphic(double_cover(ROOK_4X4))
+        moved = list(ROOK_4X4)
+        moved[0] ^= 0b11  # 0 ~ 1 becomes 0 ~ 0
+        assert not double_cover(SHRIKHANDE).is_isomorphic(double_cover(moved))
+        # the incidence poset determines the graph
+        assert not vertex_edge_incidence(SHRIKHANDE).is_isomorphic(
+            vertex_edge_incidence(ROOK_4X4)
+        )

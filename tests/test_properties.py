@@ -143,6 +143,6 @@ def test_cores_have_two_maximal_and_two_minimal():
 
 def test_cover_extraction_round_trips(pool):
     for p in pool[:250]:
-        again = Poset.from_cover_relations(p.cover_relations())
+        again = Poset.from_covers(p.n, p.covers, p.labels)
         assert again.same_order_as(p)
         assert again.covers == p.covers
