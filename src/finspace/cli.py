@@ -40,6 +40,19 @@ USAGE_ERROR = 2
 DATA_ERROR = 3
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``, so that a bad count is a
+    usage error rather than a traceback."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finspace",
@@ -65,20 +78,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pi1 = sub.add_parser("pi1", help="fundamental group presentation and status")
     p_pi1.add_argument("file")
-    p_pi1.add_argument("--budget", type=int, default=10_000)
+    p_pi1.add_argument("--budget", type=_int_at_least(1), default=10_000)
 
     p_enum = sub.add_parser("enumerate", help="enumerate cores up to isomorphism")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_int_at_least(1), required=True)
     p_enum.add_argument("--height", type=int, choices=(1, 2), required=True)
     p_enum.add_argument("--jsonl", help="write classification records to this file")
 
     p_cls = sub.add_parser("classify", help="inventory of cores grouped by wedge type")
-    p_cls.add_argument("--n", type=int, required=True)
+    p_cls.add_argument("--n", type=_int_at_least(1), required=True)
     p_cls.add_argument("--height", type=int, choices=(1, 2), required=True)
 
     p_min = sub.add_parser("min-model", help="search for minimal models of a wedge")
-    p_min.add_argument("--circles", type=int, required=True)
-    p_min.add_argument("--spheres", type=int, required=True)
+    p_min.add_argument("--circles", type=_int_at_least(0), required=True)
+    p_min.add_argument("--spheres", type=_int_at_least(0), required=True)
     p_min.add_argument("--max-n", type=int, default=8)
 
     p_ver = sub.add_parser("verify-paper", help="re-check every published claim")

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from finspace.posets import Poset, _bits
+from finspace.posets import Poset, _bits, _connected
 
 
 class ComplexError(ValueError):
@@ -76,19 +76,12 @@ class SimplicialComplex:
         if not verts:
             return True
         index = {v: k for k, v in enumerate(verts)}
-        adj = [0] * len(verts)
+        down = [0] * len(verts)
+        up = [0] * len(verts)
         for u, v in self.edges():
-            adj[index[u]] |= 1 << index[v]
-            adj[index[v]] |= 1 << index[u]
-        seen = 1
-        frontier = 1
-        while frontier:
-            new = 0
-            for i in _bits(frontier):
-                new |= adj[i]
-            frontier = new & ~seen
-            seen |= new
-        return seen == (1 << len(verts)) - 1
+            up[index[u]] |= 1 << index[v]
+            down[index[v]] |= 1 << index[u]
+        return _connected(down, up)
 
 
 def order_complex(p: Poset) -> SimplicialComplex:

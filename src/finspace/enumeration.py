@@ -1,25 +1,30 @@
 """Exhaustive generation of small posets up to isomorphism.
 
-Three generators live here:
+Two generators live here:
 
 * :func:`enumerate_posets` - every poset on up to seven points, grown by
   repeatedly attaching a new maximal element above an order ideal.  It is
-  deliberately simple and serves as the sanity oracle for the others.
-* :func:`enumerate_height2_cores` - connected beat-point-free posets of
-  height exactly two, stratified by element height.
-* :func:`enumerate_height1_cores` - connected beat-point-free bipartite
-  posets (every maximal above at least two minimals and vice versa).
+  deliberately simple and serves as the sanity oracle for the other.
+* one layered core generator for connected beat-point-free posets of
+  height two (:func:`enumerate_height2_cores`) and height one
+  (:func:`enumerate_height1_cores`), stratified by element height into a
+  :class:`LevelShape`; a height-1 shape has no height-2 elements.
 
-Both core generators build 0/1 incidence matrices row by row through one
-orderly row generator, :func:`_orderly_rows`.  Rows come as non-increasing
-bitmask tuples, which removes row symmetry.  Column symmetry is removed as
-the rows are built: two adjacent columns that are equal over the rows so far
-are *tied*, and the next row may not put a 1 in the lower of two tied columns
+The core generator builds 0/1 incidence matrices level by level through one
+orderly row generator, :func:`_orderly_rows`: first the minimal-set rows of
+the height-1 elements, then, for height two, the rows of the height-2
+elements over the levels below.  Rows come as non-increasing bitmask
+tuples, which removes row symmetry.  Column symmetry is removed as the rows
+are built: two adjacent columns that are equal over the rows so far are
+*tied*, and the next row may not put a 1 in the lower of two tied columns
 and a 0 in the higher one (every matrix can be brought into this form by
 permuting its rows and columns; Lubiw, "Doubly lexical orderings of
 matrices", SIAM J. Comput. 1987).  A rejected row cuts off its whole subtree.
-Survivors are deduplicated by canonical code, keeping the first member of
-each class.
+Every candidate of either height then goes through one filter: no element
+of the level under the top lies below exactly one top element, the
+comparability graph is connected, there is no beat point (the mask helpers
+of :mod:`finspace.posets`), and the first member of each class, by
+canonical code, is kept.
 
 The rule never rejects that first member.  Without the rule the generation
 order is descending lexicographic, so the first member of a class is its
@@ -27,6 +32,15 @@ lexicographically greatest one.  If it broke the rule, swapping the two
 tied columns would keep the earlier rows, raise the offending row, and so
 give a greater member of the same class.  The kept representatives are
 therefore exactly those of plain row-sorted generation.
+
+Height-1 masks take the smaller level as their columns, so a shape with
+more minimals than maximals is not generated on its own.  Its candidates
+are the row tuples of the transposed shape, read as the minimals' up-sets
+instead of the maximals' down-sets.  Transposing is the order duality,
+which keeps connectivity and beat points, so both readings see the same
+row sequence, keep the same row tuples and split them into classes alike.
+The first member of each class, and so each kept representative, is the
+one that generating the wide shape on its own would keep.
 
 Cheap arithmetic facts prune the height-2 search further: in a core every
 height-1 element sits above at least two minimals, every height-1 element
@@ -42,7 +56,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, NamedTuple
 
-from finspace.posets import Poset, _bits, _popcount
+from finspace.posets import Poset, _beat_points, _connected, _popcount, _transpose
 
 HEIGHT2_CAP = 10
 HEIGHT1_CAP = 12
@@ -150,7 +164,7 @@ def enumerate_posets(n: int) -> list[Poset]:
     return [current[c] for c in sorted(current)]
 
 
-# -- height-2 cores ------------------------------------------------------------
+# -- cores of height one and two ------------------------------------------------
 
 
 def level_shapes(n: int) -> list[LevelShape]:
@@ -170,28 +184,46 @@ def level_shapes(n: int) -> list[LevelShape]:
     return out
 
 
-def _shape_candidates(shape: LevelShape) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (middle_rows, top_rows) incidence assignments for one shape.
+def _lone_columns(rows: tuple[int, ...]) -> int:
+    """Bitmask of the columns set in exactly one of ``rows``."""
+    once = twice = 0
+    for row in rows:
+        twice |= once & row
+        once |= row
+    return once & ~twice
 
-    middle_rows[i] is the minimal-set mask under height-1 element i (at
-    least two bits).  top_rows[k] encodes height-2 element k as
-    ``smask << m0 | emask``: the middles below it and the extra minimals it
-    covers directly.  A height-2 element with a single middle predecessor
-    must take at least one extra minimal cover, else that middle point would
-    be the maximum of its punctured down-set.
 
-    Both levels come from :func:`_orderly_rows`.  The middles start with all
-    minimal columns tied.  The tops start with the minimal columns still
-    tied after the middles, plus middle column i tied to column i-1 when the
-    two middles have equal rows, since swapping them changes nothing below.
-    Assignments come in the order of plain row-sorted generation (middles
-    first, then tops), minus those breaking the column rule; the first
-    assignment of each isomorphism class is never among those removed (see
-    the module docstring).
+def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the strict down- and up-set masks (minimals first, then the
+    height-1 elements, then the height-2 ones) of each candidate of one shape
+    in which no element of the level under the top lies below exactly one
+    top element; such an element would be an up beat point.
+
+    The rows of the height-1 elements are their minimal-set masks (at least
+    two bits).  With ``m2 == 0`` these elements are the top level.
+    Otherwise height-2 element k gets the row ``smask << m0 | emask``: the
+    height-1 elements below it and the extra minimals it covers directly.  A
+    height-2 element with a single height-1 predecessor must take at least
+    one extra minimal cover, else that predecessor would be the maximum of
+    its punctured down-set.
+
+    Both levels come from :func:`_orderly_rows`.  The height-1 level starts
+    with all minimal columns tied.  The height-2 level starts with the
+    minimal columns still tied after it, plus height-1 column i tied to
+    column i-1 when the two rows are equal, since swapping them changes
+    nothing below.  Candidates come in the order of plain row-sorted
+    generation (height-1 rows first, then height-2), minus those breaking
+    the column rule; the first candidate of each isomorphism class is never
+    among those removed (see the module docstring).
     """
     m2, m1, m0 = shape
     minimals = (1 << m0) - 1
     for middles, ties in _orderly_rows(_descending_masks(m0, 2), m1, _all_tied(m0)):
+        down = [0] * m0 + list(middles)
+        if not m2:
+            if not _lone_columns(middles):
+                yield down, _transpose(down)
+            continue
         unions = [0]  # unions[smask]: the minimals below the middles in smask
         for row in middles:
             unions += [u | row for u in unions]
@@ -211,93 +243,53 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[tuple[int, ...], tupl
             if middles[i] == middles[i - 1]:
                 ties |= 1 << (m0 + i)
         for chosen, _ in _orderly_rows(tops, m2, ties):
-            yield middles, chosen
-
-
-def _assemble_masks(shape: LevelShape, middles, tops) -> list[int]:
-    """Strict-down masks for the stratified poset (minimals first)."""
-    m2, m1, m0 = shape
-    down = [0] * shape.n
-    for i, umask in enumerate(middles):
-        down[m0 + i] = umask
-    for k, top in enumerate(tops):
-        acc = top & ((1 << m0) - 1)
-        for i in _bits(top >> m0):
-            acc |= middles[i] | (1 << (m0 + i))
-        down[m0 + m1 + k] = acc
-    return down
-
-
-def _masks_connected(down: list[int], n: int) -> bool:
-    up = [0] * n
-    for i in range(n):
-        for j in _bits(down[i]):
-            up[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for i in _bits(frontier):
-            new |= down[i] | up[i]
-        frontier = new & ~seen
-        seen |= new
-    return seen == (1 << n) - 1
-
-
-def _masks_are_core(down: list[int], n: int) -> bool:
-    up = [0] * n
-    for i in range(n):
-        for j in _bits(down[i]):
-            up[j] |= 1 << i
-    for x in range(n):
-        hat = down[x]
-        for m in _bits(hat):
-            if hat & ~(down[m] | (1 << m)) == 0:
-                return False
-        hat = up[x]
-        for m in _bits(hat):
-            if hat & ~(up[m] | (1 << m)) == 0:
-                return False
-    return True
-
-
-def _poset_from_down(down: list[int], labels) -> Poset:
-    n = len(down)
-    up = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in _bits(down[i]):
-            up[j] |= 1 << i
-    return Poset(up, labels)
+            if not _lone_columns(chosen) >> m0:
+                full = down + [top | unions[top >> m0] for top in chosen]
+                yield full, _transpose(full)
 
 
 def _stratum_labels(shape: LevelShape) -> list[str]:
     m2, m1, m0 = shape
+    middle = "b" if m2 else "a"
     return (
         [f"c{j + 1}" for j in range(m0)]
-        + [f"b{i + 1}" for i in range(m1)]
+        + [f"{middle}{i + 1}" for i in range(m1)]
         + [f"a{k + 1}" for k in range(m2)]
     )
 
 
 def _cores_for_shape(shape: LevelShape) -> list[Poset]:
-    n = shape.n
+    """One connected core per isomorphism class of the given shape.
+
+    A height-1 shape with fewer minimals than maximals also yields the
+    cores of the wide shape with the two levels swapped: each kept row
+    tuple is read a second time as the minimals' up-sets (see the module
+    docstring).
+    """
+    m2, m1, m0 = shape
     labels = _stratum_labels(shape)
+    wide_labels = _stratum_labels(LevelShape(0, m0, m1)) if not m2 and m0 < m1 else None
     found: dict[bytes, Poset] = {}
-    for middles, tops in _shape_candidates(shape):
-        # a middle point below exactly one top is an up beat point
-        counts = [0] * shape.m1
-        for top in tops:
-            for i in _bits(top >> shape.m0):
-                counts[i] += 1
-        if any(c == 1 for c in counts):
+    for down, up in _shape_candidates(shape):
+        if not _connected(down, up) or _beat_points(down, up):
             continue
-        down = _assemble_masks(shape, middles, tops)
-        if not _masks_connected(down, n):
-            continue
-        if not _masks_are_core(down, n):
-            continue
-        p = _poset_from_down(down, labels)
+        p = Poset([mask | 1 << i for i, mask in enumerate(up)], labels)
         found.setdefault(p.canonical_code, p)
+        if wide_labels:
+            q = Poset(
+                [row << m1 | 1 << i for i, row in enumerate(down[m0:])]
+                + [1 << j for j in range(m1, m1 + m0)],
+                wide_labels,
+            )
+            found.setdefault(q.canonical_code, q)
+    return list(found.values())
+
+
+def _merged(shards) -> list[Poset]:
+    found: dict[bytes, Poset] = {}
+    for shard in shards:
+        for p in shard:
+            found.setdefault(p.canonical_code, p)
     return [found[c] for c in sorted(found)]
 
 
@@ -330,7 +322,6 @@ def enumerate_height2_cores(
         raise SizeTooLarge(f"height-2 core enumeration is capped at {HEIGHT2_CAP}")
     shapes = level_shapes(n)
     nworkers = _worker_count(workers)
-    found: dict[bytes, Poset] = {}
     if nworkers > 1 and len(shapes) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             shards = list(pool.map(_cores_for_shape, shapes))
@@ -340,55 +331,17 @@ def enumerate_height2_cores(
             shards.append(_cores_for_shape(shape))
             if progress is not None:
                 progress(shape, len(shards[-1]))
-    for shard in shards:
-        for p in shard:
-            found.setdefault(p.canonical_code, p)
-    return [found[c] for c in sorted(found)]
-
-
-# -- height-1 cores --------------------------------------------------------------
+    return _merged(shards)
 
 
 def enumerate_height1_cores(n: int) -> list[Poset]:
     """All connected height-1 beat-point-free posets on n points, up to
-    isomorphism (bipartite incidences with both-side degrees >= 2)."""
+    isomorphism, sorted by canonical code (bipartite incidences with
+    both-side degrees >= 2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > HEIGHT1_CAP:
         raise SizeTooLarge(f"height-1 core enumeration is capped at {HEIGHT1_CAP}")
-    found: dict[bytes, Poset] = {}
-    for n_min in range(2, n - 1):
-        n_max = n - n_min
-        if n_max < 2:
-            continue
-        # rows run over the larger side so masks stay narrow
-        if n_min <= n_max:
-            width, nrows, transposed = n_min, n_max, False
-        else:
-            width, nrows, transposed = n_max, n_min, True
-        choices = _descending_masks(width, 2)
-        for rows, _ in _orderly_rows(choices, nrows, _all_tied(width)):
-            colcount = [0] * width
-            for r in rows:
-                for j in _bits(r):
-                    colcount[j] += 1
-            if any(c < 2 for c in colcount):
-                continue
-            if transposed:
-                # rows are minimals' up-sets over the maximals
-                down = [0] * n
-                for i, r in enumerate(rows):
-                    for j in _bits(r):
-                        down[n_min + j] |= 1 << i
-            else:
-                down = [0] * n
-                for i, r in enumerate(rows):
-                    down[n_min + i] = r
-            if not _masks_connected(down, n):
-                continue
-            labels = [f"c{j + 1}" for j in range(n_min)] + [
-                f"a{i + 1}" for i in range(n_max)
-            ]
-            p = _poset_from_down(down, labels)
-            found.setdefault(p.canonical_code, p)
-    return [found[c] for c in sorted(found)]
+    # rows run over the larger level, so masks stay narrow
+    shapes = [LevelShape(0, n - m0, m0) for m0 in range(2, n // 2 + 1)]
+    return _merged(map(_cores_for_shape, shapes))

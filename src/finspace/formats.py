@@ -114,7 +114,14 @@ def parse_poset_json(text: str) -> Poset:
         if not isinstance(item, list) or len(item) != 2:
             raise PosetFormatError("covers must be two-element arrays")
         pairs.append((str(item[0]), str(item[1])))
-    return _build(n, [str(e) for e in elements], pairs)
+    names = [str(e) for e in elements]
+    for name in names:
+        # the text format splits names on whitespace and cuts lines at '#'
+        if name.split() != [name] or "#" in name:
+            raise PosetFormatError(
+                f"element name {name!r} is empty or holds whitespace or '#'"
+            )
+    return _build(n, names, pairs)
 
 
 def poset_to_json(p: Poset) -> str:

@@ -45,6 +45,47 @@ def _popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The relation ``rows`` read backwards: bit i of ``out[j]`` is bit j of
+    ``rows[i]``.  Strict down-set masks become strict up-set masks and back."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+def _connected(down: Sequence[int], up: Sequence[int]) -> bool:
+    """True iff every element is reached from element 0 along the strict
+    down- and up-set masks ``down`` and ``up`` (the comparability graph)."""
+    seen = 1
+    frontier = 1
+    while frontier:
+        new = 0
+        for i in _bits(frontier):
+            new |= down[i] | up[i]
+        frontier = new & ~seen
+        seen |= new
+    return seen == (1 << len(down)) - 1
+
+
+def _beat_points(down: Sequence[int], up: Sequence[int]) -> int:
+    """Bitmask of the beat points of the poset whose strict down- and up-set
+    masks are ``down`` and ``up``.
+
+    x is a down beat point iff its strict down-set has a maximum m, that is,
+    the set minus m lies below m; dually for up beat points.
+    """
+    beats = 0
+    for rows in (down, up):
+        for x, hat in enumerate(rows):
+            for m in _bits(hat):
+                if hat & ~rows[m] == 1 << m:
+                    beats |= 1 << x
+                    break
+    return beats
+
+
 @dataclass(frozen=True)
 class RolePartition:
     """Maximal / middle / minimal elements; isolated points appear in both
@@ -74,14 +115,12 @@ class Poset:
             raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
         up = tuple(up_masks)
         full = (1 << n) - 1
-        down = [0] * n
         for i in range(n):
             if up[i] & ~full:
                 raise PosetError(f"relation row {i} references elements >= n")
             if not up[i] >> i & 1:
                 raise PosetError(f"relation not reflexive at element {i}")
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
+        down = _transpose(up)
         for i in range(n):
             if up[i] & down[i] != 1 << i:
                 raise CycleDetected(f"antisymmetry fails at element {i}")
@@ -243,18 +282,7 @@ class Poset:
     @cached_property
     def is_connected(self) -> bool:
         """True iff the comparability graph is connected."""
-        seen = 1
-        frontier = 1
-        adj = tuple(
-            (self._up[i] | self._down[i]) & ~(1 << i) for i in range(self.n)
-        )
-        while frontier:
-            new = 0
-            for i in _bits(frontier):
-                new |= adj[i]
-            frontier = new & ~seen
-            seen |= new
-        return seen == (1 << self.n) - 1
+        return _connected(self._strict_down, self._strict_up)
 
     @cached_property
     def is_homogeneous(self) -> bool:
@@ -308,28 +336,10 @@ class Poset:
 
     # -- beat points and cores -------------------------------------------------
 
-    def is_down_beat_point(self, x: int) -> bool:
-        """x is a down beat point iff its punctured down-set has a maximum."""
-        hat = self._strict_down[x]
-        for m in _bits(hat):
-            if hat & ~self._down[m] == 0:
-                return True
-        return False
-
-    def is_up_beat_point(self, x: int) -> bool:
-        """x is an up beat point iff its punctured up-set has a minimum."""
-        hat = self._strict_up[x]
-        for m in _bits(hat):
-            if hat & ~self._up[m] == 0:
-                return True
-        return False
-
     def beat_points(self) -> frozenset[int]:
-        return frozenset(
-            x
-            for x in range(self.n)
-            if self.is_down_beat_point(x) or self.is_up_beat_point(x)
-        )
+        """Elements whose punctured down-set has a maximum or whose punctured
+        up-set has a minimum."""
+        return frozenset(_bits(_beat_points(self._strict_down, self._strict_up)))
 
     @cached_property
     def is_core(self) -> bool:

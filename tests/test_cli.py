@@ -100,6 +100,7 @@ class TestExitCodes:
         [
             '{"n": 2, "elements": ["a", "b"], "covers": 5}',
             '{"n": true, "elements": ["a"], "covers": []}',
+            '{"n": 2, "elements": ["a b", "c#d"], "covers": [["a b", "c#d"]]}',
         ],
     )
     def test_data_error_malformed_json(self, capsys, tmp_path, text):
@@ -110,6 +111,23 @@ class TestExitCodes:
 
     def test_enumerate_cap(self, capsys):
         assert main(["enumerate", "--n", "99", "--height", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "0", "--height", "2"],
+            ["classify", "--n", "-1", "--height", "1"],
+            ["min-model", "--circles", "-1", "--spheres", "0"],
+            ["pi1", "FIXTURE", "--budget", "0"],
+        ],
+        ids=["enumerate", "classify", "min-model", "pi1"],
+    )
+    def test_out_of_range_count(self, capsys, fixture_dir, argv):
+        argv = [str(fixture_dir / "fig17a.poset") if a == "FIXTURE" else a for a in argv]
+        assert main(argv) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len([line for line in err_lines if "error:" in line]) == 1
+        assert not any("Traceback" in line for line in err_lines)
 
 
 class TestPipelines:

@@ -85,6 +85,23 @@ class TestOracleAtSeven:
         assert len(fast) == count
         assert set(fast) == oracle
 
+    def test_connected_iff_one_component_of_homology(self, posets7):
+        for p in posets7:
+            assert p.is_connected == (poset_homology(p).betti[0] == 1)
+
+    def test_core_iff_no_set_based_beat_point(self, posets7):
+        def has_extreme(hat: frozenset[int], below) -> bool:
+            # some m in hat with every other element of hat below m
+            return any(all(below(y, m) for y in hat - {m}) for m in hat)
+
+        for p in posets7:
+            beat = any(
+                has_extreme(p.hat_down_set(x), lambda y, m: m in p.hat_up_set(y))
+                or has_extreme(p.hat_up_set(x), lambda y, m: m in p.hat_down_set(y))
+                for x in range(p.n)
+            )
+            assert p.is_core == (not beat)
+
 
 def _tied_column_perms(width: int, ties: int) -> list[list[int]]:
     """Bit-permutation tables for every permutation of ``width`` columns
@@ -133,13 +150,19 @@ def _representatives_digest(cores) -> str:
 
 
 def test_kept_representatives_are_stable():
-    """The labelled posets kept for each class at n=8, independent of the
-    canonical code's byte format."""
+    """The labelled posets kept for each class at n=8 and n=9, independent
+    of the canonical code's byte format."""
     assert _representatives_digest(enumerate_height2_cores(8)) == (
         "df2bedf70d38270b2322143403a58b0bee780fa00efe91566c57bf4fc46daab9"
     )
     assert _representatives_digest(enumerate_height1_cores(8)) == (
         "5d40eea2821e809b8c80b46cc490e5eedbdbdbb212e16e2320bc14f1ce360bd1"
+    )
+    assert _representatives_digest(enumerate_height2_cores(9)) == (
+        "c5447d777ebd1408988ab375bcc4be5f42993de8f735d3e8a54bc5a673da053f"
+    )
+    assert _representatives_digest(enumerate_height1_cores(9)) == (
+        "de5d9db15836beb12a0263a7a81230f8f21ab1f0578797b8ceb8e1b759b94143"
     )
 
 

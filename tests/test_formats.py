@@ -80,8 +80,21 @@ class TestJsonFormat:
             '{"n": 1, "elements": "a", "covers": []}',
             '{"n": true, "elements": ["a"], "covers": []}',
             '{"n": 10000000000, "elements": ["a"], "covers": []}',
+            '{"n": 2, "elements": ["a b", "c#d"], "covers": [["a b", "c#d"]]}',
+            '{"n": 2, "elements": ["a", "c#d"], "covers": []}',
+            '{"n": 2, "elements": ["a", "b\\tc"], "covers": []}',
+            '{"n": 1, "elements": [""], "covers": []}',
         ],
-        ids=["covers-number", "elements-string", "n-boolean", "n-huge"],
+        ids=[
+            "covers-number",
+            "elements-string",
+            "n-boolean",
+            "n-huge",
+            "name-space",
+            "name-hash",
+            "name-tab",
+            "name-empty",
+        ],
     )
     def test_bad_field(self, text):
         with pytest.raises(PosetFormatError):
