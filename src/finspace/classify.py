@@ -21,11 +21,7 @@ from finspace import figures
 from finspace.complexes import HomologyProfile, order_complex, homology
 from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
-from finspace.presentations import (
-    SimplificationStatus,
-    poset_presentation,
-    tietze_simplify,
-)
+from finspace.presentations import SimplificationStatus, presentation, tietze_simplify
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ def classify_poset(p: Poset) -> ClassificationRecord:
     profile = homology(k)
     status = None
     if p.is_connected and p.height <= 2:
-        status = tietze_simplify(poset_presentation(p))
+        status = tietze_simplify(presentation(k))
     return ClassificationRecord(
         code=p.canonical_code,
         n=p.n,
@@ -181,15 +177,7 @@ def min_model_search(p: int, q: int, n_max: int) -> MinModelResult:
             return MinModelResult(p, q, None, ())
         return MinModelResult(p, q, 1, (classify_poset(Poset.antichain(1)),))
     for n in range(1, n_max + 1):
-        if q == 0:
-            cores = enumerate_height1_cores(n)
-        else:
-            cores = enumerate_height2_cores(n)
-        hits = tuple(
-            r
-            for r in (classify_poset(c) for c in cores)
-            if r.label_key == (p, q)
-        )
+        hits = inventory(n, 1 if q == 0 else 2).records_for(p, q)
         if hits:
             return MinModelResult(p, q, n, hits)
     return MinModelResult(p, q, None, ())

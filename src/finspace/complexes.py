@@ -3,11 +3,13 @@
 The order complex of a poset has one simplex per nonempty chain and carries
 the weak homotopy type of the corresponding finite space, so all invariants
 here (f-vector, Betti numbers, torsion, Euler characteristic, boundary ranks
-over GF(2)) are computed from it.  Everything is exact: boundary matrices
-hold Python integers, ranks and torsion come from Smith normal form (sparse
-unit-pivot elimination, then a dense pass on the leftover), and the GF(2)
-ranks are computed by an independent bitmask elimination so the two paths
-cross-check each other.
+over GF(2)) are computed from it.  Everything is exact.  Boundary matrices
+are sparse from the start: each row maps the columns of its nonzero entries
+to Python integers, and this module is the only one that knows the format.
+Ranks and torsion come from Smith normal form, which eliminates unit pivots
+on those rows and expands only the leftover block to dense lists.  The
+GF(2) ranks come from an independent bitmask elimination over the same rows,
+so the two paths cross-check each other.
 """
 
 from __future__ import annotations
@@ -103,37 +105,31 @@ def order_complex(p: Poset) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense exact-integer matrix; ``entries[i][j]`` is row i, column j."""
+    """Sparse exact-integer matrix of shape ``rows`` x ``cols``.
+
+    ``entries[i]`` maps the column of each nonzero entry in row i to its
+    value; zeros are never stored.
+    """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[dict[int, int], ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
+            row and (min(row) < 0 or max(row) >= self.cols or 0 in row.values())
+            for row in self.entries
         ):
             raise ComplexError("matrix shape does not match entries")
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
+        """The matrix of dense rows, all of length ``cols`` (default: the
+        first row's length)."""
         width = cols if cols is not None else (len(rows[0]) if rows else 0)
-        return cls(len(rows), width, tuple(tuple(r) for r in rows))
-
-    def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ComplexError("dimension mismatch in product")
-        out = [
-            [
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix.from_rows(out, other.cols)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
+        if any(len(r) != width for r in rows):
+            raise ComplexError("matrix shape does not match entries")
+        return cls(len(rows), width, tuple({j: v for j, v in enumerate(r) if v} for r in rows))
 
 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
@@ -145,14 +141,12 @@ def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     out: list[IntegerMatrix] = []
     for dim in range(1, k.dimension + 1):
         lower_index = {s: r for r, s in enumerate(k.simplices[dim - 1])}
-        rows = len(k.simplices[dim - 1])
-        cols = len(k.simplices[dim])
-        entries = [[0] * cols for _ in range(rows)]
+        entries: list[dict[int, int]] = [{} for _ in k.simplices[dim - 1]]
         for c, simplex in enumerate(k.simplices[dim]):
             for drop in range(dim + 1):
                 face = simplex[:drop] + simplex[drop + 1 :]
                 entries[lower_index[face]][c] = -1 if drop % 2 else 1
-        out.append(IntegerMatrix.from_rows(entries, cols))
+        out.append(IntegerMatrix(len(entries), len(k.simplices[dim]), tuple(entries)))
     return out
 
 
@@ -177,7 +171,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     empty for most boundary matrices.  The returned factors satisfy the
     divisibility chain and their count is the rational rank.
     """
-    rows = [{j: v for j, v in enumerate(r) if v} for r in m.entries]
+    rows = [dict(r) for r in m.entries]
     cols: list[set[int]] = [set() for _ in range(m.cols)]
     for i, row in enumerate(rows):
         for j in row:
@@ -224,9 +218,11 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     left = [row for row in rows if row]
     if not left:
         return SmithNormalForm((1,) * units, units)
-    left_cols = sorted({j for row in left for j in row})
+    index = {j: t for t, j in enumerate(sorted({j for row in left for j in row}))}
     rest = _dense_snf(
-        IntegerMatrix.from_rows([[row.get(j, 0) for j in left_cols] for row in left])
+        IntegerMatrix(
+            len(left), len(index), tuple({index[j]: v for j, v in row.items()} for row in left)
+        )
     )
     return SmithNormalForm((1,) * units + rest.invariant_factors, units + rest.rank)
 
@@ -236,9 +232,10 @@ def _dense_snf(m: IntegerMatrix) -> SmithNormalForm:
 
     Dense and cubic: :func:`smith_normal_form` runs it only on the block its
     sparse pass leaves, and tests use it on whole matrices as the oracle.
-    Arbitrary-precision arithmetic throughout.
+    The only place the rows are expanded to dense lists.  Arbitrary-precision
+    arithmetic throughout.
     """
-    a = [list(row) for row in m.entries]
+    a = [[row.get(j, 0) for j in range(m.cols)] for row in m.entries]
     rows, cols = m.rows, m.cols
     factors: list[int] = []
     t = 0
@@ -310,7 +307,7 @@ def f2_rank(m: IntegerMatrix) -> int:
     rows = []
     for r in m.entries:
         mask = 0
-        for j, v in enumerate(r):
+        for j, v in r.items():
             if v & 1:
                 mask |= 1 << j
         if mask:
@@ -341,10 +338,6 @@ class HomologyProfile:
     f2_ranks: tuple[int, ...]
 
     @property
-    def reduced_betti(self) -> tuple[int, ...]:
-        return (self.betti[0] - 1,) + self.betti[1:]
-
-    @property
     def has_torsion(self) -> bool:
         return any(self.torsion)
 
@@ -359,15 +352,6 @@ class HomologyProfile:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
-
-def betti_signature(profile: "HomologyProfile") -> tuple[int, ...]:
-    """Betti numbers with trailing zeros stripped: the right shape for
-    comparing spaces whose complexes have different dimensions."""
-    betti = list(profile.betti)
-    while betti and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

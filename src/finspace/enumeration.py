@@ -314,7 +314,8 @@ def enumerate_height2_cores(
     isomorphism, sorted by canonical code.
 
     Generation shards independently by level shape; merging is deterministic,
-    so any worker count produces the identical list.
+    so any worker count produces the identical list.  ``progress(shape,
+    count)`` is called once per shape, in shape order, at any worker count.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -322,16 +323,17 @@ def enumerate_height2_cores(
         raise SizeTooLarge(f"height-2 core enumeration is capped at {HEIGHT2_CAP}")
     shapes = level_shapes(n)
     nworkers = _worker_count(workers)
+
+    def reported(shards):
+        for shape, shard in zip(shapes, shards):
+            if progress is not None:
+                progress(shape, len(shard))
+            yield shard
+
     if nworkers > 1 and len(shapes) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            shards = list(pool.map(_cores_for_shape, shapes))
-    else:
-        shards = []
-        for shape in shapes:
-            shards.append(_cores_for_shape(shape))
-            if progress is not None:
-                progress(shape, len(shards[-1]))
-    return _merged(shards)
+            return _merged(reported(pool.map(_cores_for_shape, shapes)))
+    return _merged(reported(map(_cores_for_shape, shapes)))
 
 
 def enumerate_height1_cores(n: int) -> list[Poset]:

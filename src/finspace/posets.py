@@ -257,9 +257,6 @@ class Poset:
             h[i] = 1 + max((h[j] for j in _bits(below)), default=-1)
         return tuple(h)
 
-    def element_height(self, x: int) -> int:
-        return self.element_heights[x]
-
     @cached_property
     def height(self) -> int:
         return max(self.element_heights)
@@ -329,10 +326,6 @@ class Poset:
                     mask |= 1 << pos[j]
             up.append(mask)
         return Poset(up, [self.labels[x] for x in keep])
-
-    def same_order_as(self, other: "Poset") -> bool:
-        """Elementwise equality of the relations (labels ignored)."""
-        return self.n == other.n and self._up == other._up
 
     # -- beat points and cores -------------------------------------------------
 

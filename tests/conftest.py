@@ -43,6 +43,28 @@ def random_connected_poset(rng: random.Random, n_max: int = 8) -> Poset:
             return p
 
 
+def betti_signature(profile) -> tuple[int, ...]:
+    """Betti numbers with trailing zeros stripped: the right shape for
+    comparing spaces whose complexes have different dimensions."""
+    betti = list(profile.betti)
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
+
+
+def composes_to_zero(low, high) -> bool:
+    """Whether the product of two sparse integer matrices ``low . high``
+    (rows as {column: nonzero}) is the zero matrix."""
+    for row in low.entries:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for j, b in high.entries[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
+
+
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:
     return FIXTURE_DIR

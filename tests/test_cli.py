@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,21 @@ class TestFileCommands:
         obj = json.loads(out)
         assert obj["betti"] == [1, 3, 0]
         assert obj["euler"] == -2
+
+    def test_homology_output_pinned(self, capsys, fixture_dir):
+        """One digest over the homology JSON of every fixture, in sorted
+        order: f-vectors, Betti numbers, torsion, Euler characteristic and
+        GF(2) ranks, byte for byte."""
+        digest = hashlib.sha256()
+        paths = sorted(fixture_dir.glob("*.poset"))
+        for path in paths:
+            code, out, _ = run(capsys, "homology", str(path))
+            assert code == 0, path
+            digest.update(out.encode())
+        assert len(paths) == 61
+        assert digest.hexdigest() == (
+            "e686e24248aced8bd18c913f8b79718dfc13e0f678fa1d5463641e7779f480a8"
+        )
 
     def test_iso_fig18(self, capsys, fixture_dir):
         code, out, _ = run(

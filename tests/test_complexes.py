@@ -24,7 +24,7 @@ from finspace.presentations import abelianized_rank, poset_presentation
 
 def rational_rank(m: IntegerMatrix) -> int:
     """Independent oracle: Gaussian elimination over exact rationals."""
-    rows = [[Fraction(v) for v in row] for row in m.entries]
+    rows = [[Fraction(row.get(j, 0)) for j in range(m.cols)] for row in m.entries]
     rank = 0
     for col in range(m.cols):
         pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
@@ -124,10 +124,36 @@ class TestBoundaryMatrices:
         assert prof.f2_ranks == (7, 7)
 
     def test_boundary_squared_zero_on_fixtures(self):
+        from conftest import composes_to_zero
+
         for fid in figures.all_ids():
             mats = boundary_matrices(order_complex(figures.poset(fid)))
             for low, high in zip(mats, mats[1:]):
-                assert low.multiply(high).is_zero(), fid
+                assert composes_to_zero(low, high), fid
+
+
+class TestIntegerMatrix:
+    def test_rows_hold_nonzeros_only(self):
+        m = IntegerMatrix.from_rows([[0, 2, 0], [0, 0, 0]])
+        assert (m.rows, m.cols) == (2, 3)
+        assert m.entries == ({1: 2}, {})
+
+    @pytest.mark.parametrize(
+        "rows, cols, entries",
+        [
+            (2, 3, ({0: 1},)),  # wrong row count
+            (1, 3, ({3: 1},)),  # column past the last
+            (1, 3, ({-1: 1},)),  # negative column
+            (1, 3, ({0: 0},)),  # stored zero
+        ],
+    )
+    def test_rejects_bad_shape(self, rows, cols, entries):
+        with pytest.raises(ComplexError):
+            IntegerMatrix(rows, cols, entries)
+
+    def test_from_rows_rejects_ragged_rows(self):
+        with pytest.raises(ComplexError):
+            IntegerMatrix.from_rows([[1, 0], [1]])
 
 
 class TestSmithNormalForm:

@@ -231,6 +231,17 @@ class TestHeight2Cores:
         sharded = [p.canonical_code for p in enumerate_height2_cores(7, workers=2)]
         assert serial == sharded
 
+    def test_progress_does_not_depend_on_workers(self):
+        reports = {}
+        for workers in (1, 2):
+            seen = []
+            enumerate_height2_cores(
+                7, workers=workers, progress=lambda shape, found: seen.append((shape, found))
+            )
+            reports[workers] = seen
+        assert reports[1] == reports[2]
+        assert len(reports[1]) == 3
+
     def test_worker_count_from_environment(self, monkeypatch, capsys):
         from finspace.enumeration import WORKERS_ENV, _worker_count
 

@@ -17,7 +17,7 @@ class TestTextFormat:
         for fid in ("fig04a", "fig17a", "fig21c"):
             p = figures.poset(fid)
             again = parse_poset_text(poset_to_text(p))
-            assert again.same_order_as(p)
+            assert (again.n, again.covers) == (p.n, p.covers)
             assert again.labels == p.labels
 
     def test_comments_and_blank_lines(self):
@@ -53,13 +53,13 @@ class TestJsonFormat:
         for fid in ("fig14c", "fig05b"):
             p = figures.poset(fid)
             again = parse_poset_json(poset_to_json(p))
-            assert again.same_order_as(p)
+            assert (again.n, again.covers) == (p.n, p.covers)
 
     def test_text_json_agree(self):
         p = figures.poset("fig16b")
-        assert parse_poset_json(poset_to_json(p)).same_order_as(
-            parse_poset_text(poset_to_text(p))
-        )
+        a = parse_poset_json(poset_to_json(p))
+        b = parse_poset_text(poset_to_text(p))
+        assert (a.n, a.covers) == (b.n, b.covers)
 
     def test_bad_json(self):
         with pytest.raises(PosetFormatError):

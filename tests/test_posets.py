@@ -78,7 +78,7 @@ class TestConstruction:
         for fid in ("fig04a", "fig17a", "fig21c"):
             p = figures.poset(fid)
             rebuilt = Poset.from_covers(p.n, p.covers, p.labels)
-            assert rebuilt.same_order_as(p)
+            assert (rebuilt.n, rebuilt.covers) == (p.n, p.covers)
 
 
 class TestUpDownSets:
@@ -116,9 +116,9 @@ class TestHeight:
 
     def test_element_heights(self):
         p = build("x y z", "x<y y<z")
-        assert p.element_height(p.index("x")) == 0
-        assert p.element_height(p.index("y")) == 1
-        assert p.element_height(p.index("z")) == 2
+        assert p.element_heights[p.index("x")] == 0
+        assert p.element_heights[p.index("y")] == 1
+        assert p.element_heights[p.index("z")] == 2
 
 
 class TestRolePartition:
@@ -161,11 +161,13 @@ class TestDual:
 
         for _ in range(50):
             p = random_poset(rng)
-            assert p.dual().dual().same_order_as(p)
+            q = p.dual().dual()
+            assert (q.n, q.covers) == (p.n, p.covers)
 
     def test_antichain_self_dual(self):
         p = Poset.antichain(3)
-        assert p.dual().same_order_as(p)
+        q = p.dual()
+        assert (q.n, q.covers) == (p.n, p.covers)
 
     def test_fig04_pair(self):
         assert figures.poset("fig04a").dual().is_isomorphic(figures.poset("fig04astar"))
@@ -203,10 +205,11 @@ class TestCore:
 
     def test_fence_is_its_own_core(self):
         p = fence()
-        assert p.core().same_order_as(p)
+        core = p.core()
+        assert (core.n, core.covers) == (p.n, p.covers)
 
     def test_extra_top_retracts_to_fence(self):
-        from finspace.complexes import betti_signature
+        from conftest import betti_signature
 
         p = build("c1 c2 a1 a2 t", "c1<a1 c1<a2 c2<a1 c2<a2 a1<t")
         core = p.core()
@@ -232,7 +235,8 @@ class TestSuspension:
 
     def test_zero_iterations(self):
         p = fence()
-        assert p.nh_suspension(0).same_order_as(p)
+        q = p.nh_suspension(0)
+        assert (q.n, q.covers) == (p.n, p.covers)
 
     def test_double_suspension_betti(self):
         s2 = two_point_discrete().nh_suspension(2)

@@ -8,10 +8,9 @@ import random
 
 import pytest
 
-from conftest import random_poset
+from conftest import betti_signature, composes_to_zero, random_poset
 from finspace.classify import label
 from finspace.complexes import (
-    betti_signature,
     boundary_matrices,
     homology,
     order_complex,
@@ -47,7 +46,7 @@ def test_boundary_of_boundary_vanishes(pool):
     for p in pool:
         mats = boundary_matrices(order_complex(p))
         for low, high in zip(mats, mats[1:]):
-            assert low.multiply(high).is_zero()
+            assert composes_to_zero(low, high)
         checked += 1
     assert checked >= 200
 
@@ -144,5 +143,5 @@ def test_cores_have_two_maximal_and_two_minimal():
 def test_cover_extraction_round_trips(pool):
     for p in pool[:250]:
         again = Poset.from_covers(p.n, p.covers, p.labels)
-        assert again.same_order_as(p)
+        assert (again.n, again.covers) == (p.n, p.covers)
         assert again.covers == p.covers
