@@ -8,6 +8,17 @@ torsion-free, with beta_1 = p and beta_2 = q; the label additionally carries
 p.  Labelling is invariant-based evidence, not a weak-equivalence proof, and
 asphericity is never checked; downstream consumers see exactly how much was
 certified.
+
+For a connected core of height at most 2 the certificate also fixes the
+homology, so no order complex is built and no Smith normal form is run.
+The order complex carries the weak homotopy type of the space (McCord
+1966) and has dimension at most 2.  If pi1 is certified free of rank p,
+then H_1, its abelianization, is Z^p with no torsion; H_2 of a 2-complex is
+free, and the Euler characteristic gives beta_2 = chi - 1 + p.  Chain
+counts come from the order bitmasks (see
+:func:`~finspace.complexes.free_pi1_homology`).  Every other core, and
+every core whose simplification is inconclusive, gets its homology from
+Smith normal form.
 """
 
 from __future__ import annotations
@@ -18,10 +29,10 @@ from dataclasses import dataclass
 from collections import Counter
 
 from finspace import figures
-from finspace.complexes import HomologyProfile, order_complex, homology
+from finspace.complexes import HomologyProfile, free_pi1_homology, poset_homology
 from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
-from finspace.presentations import SimplificationStatus, presentation, tietze_simplify
+from finspace.presentations import SimplificationStatus, poset_presentation, tietze_simplify
 
 
 @dataclass(frozen=True)
@@ -99,11 +110,14 @@ class ClassificationRecord:
 
 def classify_poset(p: Poset) -> ClassificationRecord:
     """Full record for one core: homology, pi1 certification, label, dual."""
-    k = order_complex(p)
-    profile = homology(k)
     status = None
+    profile = None
     if p.is_connected and p.height <= 2:
-        status = tietze_simplify(presentation(k))
+        status = tietze_simplify(poset_presentation(p))
+        if status.is_conclusive:
+            profile = free_pi1_homology(p, status.rank or 0)
+    if profile is None:
+        profile = poset_homology(p)
     return ClassificationRecord(
         code=p.canonical_code,
         n=p.n,
@@ -111,7 +125,7 @@ def classify_poset(p: Poset) -> ClassificationRecord:
         covers=p.covers,
         labels=p.labels,
         profile=profile,
-        wedge=label(profile, status, k.dimension),
+        wedge=label(profile, status, p.height),
         homogeneous=p.is_homogeneous,
         dual_code=p.dual().canonical_code,
         figure_matches=figures.matches(p),

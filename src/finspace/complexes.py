@@ -386,3 +386,30 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
 def poset_homology(p: Poset) -> HomologyProfile:
     """Homology of the order complex; the weak homotopy invariants of p."""
     return homology(order_complex(p))
+
+
+def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:
+    """Homology of a connected poset of height <= 2 whose fundamental group
+    is certified free of the given rank, from chain counts alone.
+
+    H_1 is the abelianization of pi1, so it is free of that rank; H_2 of a
+    2-complex is free.  Hence rank(d_1) = f_0 - 1 and
+    rank(d_2) = f_1 - f_0 + 1 - rank, no torsion anywhere, and GF(2) ranks
+    equal the integer ranks.  The chain counts are f_0 = n,
+    f_1 = sum |strict up-set| and f_2 = sum over y of
+    |strict down-set of y| * |strict up-set of y|.
+    """
+    if p.height > 2 or not p.is_connected:
+        raise ValueError("needs a connected poset of height <= 2")
+    up = [u.bit_count() for u in p._strict_up]
+    down = [d.bit_count() for d in p._strict_down]
+    f = (p.n, sum(up), sum(d * u for d, u in zip(down, up)))
+    ranks = (f[0] - 1, f[1] - f[0] + 1 - rank)  # ranks[d - 1] = rank(d_d)
+    dim = p.height
+    return HomologyProfile(
+        f_vector=f[: dim + 1],
+        betti=(1, rank, f[2] - ranks[1])[: dim + 1],
+        torsion=((),) * (dim + 1),
+        euler=f[0] - f[1] + f[2],
+        f2_ranks=ranks[:dim],
+    )

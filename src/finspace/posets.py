@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 MAX_ELEMENTS = 64
@@ -603,3 +604,23 @@ def sphere_model(dim: int) -> Poset:
     if dim < 0:
         raise PosetError("dimension must be >= 0")
     return two_point_discrete().nh_suspension(dim)
+
+
+def mobius_band() -> Poset:
+    """Face poset of the 5-vertex Möbius band, whose triangles are
+    {i, i+1, i+2} mod 5: 5 vertices, all 10 edges and 5 triangles, ordered
+    by inclusion, on 20 points.  Its core has 15 points and height 2."""
+    triangles = [sorted({i, (i + 1) % 5, (i + 2) % 5}) for i in range(5)]
+    faces = sorted(
+        {face for t in triangles for size in (1, 2, 3) for face in combinations(t, size)},
+        key=lambda face: (len(face), face),
+    )
+    index = {face: i for i, face in enumerate(faces)}
+    covers = [
+        (index[face[:k] + face[k + 1 :]], index[face])
+        for face in faces
+        if len(face) > 1
+        for k in range(len(face))
+    ]
+    labels = ["vet"[len(face) - 1] + "".join(map(str, face)) for face in faces]
+    return Poset.from_covers(len(faces), covers, labels)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from finspace.complexes import SimplicialComplex
-from finspace.posets import Poset
-from finspace.complexes import order_complex, smith_normal_form, IntegerMatrix
+from finspace.complexes import IntegerMatrix, SimplicialComplex, smith_normal_form
+from finspace.posets import Poset, _bits
 
 Word = tuple[int, ...]
 
@@ -116,13 +116,50 @@ def presentation(k: SimplicialComplex, basepoint: int | None = None) -> Presenta
         raise ValueError("presentation requires dimension <= 2")
     if not k.is_connected():
         raise DisconnectedComplex("complex is not connected")
-    verts = list(k.vertices())
+    triangles = k.simplices[2] if k.dimension == 2 else ()
+    return _edge_path(k.vertices(), k.edges(), triangles, basepoint)
+
+
+def poset_presentation(p: Poset, basepoint: int | None = None) -> Presentation:
+    """The presentation of the order complex of ``p``, read off the order
+    bitmasks without building the complex.
+
+    Edges are the comparable pairs and triangles the 3-chains, both as
+    sorted index tuples in lexicographic order, which is the order
+    :func:`~finspace.complexes.order_complex` gives them; so the result
+    equals ``presentation(order_complex(p), basepoint)``.
+    """
+    if p.height > 2:
+        raise ValueError("presentation requires dimension <= 2")
+    if not p.is_connected:
+        raise DisconnectedComplex("complex is not connected")
+    comparable = [u | d for u, d in zip(p._strict_up, p._strict_down)]
+    edges = []
+    triangles = []
+    for i, row in enumerate(comparable):
+        above = row >> (i + 1) << (i + 1)
+        for j in _bits(above):
+            edges.append((i, j))
+            for k in _bits(above & comparable[j] >> (j + 1) << (j + 1)):
+                triangles.append((i, j, k))
+    return _edge_path(tuple(range(p.n)), edges, triangles, basepoint)
+
+
+def _edge_path(
+    verts: tuple[int, ...],
+    edges: Sequence[tuple[int, int]],
+    triangles: Iterable[tuple[int, ...]],
+    basepoint: int | None,
+) -> Presentation:
+    """Presentation of the connected 2-complex with the given sorted
+    vertices, edges and triangles: one generator per non-tree edge, one
+    relator per triangle."""
     if basepoint is None:
         basepoint = verts[0]
     if basepoint not in set(verts):
         raise ValueError(f"basepoint {basepoint} is not a vertex")
     neighbours: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in k.edges():
+    for u, v in edges:
         neighbours[u].append(v)
         neighbours[v].append(u)
     for v in neighbours:
@@ -139,24 +176,21 @@ def presentation(k: SimplicialComplex, basepoint: int | None = None) -> Presenta
                 queue.append(w)
     gen_of: dict[tuple[int, int], int] = {}
     gen_edges: list[tuple[int, int]] = []
-    for edge in k.edges():
+    for edge in edges:
         if edge not in tree:
             gen_edges.append(edge)
             gen_of[edge] = len(gen_edges)
 
-    def letter(u: int, v: int) -> tuple[int, ...]:
-        """Word for traversing the edge from u to v (empty if a tree edge)."""
-        key = (min(u, v), max(u, v))
-        g = gen_of.get(key)
-        if g is None:
-            return ()
-        return (g,) if u < v else (-g,)
-
+    # The three edges of a triangle are distinct generators or tree edges,
+    # so the word u -> v -> w -> u is already freely reduced.
     relators = []
-    if k.dimension == 2:
-        for (u, v, w) in k.simplices[2]:
-            word = letter(u, v) + letter(v, w) + letter(w, u)
-            relators.append(free_reduce(word))
+    for u, v, w in triangles:
+        word = []
+        for edge, sign in (((u, v), 1), ((v, w), 1), ((u, w), -1)):
+            g = gen_of.get(edge)
+            if g is not None:
+                word.append(sign * g)
+        relators.append(tuple(word))
     return Presentation(
         num_generators=len(gen_edges),
         relators=tuple(relators),
@@ -164,10 +198,6 @@ def presentation(k: SimplicialComplex, basepoint: int | None = None) -> Presenta
         tree_edges=tuple(sorted(tree)),
         basepoint=basepoint,
     )
-
-
-def poset_presentation(p: Poset, basepoint: int | None = None) -> Presentation:
-    return presentation(order_complex(p), basepoint)
 
 
 def free_reduce(word: Word) -> Word:

@@ -21,6 +21,7 @@ from finspace.classify import (
     Inventory,
     circle_wedge_size,
     circle_wedge_size_closed_form,
+    classify_poset,
     hasse_edge_count,
     inventory,
     min_model_search,
@@ -34,6 +35,7 @@ from finspace.complexes import (
     smith_normal_form,
 )
 from finspace.enumeration import enumerate_height1_cores
+from finspace.posets import fence, mobius_band
 from finspace.presentations import poset_presentation, tietze_simplify
 
 
@@ -275,6 +277,20 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
             (res.n_min, len(res.records)),
         )
 
+    # -- the Mobius band ----------------------------------------------------------------
+    band = classify_poset(mobius_band().core())
+    emit(
+        "Mobius band core (15 points) labelled (1 circles, 0 spheres) with pi1 certified",
+        (15, (1, 0), True),
+        (band.n, band.label_key, band.wedge is not None and band.wedge.pi1_verified),
+    )
+    res = min_model_search(1, 0, 4)
+    emit(
+        "min model of the Mobius band's type is the 4-point fence",
+        (4, 1, True),
+        (res.n_min, len(res.records), all(r.poset().is_isomorphic(fence()) for r in res.records)),
+    )
+
     # -- height-1 size law -------------------------------------------------------------
     height1 = {n: enumerate_height1_cores(n) for n in range(2, 8)}
     for n_circles in range(1, 7):
@@ -309,8 +325,11 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
     # -- oracle-free invariants of the height-2 inventories ------------------------
     # Each holds on every record whatever the published counts say, so a
     # fault in enumeration, duality or either rank computation shows here.
+    # The records' homology is read off their pi1 certificates, so the Euler
+    # and GF(2) lines rebuild each order complex and run Smith normal form.
     not_closed = []
     euler_bad = []
+    pi1_homology_bad = []
     gf2_bad = []
     for n in (7, 8):
         records = inventories[(n, 2)].records
@@ -319,16 +338,24 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
             code = rec.code.decode("ascii")
             if rec.dual_code not in codes:
                 not_closed.append(code)
-            prof = rec.profile
+            k = order_complex(rec.poset())
+            prof = homology(k)
             if prof.euler != sum((-1) ** d * b for d, b in enumerate(prof.betti)):
                 euler_bad.append(code)
-            for d, b in enumerate(boundary_matrices(order_complex(rec.poset())), 1):
+            if rec.profile != prof:
+                pi1_homology_bad.append(code)
+            for d, b in enumerate(boundary_matrices(k), 1):
                 snf = smith_normal_form(b)
                 even = sum(1 for v in snf.invariant_factors if v % 2 == 0)
                 if f2_rank(b) != snf.rank - even:
                     gf2_bad.append(f"{code} d{d}")
     emit("height-2 cores on 7 and 8 points closed under duality", [], not_closed)
     emit("euler equals alternating betti sum on 7- and 8-point cores", [], euler_bad)
+    emit(
+        "homology read off pi1 equals Smith-normal-form homology on 7- and 8-point cores",
+        [],
+        pi1_homology_bad,
+    )
     emit(
         "GF(2) rank equals integer rank minus even invariant factors on 7- and 8-point cores",
         [],

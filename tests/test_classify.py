@@ -13,8 +13,10 @@ from finspace.classify import (
     label,
     min_model_search,
 )
-from finspace.complexes import HomologyProfile
-from finspace.posets import Poset, fence
+from finspace import classify
+from finspace.complexes import HomologyProfile, poset_homology
+from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
+from finspace.posets import Poset, fence, mobius_band
 from finspace.presentations import Presentation, SimplificationStatus
 
 
@@ -89,6 +91,51 @@ class TestClassifyPoset:
             obj["elements"],
         )
         assert rebuilt.canonical_code.decode("ascii") == obj["code"]
+
+
+class TestHomologyFromCertificate:
+    @staticmethod
+    def cores():
+        cores = [
+            p
+            for n in range(1, 10)
+            for p in enumerate_height1_cores(n) + enumerate_height2_cores(n)
+        ]
+        assert len(cores) == 928
+        return cores + [Poset.antichain(1), fence(), mobius_band().core()]
+
+    def test_equals_smith_normal_form_homology(self):
+        for p in self.cores():
+            assert classify_poset(p).profile == poset_homology(p), p.canonical_code
+
+    def test_certified_cores_skip_smith_normal_form(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("certified core reached Smith normal form")
+
+        monkeypatch.setattr(classify, "poset_homology", refuse)
+        for fid in ("fig14c", "fig17a", "fig05b"):
+            assert classify_poset(figures.poset(fid)).wedge.pi1_verified
+
+    def test_inconclusive_falls_back_to_smith_normal_form(self, monkeypatch):
+        stuck = SimplificationStatus.inconclusive(Presentation(2, ((1, 2, -1, -2),)))
+        monkeypatch.setattr(classify, "tietze_simplify", lambda pres: stuck)
+        for fid in ("fig14c", "fig17a", "fig05b"):
+            p = figures.poset(fid)
+            rec = classify_poset(p)
+            assert rec.profile == poset_homology(p)
+            assert rec.to_json_obj()["label"]["pi1_verified"] is False
+
+
+class TestMobiusBand:
+    def test_face_poset_and_core(self):
+        band = mobius_band()
+        assert band.n == 20 and band.height == 2
+        core = band.core()
+        assert core.n == 15 and core.height == 2
+
+    def test_core_labelled_circle_with_pi1_certified(self):
+        rec = classify_poset(mobius_band().core())
+        assert rec.wedge == WedgeLabel(circles=1, spheres=0, pi1_verified=True)
 
 
 class TestInventory:

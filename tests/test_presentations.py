@@ -4,6 +4,7 @@ import pytest
 
 from finspace import figures
 from finspace.complexes import SimplicialComplex, order_complex, poset_homology
+from finspace.enumeration import enumerate_posets
 from finspace.presentations import (
     DisconnectedComplex,
     Presentation,
@@ -67,6 +68,40 @@ class TestPresentation:
 
     def test_to_text_no_relators(self):
         assert Presentation(2, ()).to_text() == "⟨g1, g2 | ⟩"
+
+
+class TestPosetPresentation:
+    """The presentation read off the order bitmasks equals the one of the
+    built order complex, field for field."""
+
+    def test_catalog_figures(self):
+        for fid in figures.all_ids():
+            p = figures.poset(fid)
+            if p.is_connected and p.height <= 2:
+                assert poset_presentation(p) == presentation(order_complex(p)), fid
+                continue
+            for build in (poset_presentation, lambda q: presentation(order_complex(q))):
+                with pytest.raises(ValueError) as err:
+                    build(p)
+                assert type(err.value) is (
+                    ValueError if p.height > 2 else DisconnectedComplex
+                ), fid
+
+    def test_every_small_poset(self):
+        checked = 0
+        for p in enumerate_posets(7):
+            if p.is_connected and p.height <= 2:
+                assert poset_presentation(p) == presentation(order_complex(p))
+                checked += 1
+        assert checked > 0
+
+    def test_basepoints(self):
+        p = figures.poset("fig14c")
+        k = order_complex(p)
+        for basepoint in range(p.n):
+            assert poset_presentation(p, basepoint) == presentation(k, basepoint)
+        with pytest.raises(ValueError):
+            poset_presentation(p, p.n)
 
 
 class TestTietze:

@@ -56,7 +56,17 @@ class TestReport:
         for name in (
             "height-2 cores on 7 and 8 points closed under duality",
             "euler equals alternating betti sum on 7- and 8-point cores",
+            "homology read off pi1 equals Smith-normal-form homology on 7- and 8-point cores",
             "GF(2) rank equals integer rank minus even invariant factors on 7- and 8-point cores",
         ):
             assert by_name[name].expected == []
             assert by_name[name].passed
+
+    def test_mobius_band_checked(self):
+        by_name = {c.check: c for c in verify_paper().checks}
+        band = by_name[
+            "Mobius band core (15 points) labelled (1 circles, 0 spheres) with pi1 certified"
+        ]
+        assert band.observed == (15, (1, 0), True) and band.passed
+        fence = by_name["min model of the Mobius band's type is the 4-point fence"]
+        assert fence.observed == (4, 1, True) and fence.passed
