@@ -108,8 +108,12 @@ class ClassificationRecord:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
 
-def classify_poset(p: Poset) -> ClassificationRecord:
-    """Full record for one core: homology, pi1 certification, label, dual."""
+def classify_poset(p: Poset, *, dual_code: bytes | None = None) -> ClassificationRecord:
+    """Full record for one core: homology, pi1 certification, label, dual.
+
+    ``dual_code``, when given, must be the canonical code of ``p.dual()``;
+    the dual is then not coded again.
+    """
     status = None
     profile = None
     if p.is_connected and p.height <= 2:
@@ -127,7 +131,7 @@ def classify_poset(p: Poset) -> ClassificationRecord:
         profile=profile,
         wedge=label(profile, status, p.height),
         homogeneous=p.is_homogeneous,
-        dual_code=p.dual().canonical_code,
+        dual_code=p.dual().canonical_code if dual_code is None else dual_code,
         figure_matches=figures.matches(p),
     )
 
@@ -162,8 +166,15 @@ def inventory(n: int, height: int, workers: int | None = None) -> Inventory:
         cores = enumerate_height2_cores(n, workers=workers)
     else:
         raise ValueError("height must be 1 or 2")
-    records = tuple(classify_poset(p) for p in cores)
-    return Inventory(n=n, height=height, records=records)
+    # The canonical code is a complete invariant and duality an involution,
+    # so each dual pair is coded once: a record's dual code names its partner.
+    duals: dict[bytes, bytes] = {}
+    records = []
+    for p in cores:
+        rec = classify_poset(p, dual_code=duals.get(p.canonical_code))
+        duals[rec.code], duals[rec.dual_code] = rec.dual_code, rec.code
+        records.append(rec)
+    return Inventory(n=n, height=height, records=tuple(records))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from finspace.formats import (
     poset_to_text,
 )
 from finspace.posets import Poset, PosetError
-from finspace.presentations import poset_presentation, tietze_simplify
+from finspace.presentations import DEFAULT_STEP_BUDGET, poset_presentation, tietze_simplify
 from finspace.verify import verify_paper
 
 USAGE_ERROR = 2
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pi1 = sub.add_parser("pi1", help="fundamental group presentation and status")
     p_pi1.add_argument("file")
-    p_pi1.add_argument("--budget", type=_int_at_least(1), default=10_000)
+    p_pi1.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_STEP_BUDGET)
 
     p_enum = sub.add_parser("enumerate", help="enumerate cores up to isomorphism")
     p_enum.add_argument("--n", type=_int_at_least(1), required=True)

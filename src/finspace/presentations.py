@@ -1,10 +1,12 @@
 """Edge-path presentations of fundamental groups of 2-complexes.
 
 Generators are the edges outside a breadth-first spanning tree; every
-triangle contributes one relator of length at most three.  A terminating
-rewriting loop (free reduction, removal of trivialized generators,
-duplicate-relator removal, substitution of generators that occur exactly
-once in some relator) then tries to certify the group free of some rank.
+triangle contributes one relator of length at most three.  The simplifier
+then tries to certify the group free of some rank by eliminating
+generators with two Tietze moves: a length-1 relator kills its generator,
+and a generator occurring exactly once in a relator is solved for and
+substituted.  Each move rewrites, cyclically reduces or drops only the
+relators containing the generator, found through an occurrence index.
 Free-group recognition is undecidable in general, so the simplifier runs
 under an explicit step budget and reports ``inconclusive`` when it cannot
 finish; callers must treat that as honest ignorance, not failure.
@@ -211,141 +213,108 @@ def free_reduce(word: Word) -> Word:
 
 
 def cyclic_reduce(word: Word) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i, j = i + 1, j - 1
+    return w[i : j + 1]
 
 
-def _cyclic_normal(word: Word) -> Word:
-    """Least rotation of the word or its inverse; detects duplicate relators."""
-    w = cyclic_reduce(word)
-    if not w:
-        return ()
-    candidates = []
-    for base in (w, tuple(-v for v in reversed(w))):
-        for s in range(len(base)):
-            candidates.append(base[s:] + base[:s])
-    return min(candidates)
-
-
-def _drop_generator(relators: list[Word], gen: int) -> list[Word]:
-    """Remove every occurrence of ±gen (the generator is trivial)."""
-    return [free_reduce(tuple(v for v in rel if abs(v) != gen)) for rel in relators]
-
-
-def _substitute(relators: list[Word], gen: int, replacement: Word) -> list[Word]:
-    """Replace gen by the given word (and -gen by its inverse) everywhere."""
-    inv = tuple(-v for v in reversed(replacement))
-    out = []
-    for rel in relators:
-        word: list[int] = []
-        for v in rel:
-            if v == gen:
-                word.extend(replacement)
-            elif v == -gen:
-                word.extend(inv)
-            else:
-                word.append(v)
-        out.append(free_reduce(tuple(word)))
-    return out
-
-
-def _renumber(relators: list[Word], num_generators: int) -> tuple[list[Word], int]:
+def _renumber(relators: list[Word]) -> list[Word]:
     """Compact generator indices after eliminations."""
     used = sorted({abs(v) for rel in relators for v in rel})
     mapping = {g: i + 1 for i, g in enumerate(used)}
-    remap = [
-        tuple(mapping[v] if v > 0 else -mapping[-v] for v in rel) for rel in relators
-    ]
-    return remap, len(used)
+    return [tuple(mapping[v] if v > 0 else -mapping[-v] for v in rel) for rel in relators]
+
+
+def _lone_move(relators: Iterable[Word]) -> tuple[int, Word] | None:
+    """``(g, w)`` with g = w solved from the shortest relator in which some
+    generator g occurs exactly once, or ``None`` if there is no such one."""
+    best = None
+    for rel in relators:
+        if best is not None and len(rel) >= len(best[0]):
+            continue
+        gens = [abs(v) for v in rel]
+        pos = next((i for i, g in enumerate(gens) if gens.count(g) == 1), None)
+        if pos is not None:
+            best = (rel, pos)
+            if len(rel) == 2:  # length-1 relators are handled first
+                break
+    if best is None:
+        return None
+    rel, pos = best
+    # rel = B g A = 1  =>  g = (A B)^-1; and g = A B if the letter was g^-1
+    solved = rel[pos + 1 :] + rel[:pos]
+    if rel[pos] > 0:
+        solved = tuple(-v for v in reversed(solved))
+    return abs(rel[pos]), solved
 
 
 def tietze_simplify(
     pres: Presentation, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> SimplificationStatus:
-    """Drive the presentation to a fixpoint under cheap Tietze moves.
+    """Eliminate generators by Tietze moves until no relator is left or no
+    move applies.
 
-    Moves, in scan order: drop empty relators, kill generators forced
-    trivial by length-1 relators, drop cyclically-duplicate relators, and
-    eliminate any generator occurring exactly once in some relator by
-    solving for it.  Each applied move costs one budget step; exhaustion
-    yields ``inconclusive`` with the partly-simplified presentation.
+    Relators are kept cyclically reduced, by id, with the ids of the
+    relators that contain each generator.  A length-1 relator forces its
+    generator trivial; otherwise the shortest relator in which a generator
+    occurs once is solved for it.  Either move rewrites only the relators
+    that contain the generator, dropping any that become empty, and costs
+    one budget step.  Exhaustion yields ``inconclusive`` with the
+    partly-simplified presentation.
+
+    Duplicate relators need no move of their own.  A duplicate is a
+    rotation of a relator B g A, or of its inverse; substituting g from one
+    copy reduces the other to the empty word.
     """
     if step_budget <= 0:
         raise ValueError("step budget must be positive")
+    relators: dict[int, Word] = {}
+    occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
+    units: list[int] = []  # ids of relators that were of length 1
+
+    def store(rid: int, word: Word) -> None:
+        if not word:
+            relators.pop(rid, None)
+            return
+        relators[rid] = word
+        for v in word:
+            occ[abs(v)].add(rid)
+        if len(word) == 1:
+            units.append(rid)
+
+    for rid, rel in enumerate(pres.relators):
+        store(rid, cyclic_reduce(rel))
     num_gens = pres.num_generators
-    relators = [cyclic_reduce(r) for r in pres.relators]
     steps = 0
-    exhausted = False
-
-    def spend() -> bool:
-        nonlocal steps, exhausted
+    while relators:
+        move = None
+        while units and move is None:
+            unit = relators.get(units.pop(), ())
+            if len(unit) == 1:
+                move = (abs(unit[0]), ())
+        move = move or _lone_move(relators.values())
+        if move is None or steps == step_budget:
+            break
         steps += 1
-        if steps > step_budget:
-            exhausted = True
-        return not exhausted
+        gen, solved = move
+        inv = tuple(-v for v in reversed(solved))
+        for rid in occ.pop(gen):
+            word: list[int] = []
+            for v in relators[rid]:
+                if v == gen:
+                    word.extend(solved)
+                elif v == -gen:
+                    word.extend(inv)
+                else:
+                    word.append(v)
+                    occ[abs(v)].discard(rid)
+            store(rid, cyclic_reduce(word))
+        num_gens -= 1
 
-    changed = True
-    while changed and not exhausted:
-        changed = False
-        nonempty = [r for r in relators if r]
-        if len(nonempty) != len(relators):
-            relators = nonempty
-            changed = True
-            if not spend():
-                break
-        # a length-1 relator forces its generator to the identity
-        unit = next((r for r in relators if len(r) == 1), None)
-        if unit is not None:
-            relators = [cyclic_reduce(r) for r in _drop_generator(relators, abs(unit[0]))]
-            num_gens -= 1
-            changed = True
-            if not spend():
-                break
-            continue
-        # duplicate relators up to rotation and inversion
-        normals: set[Word] = set()
-        deduped: list[Word] = []
-        for rel in relators:
-            key = _cyclic_normal(rel)
-            if key in normals:
-                continue
-            normals.add(key)
-            deduped.append(rel)
-        if len(deduped) != len(relators):
-            relators = deduped
-            changed = True
-            if not spend():
-                break
-            continue
-        # a generator occurring exactly once in some relator can be solved for
-        for idx, rel in enumerate(relators):
-            counts: dict[int, int] = {}
-            for v in rel:
-                counts[abs(v)] = counts.get(abs(v), 0) + 1
-            lone = next((g for g in counts if counts[g] == 1), None)
-            if lone is None:
-                continue
-            pos = next(i for i, v in enumerate(rel) if abs(v) == lone)
-            before, after = rel[:pos], rel[pos + 1 :]
-            # rel = B g A = 1  =>  g = B^-1 A^-1; flip if the letter was g^-1
-            solved = tuple(-v for v in reversed(after + before))
-            if rel[pos] < 0:
-                solved = tuple(-v for v in reversed(solved))
-            rest = relators[:idx] + relators[idx + 1 :]
-            relators = [cyclic_reduce(r) for r in _substitute(rest, lone, solved)]
-            num_gens -= 1
-            changed = True
-            break
-        else:
-            continue
-        if not spend():
-            break
-
-    relators = [r for r in relators if r]
-    if relators or exhausted:
-        remap, _ = _renumber(relators, num_gens)
+    if relators:
+        remap = _renumber(list(relators.values()))
         stuck = Presentation(num_generators=num_gens, relators=tuple(remap))
         return SimplificationStatus.inconclusive(stuck)
     return SimplificationStatus.free_of_rank(num_gens)

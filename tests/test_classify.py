@@ -193,17 +193,50 @@ class TestInventory:
                     assert rec.homogeneous, rec.code
 
     def test_every_record_pi1_verified_at_paper_scale(self):
-        # the budgeted simplifier succeeds on every core up to 8 points
-        for n in (6, 7, 8):
-            for rec in inventory(n, 2).records:
+        # the budgeted simplifier succeeds on every core up to 9 points
+        for n, total in ((6, 1), (7, 7), (8, 53), (9, 451)):
+            records = inventory(n, 2).records
+            assert len(records) == total
+            for rec in records:
                 assert rec.wedge is not None
                 assert rec.wedge.pi1_verified, rec.code
+
+    def test_homotopically_trivial_cores_on_nine_points(self):
+        # acyclic, simply connected, yet cores: a dual pair of two classes
+        trivial = inventory(9, 2).records_for(0, 0)
+        assert [r.code for r in trivial] == [
+            b"9:1f0,1e8,1d8,140,180,1c0,0,0,0",
+            b"9:1f0,1e8,1f8,140,180,c0,0,0,0",
+        ]
+        a, b = trivial
+        assert (a.dual_code, b.dual_code) == (b.code, a.code)
 
     def test_jsonl_output(self):
         inv = inventory(6, 2)
         lines = inv.to_json_lines().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["label"]["spheres"] == 1
+
+
+class TestDualPairing:
+    """``inventory`` codes each dual pair once; the records must still hold
+    the dual code ``classify_poset`` computes on its own."""
+
+    def test_dual_code_is_code_of_dual(self):
+        for n in range(1, 10):
+            for height in (1, 2):
+                for rec in inventory(n, height).records:
+                    assert rec.dual_code == rec.poset().dual().canonical_code, rec.code
+
+    def test_dual_codes_form_an_involution(self):
+        for n in (7, 8, 9):
+            for height in (1, 2):
+                dual = {r.code: r.dual_code for r in inventory(n, height).records}
+                assert all(dual[dual[code]] == code for code in dual)
+
+    def test_given_dual_code_changes_nothing(self):
+        for p in enumerate_height2_cores(8) + [figures.poset("fig14c"), fence()]:
+            assert classify_poset(p, dual_code=p.dual().canonical_code) == classify_poset(p)
 
 
 class TestMinModelSearch:

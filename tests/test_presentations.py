@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from conftest import random_connected_poset
 from finspace import figures
 from finspace.complexes import SimplicialComplex, order_complex, poset_homology
-from finspace.enumeration import enumerate_posets
+from finspace.enumeration import enumerate_height2_cores, enumerate_posets
 from finspace.presentations import (
     DisconnectedComplex,
     Presentation,
@@ -16,6 +17,7 @@ from finspace.presentations import (
     presentation,
     tietze_simplify,
 )
+from oracle_tietze import oracle_tietze
 
 FULL_TRIANGLE = SimplicialComplex(
     3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
@@ -117,12 +119,29 @@ class TestTietze:
         # <a, b | a b a^-1 b^-1> is Z^2, not free: must not certify free
         status = tietze_simplify(Presentation(2, ((1, 2, -1, -2),)))
         assert status.kind == "inconclusive"
+        assert status.describe() == "inconclusive (2 generators, 1 relators left)"
 
     def test_budget_exhaustion(self):
         pres = poset_presentation(figures.poset("fig05a"))
         status = tietze_simplify(pres, step_budget=1)
         assert status.kind == "inconclusive"
         assert status.remaining is not None
+        assert tietze_simplify(pres).kind == "trivial"
+
+    def test_relator_and_its_rotation(self):
+        # <a, b | ab, ba>: solving a from ab empties ba
+        status = tietze_simplify(Presentation(2, ((1, 2), (2, 1))))
+        assert status.certifies_free_rank(1)
+
+    def test_duplicate_relators(self):
+        # <a, b, c | abc, abc, cab>: both copies reduce to the empty word
+        pres = Presentation(3, ((1, 2, 3), (1, 2, 3), (3, 1, 2)))
+        for simplify in (tietze_simplify, oracle_tietze):
+            assert simplify(pres).certifies_free_rank(2)
+
+    def test_proper_power_is_inconclusive(self):
+        status = tietze_simplify(Presentation(1, ((1, 1),)))
+        assert status.describe() == "inconclusive (1 generators, 1 relators left)"
 
     def test_fig04a_rank_one(self):
         status = tietze_simplify(poset_presentation(figures.poset("fig04a")))
@@ -149,6 +168,40 @@ class TestTietze:
                 assert status.kind == "trivial", fid
 
 
+class TestOracle:
+    """The indexed simplifier reaches the restart-scan oracle's outcome, and
+    a conclusive rank equals the abelianized rank."""
+
+    @staticmethod
+    def check(pres: Presentation) -> None:
+        status, expected = tietze_simplify(pres), oracle_tietze(pres)
+        assert (status.kind, status.rank) == (expected.kind, expected.rank)
+        if status.is_conclusive:
+            assert (status.rank or 0) == abelianized_rank(pres)
+
+    def test_height2_cores(self):
+        cores = [p for n in range(1, 9) for p in enumerate_height2_cores(n)]
+        assert len(cores) == 61
+        for p in cores:
+            self.check(poset_presentation(p))
+
+    def test_catalog_figures_at_every_basepoint(self):
+        for fid in figures.all_ids():
+            p = figures.poset(fid)
+            if p.is_connected and p.height <= 2:
+                for basepoint in range(p.n):
+                    self.check(poset_presentation(p, basepoint))
+
+    def test_random_connected_posets(self):
+        rng = random.Random(20261018)
+        drawn = 0
+        while drawn < 200:
+            p = random_connected_poset(rng)
+            if p.height <= 2:
+                self.check(poset_presentation(p))
+                drawn += 1
+
+
 class TestAbelianization:
     def test_matches_beta1_on_fixtures(self):
         for fid in figures.core_ids():
@@ -158,8 +211,6 @@ class TestAbelianization:
 
     def test_matches_beta1_on_random_connected_posets(self):
         rng = random.Random(20260808)
-        from conftest import random_connected_poset
-
         for _ in range(200):
             p = random_connected_poset(rng)
             if p.height > 2:
