@@ -243,7 +243,3 @@ def circle_wedge_size_closed_form(n: int, rounding: str = "ceil") -> int:
     else:
         raise ValueError("rounding must be 'ceil' or 'floor'")
     return min(2 * (sq + 1), 2 * a + 1)
-
-
-def hasse_edge_count(p: Poset) -> int:
-    return len(p.covers)

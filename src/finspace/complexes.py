@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from finspace.posets import Poset, _bits, _connected
+from finspace.posets import Poset, _bits
 
 
 class ComplexError(ValueError):
@@ -72,18 +72,6 @@ class SimplicialComplex:
         if self.dimension < 1:
             return ()
         return self.simplices[1]  # type: ignore[return-value]
-
-    def is_connected(self) -> bool:
-        verts = self.vertices()
-        if not verts:
-            return True
-        index = {v: k for k, v in enumerate(verts)}
-        down = [0] * len(verts)
-        up = [0] * len(verts)
-        for u, v in self.edges():
-            up[index[u]] |= 1 << index[v]
-            down[index[v]] |= 1 << index[u]
-        return _connected(down, up)
 
 
 def order_complex(p: Poset) -> SimplicialComplex:

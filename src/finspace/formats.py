@@ -41,7 +41,7 @@ def parse_poset_text(text: str) -> Poset:
         if keyword == "poset":
             if n is not None:
                 raise PosetFormatError(f"line {lineno}: repeated poset header")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                 raise PosetFormatError(f"line {lineno}: expected 'poset <n>'")
             n = int(fields[1])
         elif keyword == "elements":
@@ -152,8 +152,8 @@ def load_poset(path: str | Path) -> Poset:
     """Read a poset file; '.json' selects the JSON format, anything else text."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise PosetFormatError(f"cannot read {path}: {exc}") from exc
     if path.suffix == ".json":
         return parse_poset_json(text)

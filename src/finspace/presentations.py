@@ -1,7 +1,12 @@
 """Edge-path presentations of fundamental groups of 2-complexes.
 
-Generators are the edges outside a breadth-first spanning tree; every
-triangle contributes one relator of length at most three.  The simplifier
+The builder takes one neighbour bitmask per vertex: a poset passes its
+comparability masks directly, a simplicial complex builds them from its
+edges.  A breadth-first search over the masks, neighbours in increasing
+order, gives the spanning tree and fails with :class:`DisconnectedComplex`
+when it does not reach every vertex.  Generators are the edges outside the
+tree, numbered in lexicographic edge order; every triangle contributes one
+relator of length at most three.  The simplifier
 then tries to certify the group free of some rank by eliminating
 generators with two Tietze moves: a length-1 relator kills its generator,
 and a generator occurring exactly once in a relator is solved for and
@@ -17,8 +22,8 @@ Words are tuples of nonzero signed integers: ``+g`` is generator ``g``,
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from finspace.complexes import IntegerMatrix, SimplicialComplex, smith_normal_form
@@ -35,24 +40,14 @@ class DisconnectedComplex(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Group presentation plus the spanning-tree data it came from.
-
-    ``generator_edges[g-1]`` is the non-tree edge behind generator ``g``;
-    ``tree_edges`` lists the spanning tree, rooted at ``basepoint``.
-    """
+    """A group presentation: generators ``g1`` .. ``gN`` and relator words."""
 
     num_generators: int
     relators: tuple[Word, ...]
-    generator_edges: tuple[tuple[int, int], ...] = ()
-    tree_edges: tuple[tuple[int, int], ...] = ()
-    basepoint: int | None = None
-
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(f"g{i + 1}" for i in range(self.num_generators))
 
     def to_text(self) -> str:
         """Stable display form: ⟨g1, g2 | g1 g2 g1^-1 g2^-1⟩."""
-        gens = ", ".join(self.generator_names())
+        gens = ", ".join(f"g{i + 1}" for i in range(self.num_generators))
         words = []
         for rel in self.relators:
             if not rel:
@@ -116,90 +111,79 @@ def presentation(k: SimplicialComplex, basepoint: int | None = None) -> Presenta
     """
     if k.dimension > 2:
         raise ValueError("presentation requires dimension <= 2")
-    if not k.is_connected():
-        raise DisconnectedComplex("complex is not connected")
+    neighbours = [0] * k.n_vertices
+    for u, v in k.edges():
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    vertices = sum(1 << v for v in k.vertices())
     triangles = k.simplices[2] if k.dimension == 2 else ()
-    return _edge_path(k.vertices(), k.edges(), triangles, basepoint)
+    return _edge_path(neighbours, vertices, triangles, basepoint)
 
 
 def poset_presentation(p: Poset, basepoint: int | None = None) -> Presentation:
     """The presentation of the order complex of ``p``, read off the order
     bitmasks without building the complex.
 
-    Edges are the comparable pairs and triangles the 3-chains, both as
+    Edges are the comparable pairs and triangles the 3-chains, the latter as
     sorted index tuples in lexicographic order, which is the order
     :func:`~finspace.complexes.order_complex` gives them; so the result
     equals ``presentation(order_complex(p), basepoint)``.
     """
     if p.height > 2:
         raise ValueError("presentation requires dimension <= 2")
-    if not p.is_connected:
-        raise DisconnectedComplex("complex is not connected")
     comparable = [u | d for u, d in zip(p._strict_up, p._strict_down)]
-    edges = []
-    triangles = []
-    for i, row in enumerate(comparable):
-        above = row >> (i + 1) << (i + 1)
-        for j in _bits(above):
-            edges.append((i, j))
-            for k in _bits(above & comparable[j] >> (j + 1) << (j + 1)):
-                triangles.append((i, j, k))
-    return _edge_path(tuple(range(p.n)), edges, triangles, basepoint)
+    triangles = (
+        (i, j, k)
+        for i, row in enumerate(comparable)
+        for j in _bits(row >> (i + 1) << (i + 1))
+        for k in _bits(row & comparable[j] >> (j + 1) << (j + 1))
+    )
+    return _edge_path(comparable, (1 << p.n) - 1, triangles, basepoint)
 
 
 def _edge_path(
-    verts: tuple[int, ...],
-    edges: Sequence[tuple[int, int]],
+    neighbours: Sequence[int],
+    vertices: int,
     triangles: Iterable[tuple[int, ...]],
     basepoint: int | None,
 ) -> Presentation:
-    """Presentation of the connected 2-complex with the given sorted
-    vertices, edges and triangles: one generator per non-tree edge, one
-    relator per triangle."""
+    """Presentation of the 2-complex whose vertex set is the bitmask
+    ``vertices``, whose edges are given by the neighbour mask of each vertex
+    and whose triangles are sorted index tuples: one generator per non-tree
+    edge, numbered in lexicographic edge order, and one relator per
+    triangle."""
     if basepoint is None:
-        basepoint = verts[0]
-    if basepoint not in set(verts):
+        basepoint = (vertices & -vertices).bit_length() - 1
+    if basepoint < 0 or not vertices >> basepoint & 1:
         raise ValueError(f"basepoint {basepoint} is not a vertex")
-    neighbours: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    for v in neighbours:
-        neighbours[v].sort()
-    tree: set[tuple[int, int]] = set()
-    seen = {basepoint}
-    queue = deque([basepoint])
-    while queue:
-        u = queue.popleft()
-        for w in neighbours[u]:
-            if w not in seen:
-                seen.add(w)
-                tree.add((min(u, w), max(u, w)))
-                queue.append(w)
-    gen_of: dict[tuple[int, int], int] = {}
-    gen_edges: list[tuple[int, int]] = []
-    for edge in edges:
-        if edge not in tree:
-            gen_edges.append(edge)
-            gen_of[edge] = len(gen_edges)
+    # upper[u] holds the non-tree edges (u, v) with v > u once the
+    # breadth-first search below has cleared the tree edges from it.
+    upper = [row >> (u + 1) << (u + 1) for u, row in enumerate(neighbours)]
+    seen = 1 << basepoint
+    queue = [basepoint]
+    for u in queue:
+        new = neighbours[u] & ~seen
+        seen |= new
+        for w in _bits(new):
+            upper[min(u, w)] ^= 1 << max(u, w)
+            queue.append(w)
+    if seen != vertices:
+        raise DisconnectedComplex("complex is not connected")
+    # The generator of non-tree edge (u, v) is first[u] plus the number of
+    # non-tree edges (u, x) with x < v; first[-1] - 1 counts them all.
+    first = list(accumulate((row.bit_count() for row in upper), initial=1))
 
     # The three edges of a triangle are distinct generators or tree edges,
     # so the word u -> v -> w -> u is already freely reduced.
     relators = []
     for u, v, w in triangles:
         word = []
-        for edge, sign in (((u, v), 1), ((v, w), 1), ((u, w), -1)):
-            g = gen_of.get(edge)
-            if g is not None:
-                word.append(sign * g)
+        for a, b, sign in ((u, v, 1), (v, w, 1), (u, w, -1)):
+            row = upper[a]
+            if row >> b & 1:
+                word.append(sign * (first[a] + (row & ((1 << b) - 1)).bit_count()))
         relators.append(tuple(word))
-    return Presentation(
-        num_generators=len(gen_edges),
-        relators=tuple(relators),
-        generator_edges=tuple(gen_edges),
-        tree_edges=tuple(sorted(tree)),
-        basepoint=basepoint,
-    )
+    return Presentation(num_generators=first[-1] - 1, relators=tuple(relators))
 
 
 def free_reduce(word: Word) -> Word:

@@ -22,7 +22,6 @@ from finspace.classify import (
     circle_wedge_size,
     circle_wedge_size_closed_form,
     classify_poset,
-    hasse_edge_count,
     inventory,
     min_model_search,
 )
@@ -306,7 +305,7 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
             if hits:
                 observed_min = size
                 minimizers_ok = all(
-                    hasse_edge_count(p) == size + n_circles - 1 for p in hits
+                    len(p.covers) == size + n_circles - 1 for p in hits
                 )
                 break
         emit(f"height-1 law: wedge of {n_circles} circles needs", law, observed_min)

@@ -41,6 +41,20 @@ class TestFileCommands:
             "e686e24248aced8bd18c913f8b79718dfc13e0f678fa1d5463641e7779f480a8"
         )
 
+    def test_pi1_output_pinned(self, capsys, fixture_dir):
+        """One digest over the exit code and stdout of ``pi1`` on every
+        fixture, in sorted order: the generator numbering and relators of
+        each presentation, and the simplifier's verdict, byte for byte."""
+        digest = hashlib.sha256()
+        paths = sorted(fixture_dir.glob("*.poset"))
+        for path in paths:
+            code, out, _ = run(capsys, "pi1", str(path))
+            digest.update(f"{code}\n{out}".encode())
+        assert len(paths) == 61
+        assert digest.hexdigest() == (
+            "3f219b42d37cd86cee65b5f23d48bc5cb3ae73bae22f90a25010100d50fef5a5"
+        )
+
     def test_iso_fig18(self, capsys, fixture_dir):
         code, out, _ = run(
             capsys,
@@ -108,8 +122,14 @@ class TestExitCodes:
 
     def test_data_error_malformed(self, capsys, tmp_path):
         bad = tmp_path / "bad.poset"
-        bad.write_text("poset 2\nelements a b\ncover a z\n")
-        assert main(["homology", str(bad)]) == 3
+        for data in (
+            b"poset 2\nelements a b\ncover a z\n",
+            "poset ²\nelements a\n".encode(),  # a digit, but not an ASCII one
+            b"poset 1\nelements \xff\n",  # not UTF-8
+        ):
+            bad.write_bytes(data)
+            assert main(["homology", str(bad)]) == 3, data
+            assert capsys.readouterr().err.startswith("error: "), data
 
     @pytest.mark.parametrize(
         "text",

@@ -43,9 +43,35 @@ class TestPresentation:
         assert status.kind == "trivial"
 
     def test_disconnected_raises(self):
-        k = SimplicialComplex(2, [[(0,), (1,)]])
-        with pytest.raises(DisconnectedComplex):
-            presentation(k)
+        for k in (
+            SimplicialComplex(2, [[(0,), (1,)]]),
+            SimplicialComplex(4, [[(0,), (1,), (3,)], [(0, 1)]]),
+            SimplicialComplex(
+                5,
+                [
+                    [(0,), (1,), (2,), (3,), (4,)],
+                    [(0, 1), (0, 2), (1, 2), (3, 4)],
+                    [(0, 1, 2)],
+                ],
+            ),
+        ):
+            for basepoint in (None, *k.vertices()):
+                with pytest.raises(DisconnectedComplex):
+                    presentation(k, basepoint)
+
+    def test_vertex_indices_with_gaps(self):
+        # vertex 1 is missing: the default basepoint is still the least
+        # vertex, and no vertex 1 is needed to reach every vertex
+        k = SimplicialComplex(3, [[(0,), (2,)], [(0, 2)]])
+        assert presentation(k) == presentation(k, 0) == Presentation(0, ())
+        assert presentation(k, 2) == Presentation(0, ())
+
+    def test_basepoint_not_a_vertex(self):
+        gapped = SimplicialComplex(3, [[(0,), (2,)], [(0, 2)]])
+        for k, basepoint in ((FULL_TRIANGLE, 3), (FULL_TRIANGLE, -1), (gapped, 1)):
+            with pytest.raises(ValueError) as err:
+                presentation(k, basepoint)
+            assert type(err.value) is ValueError
 
     def test_triangle_relators_short(self):
         for fid in ("fig17a", "fig14c", "fig05a"):
@@ -59,7 +85,6 @@ class TestPresentation:
             k = order_complex(p)
             pres = poset_presentation(p)
             assert pres.num_generators == len(k.edges()) - (len(k.vertices()) - 1)
-            assert len(pres.tree_edges) == len(k.vertices()) - 1
 
     def test_to_text_golden(self):
         pres = poset_presentation(figures.poset("fig04a"))
