@@ -7,8 +7,8 @@ replays the whole published-claims expectation table; ``export`` converts a
 poset file to DOT or JSON.
 
 Exit status: 0 success, 1 failed verification checks, 2 usage errors,
-3 malformed poset files.  Machine output (JSON, JSON lines, DOT) is
-byte-stable across runs; progress counters go to standard error.
+3 malformed or unsupported poset files.  Machine output (JSON, JSON lines,
+DOT) is byte-stable across runs; progress counters go to standard error.
 """
 
 from __future__ import annotations
@@ -164,10 +164,10 @@ def _cmd_homology(args) -> int:
 def _cmd_pi1(args) -> int:
     p = _load(args.file)
     if not p.is_connected:
-        print("space is not connected; no presentation", file=sys.stderr)
+        print("error: space is not connected; no presentation", file=sys.stderr)
         return DATA_ERROR
     if p.height > 2:
-        print("height exceeds 2; presentation unsupported", file=sys.stderr)
+        print("error: height exceeds 2; presentation unsupported", file=sys.stderr)
         return DATA_ERROR
     pres = poset_presentation(p)
     status = tietze_simplify(pres, step_budget=args.budget)

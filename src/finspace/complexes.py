@@ -1,9 +1,14 @@
 """Order complexes and exact simplicial homology.
 
 The order complex of a poset has one simplex per nonempty chain and carries
-the weak homotopy type of the corresponding finite space, so all invariants
-here (f-vector, Betti numbers, torsion, Euler characteristic, boundary ranks
-over GF(2)) are computed from it.  Everything is exact.  Boundary matrices
+the weak homotopy type of the corresponding finite space (McCord, Duke Math.
+J. 1966), so all invariants here (f-vector, Betti numbers, torsion, Euler
+characteristic, boundary ranks over GF(2)) are computed from it.
+:func:`poset_homology` builds only the order complex of the core: removing
+beat points is a strong deformation retract, so the core has the same
+Betti numbers, torsion and GF(2) Betti numbers, and the poset's f-vector
+and boundary ranks follow from its chain counts, counted on the order
+bitmasks.  Everything is exact.  Boundary matrices
 are sparse from the start: each row maps the columns of its nonzero entries
 to Python integers, and this module is the only one that knows the format.
 Ranks and torsion come from Smith normal form, which eliminates unit pivots
@@ -66,6 +71,8 @@ class SimplicialComplex:
         return tuple(len(group) for group in self.simplices)
 
     def vertices(self) -> tuple[int, ...]:
+        if not self.simplices:
+            return ()
         return tuple(s[0] for s in self.simplices[0])
 
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -371,9 +378,61 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     )
 
 
+def _chain_counts(p: Poset) -> tuple[int, ...]:
+    """The f-vector of the order complex of ``p``, without building it.
+
+    The number of (k+1)-chains topped by x is the sum, over y strictly
+    below x, of the k-chains topped by y; every element tops one 1-chain.
+    All lengths go at once: digit k, in base 2^(n+1), of ``tops[x]`` counts
+    the (k+1)-chains topped by x, and a count never exceeds the 2^n - 1
+    chains of p, so a digit never carries.  Elements are visited by the
+    size of their down-sets, so every y below x comes first.
+    """
+    down = p._strict_down
+    width = p.n + 1
+    tops = [0] * p.n
+    total = 0
+    for x in sorted(range(p.n), key=lambda i: down[i].bit_count()):
+        t = 1
+        for y in _bits(down[x]):
+            t += tops[y] << width
+        tops[x] = t
+        total += t
+    digit = (1 << width) - 1
+    return tuple(total >> (width * k) & digit for k in range(p.height + 1))
+
+
 def poset_homology(p: Poset) -> HomologyProfile:
-    """Homology of the order complex; the weak homotopy invariants of p."""
-    return homology(order_complex(p))
+    """Homology of the order complex; the weak homotopy invariants of p.
+
+    Computed on the core: removing a beat point is a strong deformation
+    retract, so p and its core have the same Betti numbers, torsion and
+    GF(2) Betti numbers, and only the core's order complex is built.  The
+    f-vector and Euler characteristic are p's, from :func:`_chain_counts`.
+    Betti numbers and torsion are the core's, padded with zeros to p's
+    height.  The GF(2) ranks come from the core's GF(2) elimination: with
+    its GF(2) Betti numbers b_d = f_d(core) - r_d - r_{d+1}, p's ranks are
+    r_0 = 0 and r_{d+1} = f_d(p) - r_d - b_d.  A poset that is its own core
+    goes straight to :func:`homology`.
+    """
+    core = p.core()
+    if core.n == p.n:
+        return homology(order_complex(p))
+    h = homology(order_complex(core))
+    f = _chain_counts(p)
+    pad = len(f) - len(h.f_vector)
+    r = (0,) + h.f2_ranks + (0,)
+    b = [c - r[d] - r[d + 1] for d, c in enumerate(h.f_vector)] + [0] * pad
+    ranks = [0]
+    for d in range(p.height):
+        ranks.append(f[d] - ranks[d] - b[d])
+    return HomologyProfile(
+        f_vector=f,
+        betti=h.betti + (0,) * pad,
+        torsion=h.torsion + ((),) * pad,
+        euler=sum((-1) ** d * c for d, c in enumerate(f)),
+        f2_ranks=tuple(ranks[1:]),
+    )
 
 
 def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, NamedTuple
 
 from finspace.posets import Poset, _beat_points, _connected, _popcount, _transpose
@@ -331,6 +330,9 @@ def enumerate_height2_cores(
             yield shard
 
     if nworkers > 1 and len(shapes) > 1:
+        # imported here: it pulls in multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             return _merged(reported(pool.map(_cores_for_shape, shapes)))
     return _merged(reported(map(_cores_for_shape, shapes)))

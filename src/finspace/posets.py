@@ -70,16 +70,20 @@ def _connected(down: Sequence[int], up: Sequence[int]) -> bool:
     return seen == (1 << len(down)) - 1
 
 
-def _beat_points(down: Sequence[int], up: Sequence[int]) -> int:
+def _beat_points(
+    down: Sequence[int], up: Sequence[int], among: int | None = None
+) -> int:
     """Bitmask of the beat points of the poset whose strict down- and up-set
-    masks are ``down`` and ``up``.
+    masks are ``down`` and ``up``, checking only the elements in the mask
+    ``among`` (default: all).
 
     x is a down beat point iff its strict down-set has a maximum m, that is,
     the set minus m lies below m; dually for up beat points.
     """
     beats = 0
     for rows in (down, up):
-        for x, hat in enumerate(rows):
+        hats = enumerate(rows) if among is None else ((x, rows[x]) for x in _bits(among))
+        for x, hat in hats:
             for m in _bits(hat):
                 if hat & ~rows[m] == 1 << m:
                     beats |= 1 << x
@@ -342,14 +346,30 @@ class Poset:
     def core(self) -> "Poset":
         """Remove beat points (lowest index first, one at a time) until none
         remain.  The result is the same up to isomorphism whatever the order;
-        the index rule makes this particular output deterministic."""
-        p = self
-        while True:
-            beats = p.beat_points()
-            if not beats:
-                return p
-            victim = min(beats)
-            p = p.restricted([x for x in range(p.n) if x != victim])
+        the index rule makes this particular output deterministic.
+
+        The removal runs on copies of the strict masks.  Removing x changes
+        the punctured down- and up-sets only of the elements comparable to
+        x, so only those are checked again; the subposet is built once, at
+        the end.
+        """
+        down = list(self._strict_down)
+        up = list(self._strict_up)
+        beats = _beat_points(down, up)
+        removed = 0
+        while beats:
+            low = beats & -beats
+            x = low.bit_length() - 1
+            removed |= low
+            for y in _bits(down[x]):
+                up[y] ^= low
+            for y in _bits(up[x]):
+                down[y] ^= low
+            near = down[x] | up[x]
+            beats = beats & ~low & ~near | _beat_points(down, up, near)
+        if not removed:
+            return self
+        return self.restricted([x for x in range(self.n) if not removed >> x & 1])
 
     def nh_suspension(self, k: int = 1) -> "Poset":
         """Non-Hausdorff suspension, iterated ``k`` times.

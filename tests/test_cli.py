@@ -41,6 +41,20 @@ class TestFileCommands:
             "e686e24248aced8bd18c913f8b79718dfc13e0f678fa1d5463641e7779f480a8"
         )
 
+    def test_core_output_pinned(self, capsys, fixture_dir):
+        """One digest over the exit code and stdout of ``core`` on every
+        fixture, in sorted order: which points survive beat-point removal,
+        their labels and covers, byte for byte."""
+        digest = hashlib.sha256()
+        paths = sorted(fixture_dir.glob("*.poset"))
+        for path in paths:
+            code, out, _ = run(capsys, "core", str(path))
+            digest.update(f"{code}\n{out}".encode())
+        assert len(paths) == 61
+        assert digest.hexdigest() == (
+            "c218b902941135f602281241c60b85cb58fd9572ff2bbadf2f2cc387e84e745d"
+        )
+
     def test_pi1_output_pinned(self, capsys, fixture_dir):
         """One digest over the exit code and stdout of ``pi1`` on every
         fixture, in sorted order: the generator numbering and relators of
@@ -144,6 +158,18 @@ class TestExitCodes:
         bad.write_text(text)
         assert main(["show", str(bad)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fixture", ["fig15a", "fig15c", "chain4"])
+    def test_pi1_unsupported_poset(self, capsys, fixture_dir, tmp_path, fixture):
+        """A well-formed file that is disconnected or taller than 2 exits 3
+        with one ``error:`` line, like a malformed one."""
+        path = fixture_dir / f"{fixture}.poset"
+        if fixture == "chain4":  # height 3; no fixture is that tall
+            path = tmp_path / "chain4.poset"
+            path.write_text("poset 4\nelements a b c d\ncover a b\ncover b c\ncover c d\n")
+        code, out, err = run(capsys, "pi1", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_enumerate_cap(self, capsys):
         assert main(["enumerate", "--n", "99", "--height", "2"]) == 2

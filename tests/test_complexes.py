@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +19,8 @@ from finspace.complexes import (
     smith_normal_form,
     _dense_snf,
 )
+from finspace.enumeration import enumerate_posets
+from finspace.formats import load_poset
 from finspace.posets import Poset
 from finspace.presentations import abelianized_rank, poset_presentation
 
@@ -334,6 +337,66 @@ class TestHomology:
                 k.f_vector[d] - ranks[d] - ranks[d + 1] for d in range(k.dimension + 1)
             )
             assert prof.betti == expected
+
+
+def glued_rp2() -> Poset:
+    """The face poset of ``rp2()`` with one point glued below a vertex and a
+    2-chain hung above a triangle: 34 points of height 5, whose beat points
+    retract it onto the 31-point face poset."""
+    faces = [s for group in rp2().simplices for s in group]
+    index = {s: i for i, s in enumerate(faces)}
+    covers = [
+        (index[s[:k] + s[k + 1 :]], index[s]) for s in faces if len(s) > 1 for k in range(len(s))
+    ]
+    n = len(faces)
+    covers += [(n, index[(0,)]), (index[(0, 1, 2)], n + 1), (n + 1, n + 2)]
+    return Poset.from_covers(n + 3, covers)
+
+
+class TestCoreFirstHomology:
+    """``poset_homology`` builds only the core's order complex; homology of
+    the poset's own order complex is the oracle, compared field by field."""
+
+    @staticmethod
+    def assert_matches_full(p: Poset, where="") -> None:
+        assert poset_homology(p) == homology(order_complex(p)), where
+
+    def test_every_small_poset(self):
+        for n in range(1, 7):
+            for p in enumerate_posets(n):
+                self.assert_matches_full(p, p.canonical_code)
+
+    def test_fixtures(self, fixture_dir):
+        for path in sorted(fixture_dir.glob("*.poset")):
+            self.assert_matches_full(load_poset(str(path)), path.name)
+
+    def test_chain(self):
+        self.assert_matches_full(Poset.chain(10))
+
+    def test_random_posets_with_beat_points(self):
+        from conftest import random_poset
+
+        rng = random.Random(43)
+        checked = 0
+        while checked < 200:
+            p = random_poset(rng, n_max=14, n_min=8)
+            if p.beat_points():
+                self.assert_matches_full(p, p.canonical_code)
+                checked += 1
+
+    def test_two_torsion_with_beat_points(self):
+        p = glued_rp2()
+        assert p.core().n == 31
+        prof = poset_homology(p)
+        assert prof.betti == (1, 0, 0, 0, 0, 0)
+        assert prof.torsion == ((), (2,), (), (), (), ())
+        self.assert_matches_full(p)
+
+    def test_chain_64(self):
+        prof = poset_homology(Poset.chain(64))
+        assert prof.betti == (1,) + (0,) * 63
+        assert prof.f_vector == tuple(comb(64, k + 1) for k in range(64))
+        assert prof.euler == 1
 
 
 class TestEuler:

@@ -198,7 +198,46 @@ class TestBeatPoints:
         assert p.is_connected and not p.beat_points()
 
 
+def core_one_at_a_time(p: Poset) -> Poset:
+    """Oracle for :meth:`Poset.core`: find all beat points, restrict away the
+    lowest-index one, and start again on the smaller poset."""
+    while True:
+        beats = p.beat_points()
+        if not beats:
+            return p
+        victim = min(beats)
+        p = p.restricted([x for x in range(p.n) if x != victim])
+
+
 class TestCore:
+    @staticmethod
+    def assert_matches_oracle(p: Poset, where="") -> None:
+        core, expected = p.core(), core_one_at_a_time(p)
+        assert (core.labels, core._up) == (expected.labels, expected._up), where
+
+    def test_against_oracle_on_small_posets(self):
+        for n in range(1, 7):
+            for p in enumerate_posets(n):
+                self.assert_matches_oracle(p, p.canonical_code)
+
+    def test_against_oracle_on_fixtures(self, fixture_dir):
+        for path in sorted(fixture_dir.glob("*.poset")):
+            self.assert_matches_oracle(load_poset(str(path)), path.name)
+
+    def test_against_oracle_on_random_posets(self):
+        from conftest import random_poset
+
+        rng = random.Random(47)
+        for _ in range(200):
+            p = random_poset(rng, n_max=14, n_min=8)
+            self.assert_matches_oracle(p, p.canonical_code)
+            sigma = rng.sample(range(p.n), p.n)
+            self.assert_matches_oracle(p.permuted(sigma), (p.canonical_code, sigma))
+
+    def test_chain_64(self):
+        self.assert_matches_oracle(Poset.chain(64))
+        assert Poset.chain(64).core().labels == ("x63",)
+
     def test_chain_core_is_point(self):
         assert Poset.chain(2).core().n == 1
         assert Poset.chain(5).core().n == 1

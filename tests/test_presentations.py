@@ -59,6 +59,12 @@ class TestPresentation:
                 with pytest.raises(DisconnectedComplex):
                     presentation(k, basepoint)
 
+    def test_empty_complex_raises_value_error(self):
+        k = SimplicialComplex(0, [])
+        assert k.vertices() == ()
+        with pytest.raises(ValueError):
+            presentation(k)
+
     def test_vertex_indices_with_gaps(self):
         # vertex 1 is missing: the default basepoint is still the least
         # vertex, and no vertex 1 is needed to reach every vertex
