@@ -154,9 +154,6 @@ class Inventory:
     def records_for(self, circles: int, spheres: int) -> tuple[ClassificationRecord, ...]:
         return tuple(r for r in self.records if r.label_key == (circles, spheres))
 
-    def to_json_lines(self) -> str:
-        return "\n".join(r.to_json_line() for r in self.records)
-
 
 def inventory(n: int, height: int, workers: int | None = None) -> Inventory:
     """Enumerate, classify and count the cores of the given size and height."""

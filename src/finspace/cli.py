@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min = sub.add_parser("min-model", help="search for minimal models of a wedge")
     p_min.add_argument("--circles", type=_int_at_least(0), required=True)
     p_min.add_argument("--spheres", type=_int_at_least(0), required=True)
-    p_min.add_argument("--max-n", type=int, default=8)
+    p_min.add_argument("--max-n", type=_int_at_least(1), default=8)
 
     p_ver = sub.add_parser("verify-paper", help="re-check every published claim")
     p_ver.add_argument("--json", action="store_true", dest="as_json")
@@ -220,11 +220,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_min_model(args) -> int:
-    try:
-        res = min_model_search(args.circles, args.spheres, args.max_n)
-    except SizeTooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    res = min_model_search(args.circles, args.spheres, args.max_n)
     if not res.found:
         print(f"no model with at most {args.max_n} points")
         return 0

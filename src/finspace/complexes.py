@@ -117,15 +117,6 @@ class IntegerMatrix:
         ):
             raise ComplexError("matrix shape does not match entries")
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntegerMatrix":
-        """The matrix of dense rows, all of length ``cols`` (default: the
-        first row's length)."""
-        width = cols if cols is not None else (len(rows[0]) if rows else 0)
-        if any(len(r) != width for r in rows):
-            raise ComplexError("matrix shape does not match entries")
-        return cls(len(rows), width, tuple({j: v for j, v in enumerate(r) if v} for r in rows))
-
 
 def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
     """Boundary maps d_1..d_dim under the sorted-vertex orientation.
@@ -297,24 +288,23 @@ def _dense_snf(m: IntegerMatrix) -> SmithNormalForm:
 def f2_rank(m: IntegerMatrix) -> int:
     """Rank over the two-element field by bitmask Gaussian elimination.
 
-    Deliberately independent of the Smith normal form path.
+    Each row is reduced against the rows kept so far, which are indexed by
+    their lowest set bit, and kept if anything is left; the rank is the
+    number kept.  Deliberately independent of the Smith normal form path.
     """
-    rows = []
+    pivots: dict[int, int] = {}
     for r in m.entries:
         mask = 0
         for j, v in r.items():
             if v & 1:
                 mask |= 1 << j
-        if mask:
-            rows.append(mask)
-    rank = 0
-    while rows:
-        pivot_row = rows.pop()
-        rank += 1
-        pivot_bit = pivot_row & -pivot_row
-        rows = [r ^ pivot_row if r & pivot_bit else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = mask
+                break
+            mask ^= pivots[low]
+    return len(pivots)
 
 
 @dataclass(frozen=True)

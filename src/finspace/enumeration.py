@@ -73,10 +73,6 @@ class LevelShape(NamedTuple):
     m1: int
     m0: int
 
-    @property
-    def n(self) -> int:
-        return self.m2 + self.m1 + self.m0
-
 
 def _descending_masks(width: int, min_bits: int) -> list[int]:
     return [m for m in range((1 << width) - 1, 0, -1) if _popcount(m) >= min_bits]

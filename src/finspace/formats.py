@@ -134,16 +134,18 @@ def poset_to_json(p: Poset) -> str:
 
 
 def poset_to_dot(p: Poset) -> str:
-    """Hasse diagram in DOT: edges drawn lower -> upper, one rank per height."""
+    """Hasse diagram in DOT: edges drawn lower -> upper, one rank per height.
+    Labels are quoted DOT IDs, with ``\\`` and ``"`` escaped."""
+    ids = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in p.labels]
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
     by_height: dict[int, list[int]] = {}
     for i in range(p.n):
         by_height.setdefault(p.element_heights[i], []).append(i)
     for h in sorted(by_height):
-        names = "; ".join(f'"{p.labels[i]}"' for i in sorted(by_height[h]))
+        names = "; ".join(ids[i] for i in sorted(by_height[h]))
         lines.append(f"  {{ rank=same; {names}; }}")
     for lo, hi in p.covers:
-        lines.append(f'  "{p.labels[lo]}" -> "{p.labels[hi]}";')
+        lines.append(f"  {ids[lo]} -> {ids[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

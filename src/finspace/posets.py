@@ -4,7 +4,7 @@ A finite T0-space is the same thing as a finite poset under the
 specialization order, so every topological question about such a space
 (connectedness, homotopy type, minimality) becomes an order-theoretic one.
 This module holds the immutable :class:`Poset` value type and the structural
-operations everything else is built on: up/down sets, heights and levels,
+operations everything else is built on: up/down-set masks, heights and levels,
 duals, beat points and cores, the non-Hausdorff suspension, and canonical
 codes for isomorphism testing.
 
@@ -100,10 +100,6 @@ class RolePartition:
     middle: frozenset[int]
     mnl: frozenset[int]
     isolated: frozenset[int]
-
-    @property
-    def is_partition(self) -> bool:
-        return not self.isolated
 
 
 class Poset:
@@ -208,15 +204,6 @@ class Poset:
 
     # -- basic accessors -----------------------------------------------------
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self._up[i] >> j & 1)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no element labelled {label!r}") from None
-
     @cached_property
     def _strict_up(self) -> tuple[int, ...]:
         return tuple(self._up[i] & ~(1 << i) for i in range(self.n))
@@ -224,20 +211,6 @@ class Poset:
     @cached_property
     def _strict_down(self) -> tuple[int, ...]:
         return tuple(self._down[i] & ~(1 << i) for i in range(self.n))
-
-    def up_set(self, x: int) -> frozenset[int]:
-        """F_x: every element above or equal to x."""
-        return frozenset(_bits(self._up[x]))
-
-    def down_set(self, x: int) -> frozenset[int]:
-        """U_x: every element below or equal to x (the minimal open set)."""
-        return frozenset(_bits(self._down[x]))
-
-    def hat_up_set(self, x: int) -> frozenset[int]:
-        return frozenset(_bits(self._strict_up[x]))
-
-    def hat_down_set(self, x: int) -> frozenset[int]:
-        return frozenset(_bits(self._strict_down[x]))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

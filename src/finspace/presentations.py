@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from finspace.complexes import IntegerMatrix, SimplicialComplex, smith_normal_form
+from finspace.complexes import SimplicialComplex
 from finspace.posets import Poset, _bits
 
 Word = tuple[int, ...]
@@ -303,18 +303,3 @@ def tietze_simplify(
         return SimplificationStatus.inconclusive(stuck)
     return SimplificationStatus.free_of_rank(num_gens)
 
-
-def abelianized_rank(pres: Presentation) -> int:
-    """Rank of the abelianized group: generators minus exponent-matrix rank."""
-    if pres.num_generators == 0:
-        return 0
-    rows = []
-    for rel in pres.relators:
-        row = [0] * pres.num_generators
-        for v in rel:
-            row[abs(v) - 1] += 1 if v > 0 else -1
-        rows.append(row)
-    if not rows:
-        return pres.num_generators
-    matrix = IntegerMatrix.from_rows(rows, pres.num_generators)
-    return pres.num_generators - smith_normal_form(matrix).rank

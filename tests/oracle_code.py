@@ -11,13 +11,6 @@ package's; only the equality relation they induce is comparable.
 from finspace.posets import Poset
 
 
-def _mask(elements) -> int:
-    out = 0
-    for x in elements:
-        out |= 1 << x
-    return out
-
-
 def _refined_cells(p: Poset, sd: list[int], su: list[int]) -> list[tuple[int, ...]]:
     """Equitable partition into isomorphism-invariant cells, canonically
     ordered, starting from (height, depth, #below, #above)."""
@@ -52,8 +45,8 @@ def oracle_code(p: Poset) -> bytes:
     """Least position-by-position (below, above) profile within the refined
     cells, found by branch-and-bound; equal for two posets iff isomorphic."""
     n = p.n
-    sd = [_mask(p.hat_down_set(x)) for x in range(n)]
-    su = [_mask(p.hat_up_set(x)) for x in range(n)]
+    sd = list(p._strict_down)
+    su = list(p._strict_up)
     cell_of_pos: list[tuple[int, ...]] = []
     for cell in _refined_cells(p, sd, su):
         cell_of_pos.extend([cell] * len(cell))

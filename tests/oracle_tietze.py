@@ -8,8 +8,13 @@ solves for a generator occurring once in the first relator that has one.
 Every move rewrites and re-reduces every relator, so use it on small
 inputs only.  Its ``(kind, rank)`` outcomes are what the package's
 simplifier must reproduce; its step counts and stuck presentations are not.
+
+:func:`abelianized_rank` is the second oracle: the rank of the abelianized
+group from Smith normal form of the relators' exponent matrix, which must
+equal the rank of any free group the simplifier certifies.
 """
 
+from finspace.complexes import ComplexError, IntegerMatrix, smith_normal_form
 from finspace.presentations import (
     DEFAULT_STEP_BUDGET,
     Presentation,
@@ -152,3 +157,30 @@ def oracle_tietze(
         stuck = Presentation(num_generators=num_gens, relators=tuple(remap))
         return SimplificationStatus.inconclusive(stuck)
     return SimplificationStatus.free_of_rank(num_gens)
+
+
+def matrix_from_rows(rows: list[list[int]], cols: int | None = None) -> IntegerMatrix:
+    """The sparse matrix of dense rows, all of length ``cols`` (default: the
+    first row's length)."""
+    width = cols if cols is not None else (len(rows[0]) if rows else 0)
+    if any(len(r) != width for r in rows):
+        raise ComplexError("matrix shape does not match entries")
+    return IntegerMatrix(
+        len(rows), width, tuple({j: v for j, v in enumerate(r) if v} for r in rows)
+    )
+
+
+def abelianized_rank(pres: Presentation) -> int:
+    """Rank of the abelianized group: generators minus exponent-matrix rank."""
+    if pres.num_generators == 0:
+        return 0
+    rows = []
+    for rel in pres.relators:
+        row = [0] * pres.num_generators
+        for v in rel:
+            row[abs(v) - 1] += 1 if v > 0 else -1
+        rows.append(row)
+    if not rows:
+        return pres.num_generators
+    matrix = matrix_from_rows(rows, pres.num_generators)
+    return pres.num_generators - smith_normal_form(matrix).rank

@@ -212,7 +212,7 @@ class TestInventory:
 
     def test_jsonl_output(self):
         inv = inventory(6, 2)
-        lines = inv.to_json_lines().splitlines()
+        lines = [r.to_json_line() for r in inv.records]
         assert len(lines) == 1
         assert json.loads(lines[0])["label"]["spheres"] == 1
 

@@ -41,33 +41,38 @@ class TestFileCommands:
             "e686e24248aced8bd18c913f8b79718dfc13e0f678fa1d5463641e7779f480a8"
         )
 
-    def test_core_output_pinned(self, capsys, fixture_dir):
-        """One digest over the exit code and stdout of ``core`` on every
-        fixture, in sorted order: which points survive beat-point removal,
-        their labels and covers, byte for byte."""
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # which points survive beat-point removal, their labels and covers
+            (["core"], "c218b902941135f602281241c60b85cb58fd9572ff2bbadf2f2cc387e84e745d"),
+            # the generator numbering and relators of each presentation, and
+            # the simplifier's verdict
+            (["pi1"], "3f219b42d37cd86cee65b5f23d48bc5cb3ae73bae22f90a25010100d50fef5a5"),
+            # node order, ranks and edges; no fixture label holds '"' or '\',
+            # so DOT escaping leaves this digest unchanged
+            (
+                ["export", "--dot"],
+                "7ab9956e1a009bc53b4d4afc644844c7757d6d4982e63be6477cc5010c6351a8",
+            ),
+            # elements and covers
+            (
+                ["export", "--json"],
+                "de7c5ee99c0d808f65999e3b5bc892d0ef18c7cfdd8a10122fce2bb772f490eb",
+            ),
+        ],
+        ids=["core", "pi1", "export-dot", "export-json"],
+    )
+    def test_output_pinned(self, capsys, fixture_dir, argv, expected):
+        """One digest over the exit code and stdout of a command on every
+        fixture, in sorted order, byte for byte."""
         digest = hashlib.sha256()
         paths = sorted(fixture_dir.glob("*.poset"))
         for path in paths:
-            code, out, _ = run(capsys, "core", str(path))
+            code, out, _ = run(capsys, *argv, str(path))
             digest.update(f"{code}\n{out}".encode())
         assert len(paths) == 61
-        assert digest.hexdigest() == (
-            "c218b902941135f602281241c60b85cb58fd9572ff2bbadf2f2cc387e84e745d"
-        )
-
-    def test_pi1_output_pinned(self, capsys, fixture_dir):
-        """One digest over the exit code and stdout of ``pi1`` on every
-        fixture, in sorted order: the generator numbering and relators of
-        each presentation, and the simplifier's verdict, byte for byte."""
-        digest = hashlib.sha256()
-        paths = sorted(fixture_dir.glob("*.poset"))
-        for path in paths:
-            code, out, _ = run(capsys, "pi1", str(path))
-            digest.update(f"{code}\n{out}".encode())
-        assert len(paths) == 61
-        assert digest.hexdigest() == (
-            "3f219b42d37cd86cee65b5f23d48bc5cb3ae73bae22f90a25010100d50fef5a5"
-        )
+        assert digest.hexdigest() == expected
 
     def test_iso_fig18(self, capsys, fixture_dir):
         code, out, _ = run(
@@ -174,15 +179,25 @@ class TestExitCodes:
     def test_enumerate_cap(self, capsys):
         assert main(["enumerate", "--n", "99", "--height", "2"]) == 2
 
+    def test_min_model_cap(self, capsys, monkeypatch):
+        """A search that runs past the height-2 cap is a usage error with
+        one ``error:`` line, like ``enumerate``; a low cap keeps it fast."""
+        monkeypatch.setattr("finspace.enumeration.HEIGHT2_CAP", 6)
+        argv = ["min-model", "--circles", "0", "--spheres", "30", "--max-n", "7"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: height-2 core enumeration is capped at 6\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["enumerate", "--n", "0", "--height", "2"],
             ["classify", "--n", "-1", "--height", "1"],
             ["min-model", "--circles", "-1", "--spheres", "0"],
+            ["min-model", "--circles", "1", "--spheres", "0", "--max-n", "0"],
             ["pi1", "FIXTURE", "--budget", "0"],
         ],
-        ids=["enumerate", "classify", "min-model", "pi1"],
+        ids=["enumerate", "classify", "min-model", "min-model-max-n", "pi1"],
     )
     def test_out_of_range_count(self, capsys, fixture_dir, argv):
         argv = [str(fixture_dir / "fig17a.poset") if a == "FIXTURE" else a for a in argv]

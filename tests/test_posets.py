@@ -36,8 +36,8 @@ class TestConstruction:
         p = fence()
         assert p.n == 4
         assert p.height == 1
-        assert p.leq(0, 2) and p.leq(1, 3)
-        assert not p.leq(2, 3) and not p.leq(0, 1)
+        assert p._up[0] >> 2 & 1 and p._up[1] >> 3 & 1
+        assert not p._up[2] >> 3 & 1 and not p._up[0] >> 1 & 1
 
     def test_singleton(self):
         p = Poset.from_covers(1, [])
@@ -46,7 +46,7 @@ class TestConstruction:
 
     def test_chain_closure_is_transitive(self):
         p = build("x y z", "x<y y<z")
-        assert p.leq(p.index("x"), p.index("z"))
+        assert p._up[p.labels.index("x")] >> p.labels.index("z") & 1
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
@@ -81,11 +81,15 @@ class TestConstruction:
             assert (rebuilt.n, rebuilt.covers) == (p.n, p.covers)
 
 
+def names(p: Poset, mask: int) -> set[str]:
+    return {p.labels[i] for i in range(p.n) if mask >> i & 1}
+
+
 class TestUpDownSets:
     def test_fig06_hat_up_set(self):
         p = figures.poset("fig06")
-        b1 = p.index("b1")
-        assert {p.labels[i] for i in p.hat_up_set(b1)} == {"a1", "a2", "a3"}
+        b1 = p.labels.index("b1")
+        assert names(p, p._strict_up[b1]) == {"a1", "a2", "a3"}
 
     def test_up_set_contains_self(self):
         rng = random.Random(7)
@@ -94,14 +98,14 @@ class TestUpDownSets:
         for _ in range(25):
             p = random_poset(rng)
             for x in range(p.n):
-                assert x in p.up_set(x)
-                assert x in p.down_set(x)
-                assert x not in p.hat_up_set(x)
+                assert p._up[x] >> x & 1
+                assert p._down[x] >> x & 1
+                assert not p._strict_up[x] >> x & 1
 
     def test_fence_hat_down_set(self):
         p = fence()
-        a1 = p.index("a1")
-        assert {p.labels[i] for i in p.hat_down_set(a1)} == {"c1", "c2"}
+        a1 = p.labels.index("a1")
+        assert names(p, p._strict_down[a1]) == {"c1", "c2"}
 
 
 class TestHeight:
@@ -116,9 +120,9 @@ class TestHeight:
 
     def test_element_heights(self):
         p = build("x y z", "x<y y<z")
-        assert p.element_heights[p.index("x")] == 0
-        assert p.element_heights[p.index("y")] == 1
-        assert p.element_heights[p.index("z")] == 2
+        assert p.element_heights[p.labels.index("x")] == 0
+        assert p.element_heights[p.labels.index("y")] == 1
+        assert p.element_heights[p.labels.index("z")] == 2
 
 
 class TestRolePartition:
@@ -128,13 +132,13 @@ class TestRolePartition:
         assert {p.labels[i] for i in part.mxl} == {"a1", "a2"}
         assert {p.labels[i] for i in part.middle} == {"b1", "b2"}
         assert {p.labels[i] for i in part.mnl} == {"c1", "c2", "c3"}
-        assert part.is_partition
+        assert not part.isolated
 
     def test_antichain_flags_isolated(self):
         part = Poset.antichain(2).role_partition()
         assert part.mxl == part.mnl == frozenset({0, 1})
         assert not part.middle
-        assert not part.is_partition
+        assert part.isolated == frozenset({0, 1})
 
     def test_fig21b_middle(self):
         p = figures.poset("fig21b")
@@ -406,8 +410,7 @@ def matching_crown(m: int) -> Poset:
 
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
-    up = [sum(1 << y for y in p.up_set(x)) for x in range(p.n)]
-    up += [sum(1 << p.n + y for y in q.up_set(x)) for x in range(q.n)]
+    up = list(p._up) + [mask << p.n for mask in q._up]
     return Poset(up)
 
 

@@ -10,14 +10,13 @@ from finspace.presentations import (
     DisconnectedComplex,
     Presentation,
     SimplificationStatus,
-    abelianized_rank,
     cyclic_reduce,
     free_reduce,
     poset_presentation,
     presentation,
     tietze_simplify,
 )
-from oracle_tietze import oracle_tietze
+from oracle_tietze import abelianized_rank, oracle_tietze
 
 FULL_TRIANGLE = SimplicialComplex(
     3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]

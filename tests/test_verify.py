@@ -1,6 +1,14 @@
+import dataclasses
 import json
 
+from finspace import verify
+from finspace.complexes import homology
 from finspace.verify import MODEL_COUNTS, verify_paper
+from test_complexes import rp2
+
+GF2_LINE = (
+    "GF(2) rank equals integer rank minus even invariant factors on 7- and 8-point cores"
+)
 
 
 class TestReport:
@@ -70,3 +78,16 @@ class TestReport:
         assert band.observed == (15, (1, 0), True) and band.passed
         fence = by_name["min model of the Mobius band's type is the 4-point fence"]
         assert fence.observed == (4, 1, True) and fence.passed
+
+    def test_gf2_line_reads_even_torsion(self, monkeypatch):
+        """No 7- or 8-point core has torsion, so the GF(2) line is run with
+        the RP^2 profile (torsion 2 in degree 1) in place of every core's:
+        it passes on the true profile and fails once the even factor is
+        dropped."""
+        true = homology(rp2())
+        assert true.torsion == ((), (2,), ())
+        dropped = dataclasses.replace(true, torsion=((), (), ()))
+        for prof, passed in ((true, True), (dropped, False)):
+            monkeypatch.setattr(verify, "homology", lambda k, prof=prof: prof)
+            by_name = {c.check: c for c in verify_paper().checks}
+            assert by_name[GF2_LINE].passed is passed
