@@ -220,6 +220,27 @@ class TestPipelines:
         keys = [json.loads(line)["code"] for line in lines]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "height, n, expected",
+        [
+            (2, 7, "288127a690c029e8168fd66f3075bbaa131cb9ed701373aaa13752cd0a0b29d7"),
+            (2, 8, "2d600a32cf61bdeda155171bc759b0b1396e99ac237ba58acde3e56a064e1649"),
+            (2, 9, "31001969cc380676e42d3e0c49b263b2ea6c85c0bb41de08a9ebc5f4bcb06224"),
+            (1, 8, "c6ad42f897ddc232f66cbdc4c79b0e87d322a3022fe66f74a55824190244ab0d"),
+            (1, 9, "99d11c9da0ef09f1cf2277f53865f5f9ce82e013fa5830792fcb044496119f05"),
+        ],
+        ids=["h2-n7", "h2-n8", "h2-n9", "h1-n8", "h1-n9"],
+    )
+    def test_enumerate_jsonl_pinned(self, capsys, tmp_path, height, n, expected):
+        """The classification records, byte for byte: codes, covers,
+        homology, labels, homogeneity, dual codes and figure matches."""
+        out_path = tmp_path / "inv.jsonl"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", str(n), "--height", str(height), "--jsonl", str(out_path)
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected
+
     def test_enumerate_stdout_stable(self, capsys):
         code, first, _ = run(capsys, "enumerate", "--n", "6", "--height", "2")
         assert code == 0
@@ -272,6 +293,16 @@ class TestVerifyCommand:
         assert all(line["pass"] for line in lines)
         checks = {line["check"] for line in lines}
         assert "models of (2 circles, 1 spheres) on 8 points" in checks
+
+    def test_verify_json_pinned(self, capsys):
+        """The first 102 lines of ``verify-paper --json``, byte for byte;
+        lines appended after them are not covered."""
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 0
+        head = "".join(line + "\n" for line in out.splitlines()[:102])
+        assert hashlib.sha256(head.encode()).hexdigest() == (
+            "1ac21f6496f6ef3d0ece80d7f6e118be2953e4b549fc723d9b7fc8970a26e78e"
+        )
 
     def test_verify_table_stable(self, capsys):
         code1, out1, _ = run(capsys, "verify-paper")
