@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from collections import Counter
+from collections.abc import Iterable, Iterator
 
 from finspace import figures
 from finspace.complexes import HomologyProfile, free_pi1_homology, poset_homology
@@ -163,15 +164,20 @@ def inventory(n: int, height: int, workers: int | None = None) -> Inventory:
         cores = enumerate_height2_cores(n, workers=workers)
     else:
         raise ValueError("height must be 1 or 2")
-    # The canonical code is a complete invariant and duality an involution,
-    # so each dual pair is coded once: a record's dual code names its partner.
+    return Inventory(n=n, height=height, records=tuple(classify_cores(cores)))
+
+
+def classify_cores(cores: Iterable[Poset]) -> Iterator[ClassificationRecord]:
+    """:func:`classify_poset` on each core in turn, coding each dual pair once.
+
+    The canonical code is a complete invariant and duality an involution,
+    so a record's dual code names its partner, whose dual is then not coded.
+    """
     duals: dict[bytes, bytes] = {}
-    records = []
     for p in cores:
         rec = classify_poset(p, dual_code=duals.get(p.canonical_code))
         duals[rec.code], duals[rec.dual_code] = rec.dual_code, rec.code
-        records.append(rec)
-    return Inventory(n=n, height=height, records=tuple(records))
+        yield rec
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 import sys
 
 from finspace import figures
-from finspace.classify import classify_poset, inventory, min_model_search
+from finspace.classify import classify_cores, inventory, min_model_search
 from finspace.complexes import poset_homology
 from finspace.enumeration import (
     SizeTooLarge,
@@ -191,8 +191,8 @@ def _cmd_enumerate(args) -> int:
     print(f"{len(cores)} cores", file=sys.stderr)
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
-            for p in cores:
-                fh.write(classify_poset(p).to_json_line() + "\n")
+            for rec in classify_cores(cores):
+                fh.write(rec.to_json_line() + "\n")
         return 0
     for p in cores:
         covers = " ".join(f"{p.labels[lo]}<{p.labels[hi]}" for lo, hi in p.covers)

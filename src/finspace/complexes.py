@@ -3,12 +3,12 @@
 The order complex of a poset has one simplex per nonempty chain and carries
 the weak homotopy type of the corresponding finite space (McCord, Duke Math.
 J. 1966), so all invariants here (f-vector, Betti numbers, torsion, Euler
-characteristic, boundary ranks over GF(2)) are computed from it.
-:func:`poset_homology` builds only the order complex of the core: removing
-beat points is a strong deformation retract, so the core has the same
-Betti numbers, torsion and GF(2) Betti numbers, and the poset's f-vector
-and boundary ranks follow from its chain counts, counted on the order
-bitmasks.  Everything is exact.  Boundary matrices
+characteristic, boundary ranks over GF(2)) are computed from it.  One
+assembler, :func:`_profile`, builds every profile from chain counts,
+boundary ranks and torsion; one recurrence, :func:`boundary_ranks`, turns
+Betti numbers back into boundary ranks.  :func:`poset_homology` builds only
+the order complex of the core, which has the same homology, and counts the
+poset's chains on its order bitmasks.  Everything is exact.  Boundary matrices
 are sparse from the start: each row maps the columns of its nonzero entries
 to Python integers, and this module is the only one that knows the format.
 Ranks and torsion come from Smith normal form, which eliminates unit pivots
@@ -339,32 +339,48 @@ class HomologyProfile:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
 
-def euler_characteristic(k: SimplicialComplex) -> int:
-    return sum((-1) ** d * f for d, f in enumerate(k.f_vector))
+def _betti(f: tuple, ranks: tuple) -> tuple[int, ...]:
+    """b_d = f_d - rank(d_d) - rank(d_{d+1}), from the ranks of d_1..d_dim."""
+    r = (0, *ranks, 0)
+    return tuple(c - r[d] - r[d + 1] for d, c in enumerate(f))
+
+
+def _profile(f: tuple, ranks: tuple, f2_ranks: tuple, torsion: tuple) -> HomologyProfile:
+    """The one constructor of profiles: ``ranks`` and ``f2_ranks`` are those
+    of d_1..d_dim, ``torsion`` that of H_0, H_1, ..., padded with trivial
+    groups; Betti numbers and the Euler characteristic are derived."""
+    return HomologyProfile(
+        f_vector=f,
+        betti=_betti(f, ranks),
+        torsion=torsion + ((),) * (len(f) - len(torsion)),
+        euler=sum((-1) ** d * c for d, c in enumerate(f)),
+        f2_ranks=f2_ranks,
+    )
+
+
+def boundary_ranks(f: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...]:
+    """Ranks of d_1..d_dim, over a field or the integers, of a chain complex
+    with chain counts ``f`` and Betti numbers ``betti`` (zero where missing):
+    rank(d_{d+1}) = f_d - rank(d_d) - b_d with rank(d_0) = 0."""
+    ranks = [0]
+    for d in range(len(f) - 1):
+        ranks.append(f[d] - ranks[d] - (betti[d] if d < len(betti) else 0))
+    return tuple(ranks[1:])
 
 
 def homology(k: SimplicialComplex) -> HomologyProfile:
     """Betti numbers and torsion per dimension from Smith normal forms.
 
-    betti[d] = f_d - rank(d_d) - rank(d_{d+1}); the torsion of H_d is the
-    set of invariant factors of d_{d+1} exceeding one.
+    The torsion of H_d is the set of invariant factors of d_{d+1} exceeding
+    one; the GF(2) ranks come from :func:`f2_rank` on the same matrices.
     """
-    dim = k.dimension
-    f = k.f_vector
     boundaries = boundary_matrices(k)
     snfs = [smith_normal_form(b) for b in boundaries]
-    ranks = [0] + [s.rank for s in snfs] + [0]  # ranks[d] = rank(d_d)
-    betti = tuple(f[d] - ranks[d] - ranks[d + 1] for d in range(dim + 1))
-    torsion = tuple(
-        tuple(v for v in snfs[d].invariant_factors if v > 1) if d < dim else ()
-        for d in range(dim + 1)
-    )
-    return HomologyProfile(
-        f_vector=f,
-        betti=betti,
-        torsion=torsion,
-        euler=euler_characteristic(k),
-        f2_ranks=tuple(f2_rank(b) for b in boundaries),
+    return _profile(
+        k.f_vector,
+        tuple(s.rank for s in snfs),
+        tuple(f2_rank(b) for b in boundaries),
+        tuple(tuple(v for v in s.invariant_factors if v > 1) for s in snfs),
     )
 
 
@@ -398,31 +414,14 @@ def poset_homology(p: Poset) -> HomologyProfile:
     Computed on the core: removing a beat point is a strong deformation
     retract, so p and its core have the same Betti numbers, torsion and
     GF(2) Betti numbers, and only the core's order complex is built.  The
-    f-vector and Euler characteristic are p's, from :func:`_chain_counts`.
-    Betti numbers and torsion are the core's, padded with zeros to p's
-    height.  The GF(2) ranks come from the core's GF(2) elimination: with
-    its GF(2) Betti numbers b_d = f_d(core) - r_d - r_{d+1}, p's ranks are
-    r_0 = 0 and r_{d+1} = f_d(p) - r_d - b_d.  A poset that is its own core
-    goes straight to :func:`homology`.
+    f-vector is p's, from :func:`_chain_counts`, and p's boundary ranks over
+    the integers and over GF(2) follow from it and the core's Betti numbers
+    by :func:`boundary_ranks`.
     """
-    core = p.core()
-    if core.n == p.n:
-        return homology(order_complex(p))
-    h = homology(order_complex(core))
+    h = homology(order_complex(p.core()))
     f = _chain_counts(p)
-    pad = len(f) - len(h.f_vector)
-    r = (0,) + h.f2_ranks + (0,)
-    b = [c - r[d] - r[d + 1] for d, c in enumerate(h.f_vector)] + [0] * pad
-    ranks = [0]
-    for d in range(p.height):
-        ranks.append(f[d] - ranks[d] - b[d])
-    return HomologyProfile(
-        f_vector=f,
-        betti=h.betti + (0,) * pad,
-        torsion=h.torsion + ((),) * pad,
-        euler=sum((-1) ** d * c for d, c in enumerate(f)),
-        f2_ranks=tuple(ranks[1:]),
-    )
+    f2_betti = _betti(h.f_vector, h.f2_ranks)
+    return _profile(f, boundary_ranks(f, h.betti), boundary_ranks(f, f2_betti), h.torsion)
 
 
 def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:
@@ -430,23 +429,11 @@ def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:
     is certified free of the given rank, from chain counts alone.
 
     H_1 is the abelianization of pi1, so it is free of that rank; H_2 of a
-    2-complex is free.  Hence rank(d_1) = f_0 - 1 and
-    rank(d_2) = f_1 - f_0 + 1 - rank, no torsion anywhere, and GF(2) ranks
-    equal the integer ranks.  The chain counts are f_0 = n,
-    f_1 = sum |strict up-set| and f_2 = sum over y of
-    |strict down-set of y| * |strict up-set of y|.
+    2-complex is free.  Hence the Betti numbers start (1, rank), with no
+    torsion anywhere, and GF(2) ranks equal the integer ranks.
     """
     if p.height > 2 or not p.is_connected:
         raise ValueError("needs a connected poset of height <= 2")
-    up = [u.bit_count() for u in p._strict_up]
-    down = [d.bit_count() for d in p._strict_down]
-    f = (p.n, sum(up), sum(d * u for d, u in zip(down, up)))
-    ranks = (f[0] - 1, f[1] - f[0] + 1 - rank)  # ranks[d - 1] = rank(d_d)
-    dim = p.height
-    return HomologyProfile(
-        f_vector=f[: dim + 1],
-        betti=(1, rank, f[2] - ranks[1])[: dim + 1],
-        torsion=((),) * (dim + 1),
-        euler=f[0] - f[1] + f[2],
-        f2_ranks=ranks[:dim],
-    )
+    f = _chain_counts(p)
+    ranks = boundary_ranks(f, (1, rank))
+    return _profile(f, ranks, ranks, ())

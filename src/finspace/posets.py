@@ -94,12 +94,11 @@ def _beat_points(
 @dataclass(frozen=True)
 class RolePartition:
     """Maximal / middle / minimal elements; isolated points appear in both
-    mxl and mnl and are flagged separately."""
+    mxl and mnl."""
 
     mxl: frozenset[int]
     middle: frozenset[int]
     mnl: frozenset[int]
-    isolated: frozenset[int]
 
 
 class Poset:
@@ -250,9 +249,8 @@ class Poset:
     def role_partition(self) -> RolePartition:
         mxl = self.maximal_elements
         mnl = self.minimal_elements
-        isolated = mxl & mnl
         middle = frozenset(range(self.n)) - mxl - mnl
-        return RolePartition(mxl=mxl, middle=middle, mnl=mnl, isolated=isolated)
+        return RolePartition(mxl=mxl, middle=middle, mnl=mnl)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -599,13 +597,12 @@ def sphere_model(dim: int) -> Poset:
     return two_point_discrete().nh_suspension(dim)
 
 
-def mobius_band() -> Poset:
-    """Face poset of the 5-vertex Möbius band, whose triangles are
-    {i, i+1, i+2} mod 5: 5 vertices, all 10 edges and 5 triangles, ordered
-    by inclusion, on 20 points.  Its core has 15 points and height 2."""
-    triangles = [sorted({i, (i + 1) % 5, (i + 2) % 5}) for i in range(5)]
+def _face_poset(triangles: list[tuple[int, ...]]) -> Poset:
+    """Face poset of the 2-complex with the given triangles: every vertex,
+    edge and triangle, ordered by inclusion and labelled v0, e01, t012, ...
+    in order of dimension, then vertices."""
     faces = sorted(
-        {face for t in triangles for size in (1, 2, 3) for face in combinations(t, size)},
+        {face for t in triangles for size in (1, 2, 3) for face in combinations(sorted(t), size)},
         key=lambda face: (len(face), face),
     )
     index = {face: i for i, face in enumerate(faces)}
@@ -617,3 +614,22 @@ def mobius_band() -> Poset:
     ]
     labels = ["vet"[len(face) - 1] + "".join(map(str, face)) for face in faces]
     return Poset.from_covers(len(faces), covers, labels)
+
+
+def mobius_band() -> Poset:
+    """Face poset of the 5-vertex Möbius band, whose triangles are
+    {i, i+1, i+2} mod 5: 5 vertices, all 10 edges and 5 triangles, ordered
+    by inclusion, on 20 points.  Its core has 15 points and height 2."""
+    return _face_poset([(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)])
+
+
+def projective_plane() -> Poset:
+    """Face poset of the 6-vertex projective plane: 6 vertices, 15 edges and
+    10 triangles, every edge on exactly two triangles, on 31 points.  It is
+    its own core, and H_1 of its order complex is Z/2."""
+    return _face_poset(
+        [
+            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+            (1, 2, 4), (2, 4, 5), (2, 3, 5), (1, 3, 5), (1, 3, 4),
+        ]
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -131,6 +132,13 @@ class TestMobiusBand:
         assert band.n == 20 and band.height == 2
         core = band.core()
         assert core.n == 15 and core.height == 2
+
+    def test_face_poset_pinned(self):
+        """Labels and covers, byte for byte."""
+        band = mobius_band()
+        assert hashlib.sha256(repr((band.labels, band.covers)).encode()).hexdigest() == (
+            "4233a3d727381be0f99cb40c719aaad974757c0491899bf3eb7759ba49bc2765"
+        )
 
     def test_core_labelled_circle_with_pi1_certified(self):
         rec = classify_poset(mobius_band().core())

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from finspace.cli import main
+from finspace.posets import Poset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -240,6 +241,21 @@ class TestPipelines:
         )
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == expected
+
+    def test_enumerate_jsonl_codes_each_dual_pair_once(self, capsys, tmp_path, monkeypatch):
+        """The records name their duals' codes, but only one poset of each
+        dual pair (or each self-dual poset) has its dual built and coded."""
+        calls = []
+        dual = Poset.dual
+        monkeypatch.setattr(Poset, "dual", lambda p: calls.append(p) or dual(p))
+        out_path = tmp_path / "inv.jsonl"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", "8", "--height", "2", "--jsonl", str(out_path)
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        pairs = {frozenset((r["code"], r["dual_code"])) for r in records}
+        assert len(records) == 53 and len(calls) == len(pairs) < len(records)
 
     def test_enumerate_stdout_stable(self, capsys):
         code, first, _ = run(capsys, "enumerate", "--n", "6", "--height", "2")

@@ -11,7 +11,7 @@ from finspace.complexes import (
     IntegerMatrix,
     SimplicialComplex,
     boundary_matrices,
-    euler_characteristic,
+    boundary_ranks,
     f2_rank,
     homology,
     order_complex,
@@ -21,7 +21,7 @@ from finspace.complexes import (
 )
 from finspace.enumeration import enumerate_posets
 from finspace.formats import load_poset
-from finspace.posets import Poset
+from finspace.posets import Poset, projective_plane
 from finspace.presentations import poset_presentation
 import oracle_tietze
 from oracle_tietze import abelianized_rank, matrix_from_rows
@@ -315,6 +315,18 @@ class TestHomology:
         d2 = boundary_matrices(rp2())[1]
         assert f2_rank(d2) == rational_rank(d2) - 1
 
+    def test_rp2_face_poset(self):
+        """The face poset's order complex is the barycentric subdivision of
+        rp2(); it has no beat points and keeps the 2-torsion."""
+        p = projective_plane()
+        assert p.n == 31 and p.is_core
+        prof = poset_homology(p)
+        assert prof.f_vector == (31, 90, 60)
+        assert prof.betti == homology(rp2()).betti == (1, 0, 0)
+        assert prof.torsion == ((), (2,), ())
+        # GF(2) Betti numbers (1, 1, 1)
+        assert prof.f2_ranks == (30, 59)
+
     def test_tall_chain_is_contractible(self):
         prof = poset_homology(Poset.chain(12))
         assert prof.betti == (1,) + (0,) * 11
@@ -403,16 +415,38 @@ class TestCoreFirstHomology:
 
 class TestEuler:
     def test_fixture_values(self):
-        assert euler_characteristic(order_complex(figures.poset("fig17a"))) == -2
-        assert euler_characteristic(order_complex(figures.poset("fig14c"))) == 0
+        assert homology(order_complex(figures.poset("fig17a"))).euler == -2
+        assert homology(order_complex(figures.poset("fig14c"))).euler == 0
 
     def test_singleton(self):
-        assert euler_characteristic(order_complex(Poset.antichain(1))) == 1
+        assert homology(order_complex(Poset.antichain(1))).euler == 1
 
     def test_euler_equals_alternating_betti(self):
         for fid in figures.all_ids():
             prof = poset_homology(figures.poset(fid))
             assert prof.euler == sum((-1) ** d * b for d, b in enumerate(prof.betti))
+
+
+class TestBoundaryRanks:
+    def test_inverts_betti_numbers(self):
+        """From the f-vector and Betti numbers, the integer ranks of every
+        boundary map of every fixture, and from the GF(2) Betti numbers its
+        GF(2) ranks."""
+        for fid in figures.all_ids():
+            k = order_complex(figures.poset(fid))
+            prof = homology(k)
+            mats = boundary_matrices(k)
+            assert boundary_ranks(k.f_vector, prof.betti) == tuple(
+                rational_rank(m) for m in mats
+            ), fid
+            r = (0,) + prof.f2_ranks + (0,)
+            f2_betti = [c - r[d] - r[d + 1] for d, c in enumerate(k.f_vector)]
+            assert boundary_ranks(k.f_vector, f2_betti) == prof.f2_ranks, fid
+
+    def test_missing_degrees_count_as_zero(self):
+        assert boundary_ranks((4, 4), (1,)) == (3,)
+        assert boundary_ranks((1,), (1, 5)) == ()
+        assert boundary_ranks((), ()) == ()
 
 
 class TestDualComplex:

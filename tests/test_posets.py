@@ -132,13 +132,13 @@ class TestRolePartition:
         assert {p.labels[i] for i in part.mxl} == {"a1", "a2"}
         assert {p.labels[i] for i in part.middle} == {"b1", "b2"}
         assert {p.labels[i] for i in part.mnl} == {"c1", "c2", "c3"}
-        assert not part.isolated
+        assert not part.mxl & part.mnl
 
     def test_antichain_flags_isolated(self):
         part = Poset.antichain(2).role_partition()
         assert part.mxl == part.mnl == frozenset({0, 1})
         assert not part.middle
-        assert part.isolated == frozenset({0, 1})
+        assert part.mxl & part.mnl == frozenset({0, 1})
 
     def test_fig21b_middle(self):
         p = figures.poset("fig21b")

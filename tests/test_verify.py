@@ -9,6 +9,9 @@ from test_complexes import rp2
 GF2_LINE = (
     "GF(2) rank equals integer rank minus even invariant factors on 7- and 8-point cores"
 )
+RP2_GF2_LINE = (
+    "GF(2) rank equals integer rank minus even invariant factors on the RP2 face poset"
+)
 
 
 class TestReport:
@@ -83,7 +86,8 @@ class TestReport:
         """No 7- or 8-point core has torsion, so the GF(2) line is run with
         the RP^2 profile (torsion 2 in degree 1) in place of every core's:
         it passes on the true profile and fails once the even factor is
-        dropped."""
+        dropped.  The RP^2 line fails too, and its rank check alone names
+        d_2."""
         true = homology(rp2())
         assert true.torsion == ((), (2,), ())
         dropped = dataclasses.replace(true, torsion=((), (), ()))
@@ -91,3 +95,10 @@ class TestReport:
             monkeypatch.setattr(verify, "homology", lambda k, prof=prof: prof)
             by_name = {c.check: c for c in verify_paper().checks}
             assert by_name[GF2_LINE].passed is passed
+            assert by_name[RP2_GF2_LINE].passed is passed
+            assert by_name[RP2_GF2_LINE].observed["mismatches"] == ([] if passed else ["d2"])
+
+    def test_rp2_line_meets_an_even_factor(self):
+        line = {c.check: c for c in verify_paper().checks}[RP2_GF2_LINE]
+        assert line.passed
+        assert line.observed == {"torsion": [[], [2], []], "mismatches": []}
