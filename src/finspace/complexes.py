@@ -391,17 +391,18 @@ def _chain_counts(p: Poset) -> tuple[int, ...]:
     below x, of the k-chains topped by y; every element tops one 1-chain.
     All lengths go at once: digit k, in base 2^(n+1), of ``tops[x]`` counts
     the (k+1)-chains topped by x, and a count never exceeds the 2^n - 1
-    chains of p, so a digit never carries.  Elements are visited by the
-    size of their down-sets, so every y below x comes first.
+    chains of p, so a digit never carries.  Elements are visited by
+    height, so every y below x comes first.
     """
     down = p._strict_down
     width = p.n + 1
     tops = [0] * p.n
     total = 0
-    for x in sorted(range(p.n), key=lambda i: down[i].bit_count()):
-        t = 1
+    for x in sorted(range(p.n), key=p.element_heights.__getitem__):
+        t = 0
         for y in _bits(down[x]):
-            t += tops[y] << width
+            t += tops[y]
+        t = t << width | 1
         tops[x] = t
         total += t
     digit = (1 << width) - 1

@@ -34,13 +34,14 @@ give a greater member of the same class.  The kept representatives are
 therefore exactly those of plain row-sorted generation.
 
 Height-1 masks take the smaller level as their columns, so a shape with
-more minimals than maximals is not generated on its own.  Its candidates
-are the row tuples of the transposed shape, read as the minimals' up-sets
-instead of the maximals' down-sets.  Transposing is the order duality,
-which keeps connectivity and beat points, so both readings see the same
-row sequence, keep the same row tuples and split them into classes alike.
-The first member of each class, and so each kept representative, is the
-one that generating the wide shape on its own would keep.
+more minimals than maximals is not generated on its own.  Its cores are
+the kept cores of the transposed shape, each read once more as the
+minimals' up-sets instead of the maximals' down-sets.  Transposing is the
+order duality, which keeps connectivity and beat points, so both readings
+see the same row sequence and split it into classes alike: the wide
+classes match the narrow ones one for one, and the first wide member of
+each class, the one generating the wide shape on its own would keep, is
+the reading of the first narrow member.
 
 Cheap arithmetic facts prune the height-2 search further: in a core every
 height-1 element sits above at least two minimals, every height-1 element
@@ -55,7 +56,7 @@ import os
 import sys
 from typing import Iterator, NamedTuple
 
-from finspace.posets import Poset, _beat_points, _connected, _popcount, _transpose
+from finspace.posets import Poset, _beat_points, _connected, _transpose
 
 HEIGHT2_CAP = 10
 HEIGHT1_CAP = 12
@@ -75,7 +76,7 @@ class LevelShape(NamedTuple):
 
 
 def _descending_masks(width: int, min_bits: int) -> list[int]:
-    return [m for m in range((1 << width) - 1, 0, -1) if _popcount(m) >= min_bits]
+    return [m for m in range((1 << width) - 1, 0, -1) if m.bit_count() >= min_bits]
 
 
 def _all_tied(width: int) -> int:
@@ -254,38 +255,22 @@ def _stratum_labels(shape: LevelShape) -> list[str]:
 
 
 def _cores_for_shape(shape: LevelShape) -> list[Poset]:
-    """One connected core per isomorphism class of the given shape.
-
-    A height-1 shape with fewer minimals than maximals also yields the
-    cores of the wide shape with the two levels swapped: each kept row
-    tuple is read a second time as the minimals' up-sets (see the module
-    docstring).
-    """
-    m2, m1, m0 = shape
+    """One connected core per isomorphism class of the given shape: the
+    first candidate of each class."""
     labels = _stratum_labels(shape)
-    wide_labels = _stratum_labels(LevelShape(0, m0, m1)) if not m2 and m0 < m1 else None
     found: dict[bytes, Poset] = {}
     for down, up in _shape_candidates(shape):
         if not _connected(down, up) or _beat_points(down, up):
             continue
         p = Poset([mask | 1 << i for i, mask in enumerate(up)], labels)
         found.setdefault(p.canonical_code, p)
-        if wide_labels:
-            q = Poset(
-                [row << m1 | 1 << i for i, row in enumerate(down[m0:])]
-                + [1 << j for j in range(m1, m1 + m0)],
-                wide_labels,
-            )
-            found.setdefault(q.canonical_code, q)
     return list(found.values())
 
 
 def _merged(shards) -> list[Poset]:
-    found: dict[bytes, Poset] = {}
-    for shard in shards:
-        for p in shard:
-            found.setdefault(p.canonical_code, p)
-    return [found[c] for c in sorted(found)]
+    """The shards' cores sorted by canonical code.  The level shape is an
+    isomorphism invariant, so no two shards share a class."""
+    return sorted((p for shard in shards for p in shard), key=lambda p: p.canonical_code)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -342,6 +327,18 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
         raise ValueError("n must be >= 1")
     if n > HEIGHT1_CAP:
         raise SizeTooLarge(f"height-1 core enumeration is capped at {HEIGHT1_CAP}")
+    shards = []
     # rows run over the larger level, so masks stay narrow
-    shapes = [LevelShape(0, n - m0, m0) for m0 in range(2, n // 2 + 1)]
-    return _merged(map(_cores_for_shape, shapes))
+    for m0 in range(2, n // 2 + 1):
+        m1 = n - m0
+        kept = _cores_for_shape(LevelShape(0, m1, m0))
+        shards.append(kept)
+        if m0 < m1:  # the wide shape: each kept core read transposed
+            labels = _stratum_labels(LevelShape(0, m0, m1))
+            tops = [1 << j for j in range(m1, n)]
+            wide = []
+            for p in kept:
+                rows = p._strict_down[m0:]
+                wide.append(Poset([r << m1 | 1 << i for i, r in enumerate(rows)] + tops, labels))
+            shards.append(wide)
+    return _merged(shards)

@@ -80,13 +80,8 @@ def _build(n: int, elements: list[str], covers: list[tuple[str, str]]) -> Poset:
         raise PosetFormatError(str(exc)) from exc
 
 
-def poset_to_text(p: Poset, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"poset {p.n}")
-    lines.append("elements " + " ".join(p.labels))
+def poset_to_text(p: Poset) -> str:
+    lines = [f"poset {p.n}", "elements " + " ".join(p.labels)]
     for lo, hi in p.covers:
         lines.append(f"cover {p.labels[lo]} {p.labels[hi]}")
     return "\n".join(lines) + "\n"

@@ -42,10 +42,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The relation ``rows`` read backwards: bit i of ``out[j]`` is bit j of
     ``rows[i]``.  Strict down-set masks become strict up-set masks and back."""
@@ -122,8 +118,10 @@ class Poset:
                 raise PosetError(f"relation not reflexive at element {i}")
         down = _transpose(up)
         for i in range(n):
-            if up[i] & down[i] != 1 << i:
-                raise CycleDetected(f"antisymmetry fails at element {i}")
+            on_cycle = up[i] & down[i] & ~(1 << i)
+            if on_cycle:
+                j = next(_bits(on_cycle))
+                raise CycleDetected(f"elements {i} and {j} lie on a cycle")
             for j in _bits(up[i]):
                 if up[j] & ~up[i]:
                     raise PosetError(f"relation not transitive at ({i}, {j})")
@@ -178,10 +176,6 @@ class Poset:
                 if acc != up[i]:
                     up[i] = acc
                     changed = True
-        for i in range(n):
-            for j in _bits(up[i] & ~(1 << i)):
-                if up[j] >> i & 1:
-                    raise CycleDetected(f"elements {i} and {j} lie on a cycle")
         poset = cls(up, labels)
         strict = poset._strict_up
         for lo, hi in pairs:
@@ -227,7 +221,7 @@ class Poset:
     @cached_property
     def element_heights(self) -> tuple[int, ...]:
         """Longest chain strictly below each element (minimal elements get 0)."""
-        order = sorted(range(self.n), key=lambda i: _popcount(self._down[i]))
+        order = sorted(range(self.n), key=lambda i: self._down[i].bit_count())
         h = [0] * self.n
         for i in order:
             below = self._strict_down[i]

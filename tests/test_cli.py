@@ -142,14 +142,16 @@ class TestExitCodes:
 
     def test_data_error_malformed(self, capsys, tmp_path):
         bad = tmp_path / "bad.poset"
-        for data in (
-            b"poset 2\nelements a b\ncover a z\n",
-            "poset ²\nelements a\n".encode(),  # a digit, but not an ASCII one
-            b"poset 1\nelements \xff\n",  # not UTF-8
+        for data, says in (
+            (b"poset 2\nelements a b\ncover a z\n", ""),
+            ("poset ²\nelements a\n".encode(), ""),  # a digit, but not an ASCII one
+            (b"poset 1\nelements \xff\n", ""),  # not UTF-8
+            (b"poset 2\nelements a b\ncover a b\ncover b a\n", "cycle"),
         ):
             bad.write_bytes(data)
             assert main(["homology", str(bad)]) == 3, data
-            assert capsys.readouterr().err.startswith("error: "), data
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and says in err, data
 
     @pytest.mark.parametrize(
         "text",

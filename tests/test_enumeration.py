@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from finspace import figures
+from finspace import figures, posets
 from finspace.complexes import poset_homology
 from finspace.enumeration import (
     LevelShape,
@@ -217,9 +217,13 @@ class TestHeight2Cores:
             assert fast == oracle, n
 
     def test_deterministic(self):
-        first = [p.canonical_code for p in enumerate_height2_cores(7)]
-        second = [p.canonical_code for p in enumerate_height2_cores(7)]
-        assert first == second == sorted(first)
+        """Both heights give the same list twice, with strictly increasing
+        codes, so no class comes out twice."""
+        for generate, n in ((enumerate_height2_cores, 7), (enumerate_height1_cores, 9)):
+            first = [p.canonical_code for p in generate(n)]
+            second = [p.canonical_code for p in generate(n)]
+            assert first == second
+            assert all(a < b for a, b in zip(first, first[1:]))
 
     def test_closed_under_duality(self):
         for n in (6, 7, 8):
@@ -304,6 +308,17 @@ class TestHeight1Cores:
     def test_cap(self):
         with pytest.raises(SizeTooLarge):
             enumerate_height1_cores(13)
+
+    def test_wide_shapes_cost_one_coding_per_class(self, monkeypatch):
+        """Only the narrow shapes' candidates are coded; a wide shape costs
+        one coding per kept class, its reading of a narrow one."""
+        calls = []
+        rows = posets._canonical_rows
+        monkeypatch.setattr(
+            posets, "_canonical_rows", lambda *args: calls.append(1) or rows(*args)
+        )
+        assert len(enumerate_height1_cores(9)) == 320
+        assert len(calls) <= 688
 
     def test_closed_under_duality(self):
         for n in (4, 5, 6, 7):
