@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator
 
 from finspace import figures
 from finspace.complexes import HomologyProfile, free_pi1_homology, poset_homology
-from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
+from finspace.enumeration import check_cap, enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
 from finspace.presentations import SimplificationStatus, poset_presentation, tietze_simplify
 
@@ -156,12 +156,18 @@ class Inventory:
         return tuple(r for r in self.records if r.label_key == (circles, spheres))
 
 
-def inventory(n: int, height: int, workers: int | None = None) -> Inventory:
-    """Enumerate, classify and count the cores of the given size and height."""
+def inventory(n: int, height: int, *, workers: int = 1) -> Inventory:
+    """Enumerate, classify and count the cores of the given size and height.
+
+    Enumeration is serial, so ``workers`` accepts only 1; any other value
+    raises :class:`ValueError`.
+    """
+    if workers != 1:
+        raise ValueError("enumeration is serial: workers must be 1")
     if height == 1:
         cores = enumerate_height1_cores(n)
     elif height == 2:
-        cores = enumerate_height2_cores(n, workers=workers)
+        cores = enumerate_height2_cores(n)
     else:
         raise ValueError("height must be 1 or 2")
     return Inventory(n=n, height=height, records=tuple(classify_cores(cores)))
@@ -196,7 +202,9 @@ def min_model_search(p: int, q: int, n_max: int) -> MinModelResult:
     """Smallest point count carrying a core labelled (p, q), with all models.
 
     Wedges of circles only need height-1 cores; any type with a sphere needs
-    height 2.  The contractible target (0, 0) is the one-point space.
+    height 2.  The contractible target (0, 0) is the one-point space.  An
+    ``n_max`` above the cap of the searched height raises
+    :class:`~finspace.enumeration.SizeTooLarge` before any enumeration.
     """
     if p < 0 or q < 0:
         raise ValueError("wedge components must be >= 0")
@@ -204,8 +212,10 @@ def min_model_search(p: int, q: int, n_max: int) -> MinModelResult:
         if n_max < 1:
             return MinModelResult(p, q, None, ())
         return MinModelResult(p, q, 1, (classify_poset(Poset.antichain(1)),))
+    height = 1 if q == 0 else 2
+    check_cap(n_max, height)
     for n in range(1, n_max + 1):
-        hits = inventory(n, 1 if q == 0 else 2).records_for(p, q)
+        hits = inventory(n, height).records_for(p, q)
         if hits:
             return MinModelResult(p, q, n, hits)
     return MinModelResult(p, q, None, ())

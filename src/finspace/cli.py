@@ -22,6 +22,7 @@ from finspace.classify import classify_cores, inventory, min_model_search
 from finspace.complexes import poset_homology
 from finspace.enumeration import (
     SizeTooLarge,
+    check_cap,
     enumerate_height1_cores,
     enumerate_height2_cores,
 )
@@ -178,23 +179,30 @@ def _cmd_pi1(args) -> int:
 
 def _enumerated(args):
     if args.height == 1:
-        return enumerate_height1_cores(args.n)
+        cores = enumerate_height1_cores(args.n)
+    else:
 
-    def progress(shape, found) -> None:
-        print(f"shape {shape.m0}+{shape.m1}+{shape.m2}: {found} cores", file=sys.stderr)
+        def progress(shape, found) -> None:
+            print(f"shape {shape.m0}+{shape.m1}+{shape.m2}: {found} cores", file=sys.stderr)
 
-    return enumerate_height2_cores(args.n, progress=progress)
+        cores = enumerate_height2_cores(args.n, progress=progress)
+    print(f"{len(cores)} cores", file=sys.stderr)
+    return cores
 
 
 def _cmd_enumerate(args) -> int:
-    cores = _enumerated(args)
-    print(f"{len(cores)} cores", file=sys.stderr)
+    check_cap(args.n, args.height)  # before --jsonl truncates its file
     if args.jsonl:
-        with open(args.jsonl, "w") as fh:
-            for rec in classify_cores(cores):
+        try:  # before enumerating, so that a bad path wastes no enumeration
+            fh = open(args.jsonl, "w")
+        except OSError as exc:
+            print(f"error: cannot write --jsonl file: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        with fh:
+            for rec in classify_cores(_enumerated(args)):
                 fh.write(rec.to_json_line() + "\n")
         return 0
-    for p in cores:
+    for p in _enumerated(args):
         covers = " ".join(f"{p.labels[lo]}<{p.labels[hi]}" for lo, hi in p.covers)
         print(f"{p.canonical_code.decode('ascii')}\t{p.n}\t{covers}")
     return 0

@@ -52,19 +52,24 @@ skipped outright.
 
 from __future__ import annotations
 
-import os
-import sys
 from typing import Iterator, NamedTuple
 
 from finspace.posets import Poset, _beat_points, _connected, _transpose
 
 HEIGHT2_CAP = 10
 HEIGHT1_CAP = 12
-WORKERS_ENV = "FINSPACE_WORKERS"
 
 
 class SizeTooLarge(ValueError):
     """Requested size exceeds the generator's cap."""
+
+
+def check_cap(n: int, height: int) -> None:
+    """Raise :class:`SizeTooLarge` if ``n`` exceeds the cap of the
+    height-``height`` core generator (height 1 or 2)."""
+    cap = HEIGHT1_CAP if height == 1 else HEIGHT2_CAP
+    if n > cap:
+        raise SizeTooLarge(f"height-{height} core enumeration is capped at {cap}")
 
 
 class LevelShape(NamedTuple):
@@ -273,50 +278,21 @@ def _merged(shards) -> list[Poset]:
     return sorted((p for shard in shards for p in shard), key=lambda p: p.canonical_code)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(
-            f"warning: ignoring malformed {WORKERS_ENV}={raw!r}; using 1 worker",
-            file=sys.stderr,
-        )
-        return 1
-
-
-def enumerate_height2_cores(
-    n: int, workers: int | None = None, progress=None
-) -> list[Poset]:
+def enumerate_height2_cores(n: int, progress=None) -> list[Poset]:
     """All connected height-2 beat-point-free posets on n points, up to
-    isomorphism, sorted by canonical code.
-
-    Generation shards independently by level shape; merging is deterministic,
-    so any worker count produces the identical list.  ``progress(shape,
-    count)`` is called once per shape, in shape order, at any worker count.
-    """
+    isomorphism, sorted by canonical code.  ``progress(shape, count)``
+    is called after each shape, in :func:`level_shapes` order, with the
+    number of classes found in it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > HEIGHT2_CAP:
-        raise SizeTooLarge(f"height-2 core enumeration is capped at {HEIGHT2_CAP}")
-    shapes = level_shapes(n)
-    nworkers = _worker_count(workers)
-
-    def reported(shards):
-        for shape, shard in zip(shapes, shards):
-            if progress is not None:
-                progress(shape, len(shard))
-            yield shard
-
-    if nworkers > 1 and len(shapes) > 1:
-        # imported here: it pulls in multiprocessing, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            return _merged(reported(pool.map(_cores_for_shape, shapes)))
-    return _merged(reported(map(_cores_for_shape, shapes)))
+    check_cap(n, 2)
+    shards = []
+    for shape in level_shapes(n):
+        shard = _cores_for_shape(shape)
+        if progress is not None:
+            progress(shape, len(shard))
+        shards.append(shard)
+    return _merged(shards)
 
 
 def enumerate_height1_cores(n: int) -> list[Poset]:
@@ -325,8 +301,7 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
     both-side degrees >= 2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > HEIGHT1_CAP:
-        raise SizeTooLarge(f"height-1 core enumeration is capped at {HEIGHT1_CAP}")
+    check_cap(n, 1)
     shards = []
     # rows run over the larger level, so masks stay narrow
     for m0 in range(2, n // 2 + 1):

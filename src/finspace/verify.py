@@ -101,10 +101,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def failures(self) -> tuple[CheckLine, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
     def to_json_lines(self) -> str:
         return "\n".join(json.dumps(c.to_json_obj(), default=str) for c in self.checks)
 

@@ -177,6 +177,11 @@ class TestInventory:
         with pytest.raises(ValueError):
             inventory(5, 3)
 
+    def test_workers_must_be_one(self):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            inventory(7, 2, workers=2)
+        assert inventory(7, 2, workers=1).records == inventory(7, 2).records
+
     def test_inventory_8_2_pinned_counts(self):
         inv = inventory(8, 2)
         assert len(inv.records) == 53

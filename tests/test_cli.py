@@ -183,13 +183,38 @@ class TestExitCodes:
         assert main(["enumerate", "--n", "99", "--height", "2"]) == 2
 
     def test_min_model_cap(self, capsys, monkeypatch):
-        """A search that runs past the height-2 cap is a usage error with
-        one ``error:`` line, like ``enumerate``; a low cap keeps it fast."""
+        """A search whose --max-n is past the cap of its height is a usage
+        error with one ``error:`` line, like ``enumerate``, raised before
+        any size is enumerated."""
+
+        def refuse(n, height):
+            raise AssertionError("enumerated before checking the cap")
+
         monkeypatch.setattr("finspace.enumeration.HEIGHT2_CAP", 6)
-        argv = ["min-model", "--circles", "0", "--spheres", "30", "--max-n", "7"]
-        code, out, err = run(capsys, *argv)
+        monkeypatch.setattr("finspace.classify.inventory", refuse)
+        for circles, spheres, max_n, expected in (
+            ("0", "30", "7", "error: height-2 core enumeration is capped at 6\n"),
+            ("30", "0", "13", "error: height-1 core enumeration is capped at 12\n"),
+        ):
+            argv = ["min-model", "--circles", circles, "--spheres", spheres, "--max-n", max_n]
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", expected)
+
+    def test_enumerate_unwritable_jsonl(self, capsys, tmp_path, monkeypatch):
+        """An output path that cannot be opened is a usage error, reported
+        before any enumeration and without a traceback."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before opening --jsonl")
+
+        monkeypatch.setattr("finspace.cli.enumerate_height2_cores", refuse)
+        out_path = tmp_path / "missing" / "out.jsonl"
+        code, out, err = run(
+            capsys, "enumerate", "--n", "7", "--height", "2", "--jsonl", str(out_path)
+        )
         assert (code, out) == (2, "")
-        assert err == "error: height-2 core enumeration is capped at 6\n"
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(out_path) in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -266,9 +291,15 @@ class TestPipelines:
         assert first == second
 
     def test_enumerate_independent_of_hash_seed(self):
+        """Same stdout and stderr bytes under any hash seed and any
+        FINSPACE_WORKERS value, even a malformed one: enumeration reads no
+        worker setting."""
         outputs = []
-        for seed in ("0", "1"):
+        for seed, workers in (("0", None), ("1", None), ("0", "2"), ("0", "garbage")):
             env = dict(os.environ, PYTHONHASHSEED=seed)
+            env.pop("FINSPACE_WORKERS", None)
+            if workers is not None:
+                env["FINSPACE_WORKERS"] = workers
             env["PYTHONPATH"] = os.pathsep.join(
                 [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
             )
@@ -278,8 +309,9 @@ class TestPipelines:
                 capture_output=True,
                 check=True,
             )
-            outputs.append(done.stdout)
-        assert outputs[0] and outputs[0] == outputs[1]
+            outputs.append((done.stdout, done.stderr))
+        assert outputs[0][0] and outputs[0][1]
+        assert all(output == outputs[0] for output in outputs)
 
     def test_classify_counts(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "7", "--height", "2")

