@@ -235,7 +235,9 @@ def _cmd_min_model(args) -> int:
     print(f"minimum points: {res.n_min}")
     print(f"models: {len(res.records)}")
     for rec in res.records:
+        # with no covers (the one-point model), the elements themselves
         covers = " ".join(f"{rec.labels[lo]}<{rec.labels[hi]}" for lo, hi in rec.covers)
+        covers = covers or " ".join(rec.labels)
         figs = (" figures: " + " ".join(rec.figure_matches)) if rec.figure_matches else ""
         print(f"  {covers}{figs}")
     return 0

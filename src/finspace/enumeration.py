@@ -33,6 +33,21 @@ tied columns would keep the earlier rows, raise the offending row, and so
 give a greater member of the same class.  The kept representatives are
 therefore exactly those of plain row-sorted generation.
 
+A second, direct test of lexicographic maximality (orderly generation
+after Read, "Every one a winner", Ann. Discrete Math. 1978) drops most
+remaining duplicates before they are coded, :func:`_column_swaps`.  It
+transposes two minimal columns, swapping their bits in every middle row
+and re-sorting the middle rows in descending order.  If that gives greater
+middles, the candidate is dropped, and at height two so is every set of
+tops over those middles.  If it gives the same middles, each top is
+re-encoded as ``smask << m0 | emask`` under the induced middle order and
+the swapped minimals, and the tops are re-sorted; greater tops drop the
+candidate.  Either way the swapped pair of middles and tops is a member of
+the candidate's class that is lexicographically greater, so the candidate
+is not the first member of its class and the code dedupe would drop it
+too.  The first member is the greatest one, so no swap beats it.  The
+output is unchanged, and the canonical code stays the exact dedupe.
+
 Height-1 masks take the smaller level as their columns, so a shape with
 more minimals than maximals is not generated on its own.  Its cores are
 the kept cores of the transposed shape, each read once more as the
@@ -52,6 +67,7 @@ skipped outright.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, NamedTuple
 
 from finspace.posets import Poset, _beat_points, _connected, _transpose
@@ -113,6 +129,48 @@ def _orderly_rows(
             yield from extend(prefix + (row,), at, ties & ~(row ^ (row << 1)))
 
     return extend((), 0, ties)
+
+
+@cache
+def _swap_tables(width: int) -> list[list[int]]:
+    """For each pair of columns a < b of ``width``, nearest pairs first (they
+    most often reject), the table taking a row to the row with bits a and b
+    exchanged."""
+    tables = []
+    for gap in range(1, width):
+        for a in range(width - gap):
+            b = a + gap
+            pair = 1 << a | 1 << b
+            tables.append(
+                [row ^ pair if (row >> a ^ row >> b) & 1 else row for row in range(1 << width)]
+            )
+    return tables
+
+
+def _column_swaps(
+    rows: tuple[int, ...], width: int
+) -> list[tuple[list[int], list[int]]] | None:
+    """Test the non-increasing ``rows`` against every transposition of two
+    of their ``width`` columns, each followed by re-sorting the rows.
+
+    Return ``None`` if some transposition gives a greater tuple.  Otherwise
+    return ``(table, new)`` for each transposition that gives ``rows``
+    back: its table from :func:`_swap_tables`, and ``new[i]``, the position
+    row i moves to, equal rows keeping their order.
+    """
+    swaps = []
+    as_list = list(rows)
+    for table in _swap_tables(width):
+        moved = [table[row] for row in rows]
+        resorted = sorted(moved, reverse=True)
+        if resorted > as_list:
+            return None
+        if resorted == as_list:
+            new = [0] * len(rows)
+            for at, i in enumerate(sorted(range(len(rows)), key=moved.__getitem__, reverse=True)):
+                new[i] = at
+            swaps.append((table, new))
+    return swaps
 
 
 # -- general small-n enumeration ---------------------------------------------
@@ -194,6 +252,14 @@ def _lone_columns(rows: tuple[int, ...]) -> int:
     return once & ~twice
 
 
+def _union_table(values) -> list[int]:
+    """``out[mask]``: the union of ``values[i]`` over the bits i of mask."""
+    out = [0]
+    for value in values:
+        out += [u | value for u in out]
+    return out
+
+
 def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the strict down- and up-set masks (minimals first, then the
     height-1 elements, then the height-2 ones) of each candidate of one shape
@@ -215,19 +281,24 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
     nothing below.  Candidates come in the order of plain row-sorted
     generation (height-1 rows first, then height-2), minus those breaking
     the column rule; the first candidate of each isomorphism class is never
-    among those removed (see the module docstring).
+    among those removed, nor among those a swap of two minimal columns
+    beats (see the module docstring).
     """
     m2, m1, m0 = shape
     minimals = (1 << m0) - 1
     for middles, ties in _orderly_rows(_descending_masks(m0, 2), m1, _all_tied(m0)):
+        if not m2 and _lone_columns(middles):
+            continue
+        swaps = _column_swaps(middles, m0)
+        if swaps is None:
+            continue
         down = [0] * m0 + list(middles)
         if not m2:
-            if not _lone_columns(middles):
-                yield down, _transpose(down)
+            yield down, _transpose(down)
             continue
-        unions = [0]  # unions[smask]: the minimals below the middles in smask
-        for row in middles:
-            unions += [u | row for u in unions]
+        # the swaps keeping the middles, each with its map of middle masks
+        top_swaps = [(table, _union_table([1 << at for at in new])) for table, new in swaps]
+        unions = _union_table(middles)  # the minimals below the middles in a mask
         tops = []
         for smask in range(1, 1 << m1):
             free = minimals & ~unions[smask]
@@ -244,9 +315,22 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
             if middles[i] == middles[i - 1]:
                 ties |= 1 << (m0 + i)
         for chosen, _ in _orderly_rows(tops, m2, ties):
-            if not _lone_columns(chosen) >> m0:
+            if not _lone_columns(chosen) >> m0 and not _beaten(chosen, top_swaps, m0):
                 full = down + [top | unions[top >> m0] for top in chosen]
                 yield full, _transpose(full)
+
+
+def _beaten(tops: tuple[int, ...], top_swaps, m0: int) -> bool:
+    """True if one of the ``(table, smap)`` swaps re-sorts the non-increasing
+    ``tops`` to a greater tuple.  ``table`` swaps two minimal columns and
+    ``smap`` maps a middle mask to its image under the induced reordering
+    of the middles."""
+    minimals = (1 << m0) - 1
+    for table, smap in top_swaps:
+        moved = [smap[top >> m0] << m0 | table[top & minimals] for top in tops]
+        if tuple(sorted(moved, reverse=True)) > tops:
+            return True
+    return False
 
 
 def _stratum_labels(shape: LevelShape) -> list[str]:

@@ -256,8 +256,9 @@ class TestPipelines:
             (2, 9, "31001969cc380676e42d3e0c49b263b2ea6c85c0bb41de08a9ebc5f4bcb06224"),
             (1, 8, "c6ad42f897ddc232f66cbdc4c79b0e87d322a3022fe66f74a55824190244ab0d"),
             (1, 9, "99d11c9da0ef09f1cf2277f53865f5f9ce82e013fa5830792fcb044496119f05"),
+            (1, 10, "7fda4a201c09b213ebcd52a277747cf12b1f97a7f441facd265105eb9dee9843"),
         ],
-        ids=["h2-n7", "h2-n8", "h2-n9", "h1-n8", "h1-n9"],
+        ids=["h2-n7", "h2-n8", "h2-n9", "h1-n8", "h1-n9", "h1-n10"],
     )
     def test_enumerate_jsonl_pinned(self, capsys, tmp_path, height, n, expected):
         """The classification records, byte for byte: codes, covers,
@@ -326,6 +327,15 @@ class TestPipelines:
         assert code == 0
         assert "minimum points: 7" in out
         assert "models: 2" in out
+
+    def test_min_model_one_point(self, capsys):
+        """The contractible type's model has no covers; its line names the
+        lone element instead of being blank."""
+        code, out, _ = run(capsys, "min-model", "--circles", "0", "--spheres", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["minimum points: 1", "models: 1"]
+        assert all(line.strip() and line == line.rstrip() for line in lines), lines
 
     def test_min_model_not_found(self, capsys):
         code, out, _ = run(
