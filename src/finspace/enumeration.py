@@ -1,14 +1,10 @@
-"""Exhaustive generation of small posets up to isomorphism.
+"""Exhaustive generation of small poset cores up to isomorphism.
 
-Two generators live here:
-
-* :func:`enumerate_posets` - every poset on up to seven points, grown by
-  repeatedly attaching a new maximal element above an order ideal.  It is
-  deliberately simple and serves as the sanity oracle for the other.
-* one layered core generator for connected beat-point-free posets of
-  height two (:func:`enumerate_height2_cores`) and height one
-  (:func:`enumerate_height1_cores`), stratified by element height into a
-  :class:`LevelShape`; a height-1 shape has no height-2 elements.
+One layered core generator lives here, for connected beat-point-free
+posets of height two (:func:`enumerate_height2_cores`) and height one
+(:func:`enumerate_height1_cores`), stratified by element height into a
+:class:`LevelShape`; a height-1 shape has no height-2 elements.  The tests
+check it against a generator of every poset on up to seven points.
 
 The core generator builds 0/1 incidence matrices level by level through one
 orderly row generator, :func:`_orderly_rows`: first the minimal-set rows of
@@ -171,56 +167,6 @@ def _column_swaps(
                 new[i] = at
             swaps.append((table, new))
     return swaps
-
-
-# -- general small-n enumeration ---------------------------------------------
-
-
-def _order_ideal_masks(p: Poset) -> list[int]:
-    down = p._down
-    out = []
-    for mask in range(1 << p.n):
-        ok = True
-        probe = mask
-        while probe:
-            low = probe & -probe
-            i = low.bit_length() - 1
-            if down[i] & ~mask:
-                ok = False
-                break
-            probe ^= low
-        if ok:
-            out.append(mask)
-    return out
-
-
-def _with_new_maximal(p: Poset, ideal: int) -> Poset:
-    n = p.n
-    new_bit = 1 << n
-    up = [p._up[i] | (new_bit if ideal >> i & 1 else 0) for i in range(n)]
-    up.append(new_bit)
-    return Poset(up)
-
-
-def enumerate_posets(n: int) -> list[Poset]:
-    """All posets on n points up to isomorphism, each exactly once.
-
-    Grows size-(k+1) posets from size-k ones by attaching a maximal element
-    above every order ideal, deduplicating by canonical code at each step.
-    Every poset arises this way because deleting any maximal element leaves
-    a poset whose class was already generated.
-    """
-    if not 1 <= n <= 7:
-        raise SizeTooLarge("general enumeration is capped at 7 points")
-    current = {Poset.antichain(1).canonical_code: Poset.antichain(1)}
-    for _ in range(n - 1):
-        grown: dict[bytes, Poset] = {}
-        for p in current.values():
-            for ideal in _order_ideal_masks(p):
-                q = _with_new_maximal(p, ideal)
-                grown.setdefault(q.canonical_code, q)
-        current = grown
-    return [current[c] for c in sorted(current)]
 
 
 # -- cores of height one and two ------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_ELEMENTS = 64
 
@@ -34,12 +34,40 @@ class NotCover(PosetError):
     """A listed cover pair is already implied transitively."""
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def _byte_bits(offset: int) -> list[tuple[int, ...]]:
+    """``table[b]``: the set bit positions of ``b << offset``, for b < 256."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(offset, offset + 8):
+        table += [t + (i,) for t in table]
+    return table
+
+
+_LOW_BYTE = _byte_bits(0)
+_HIGH_BYTE = _byte_bits(8)
+
+
+def _bits(mask: int) -> Sequence[int]:
+    """The set bit positions of ``mask`` in increasing order.
+
+    Every loop over the set bits of a mask in the package runs through
+    here, on nearly every row it touches, so this returns a ready sequence
+    rather than a generator: a mask below 2^8 gets a shared tuple from a
+    byte table, and one below 2^16 the sum of two such tuples.  A wider
+    mask (a poset on more than 16 points, or a neighbour mask of a
+    simplicial complex, which has no 64-vertex cap) gets a fresh list built
+    one set bit at a time, so the result is exact at any width.  The two
+    256-entry tables are all the memory kept; nothing is cached per mask.
+    """
+    if mask < 256:
+        return _LOW_BYTE[mask]
+    if mask < 65536:
+        return _LOW_BYTE[mask & 255] + _HIGH_BYTE[mask >> 8]
+    out: list[int] = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _transpose(rows: Sequence[int]) -> list[int]:
@@ -120,7 +148,7 @@ class Poset:
         for i in range(n):
             on_cycle = up[i] & down[i] & ~(1 << i)
             if on_cycle:
-                j = next(_bits(on_cycle))
+                j = _bits(on_cycle)[0]
                 raise CycleDetected(f"elements {i} and {j} lie on a cycle")
             for j in _bits(up[i]):
                 if up[j] & ~up[i]:
@@ -182,7 +210,7 @@ class Poset:
             between = strict[lo] & poset._strict_down[hi]
             if between:
                 raise NotCover(
-                    f"pair ({lo}, {hi}) is implied through element {next(_bits(between))}"
+                    f"pair ({lo}, {hi}) is implied through element {_bits(between)[0]}"
                 )
         return poset
 
@@ -334,7 +362,7 @@ class Poset:
             beats = beats & ~low & ~near | _beat_points(down, up, near)
         if not removed:
             return self
-        return self.restricted([x for x in range(self.n) if not removed >> x & 1])
+        return self.restricted(_bits((1 << self.n) - 1 & ~removed))
 
     def nh_suspension(self, k: int = 1) -> "Poset":
         """Non-Hausdorff suspension, iterated ``k`` times.
@@ -503,17 +531,14 @@ def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
     def leaf(cells: list[int], path: list[int]) -> int:
         nonlocal first, best
         order = [c.bit_length() - 1 for c in cells]
-        pos = [0] * n
+        renamed = [0] * n  # renamed[x]: the bit of x's cell position
         for p, x in enumerate(order):
-            pos[x] = p
+            renamed[x] = 1 << p
         rows = []
         for x in order:
-            m = su[x]
             r = 0
-            while m:
-                low = m & -m
-                r |= 1 << pos[low.bit_length() - 1]
-                m ^= low
+            for y in _bits(su[x]):
+                r |= renamed[y]
             rows.append(r)
         if first is None:
             first = best = (rows, order, path)
@@ -540,13 +565,12 @@ def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
                     break
             else:
                 return leaf(cells, path)
-            x = cell.bit_length() - 1
-            down, up = sd[x], su[x]
-            if not all(sd[y] == down and su[y] == up for y in _bits(cell)):
+            twins = _bits(cell)
+            x = twins[0]
+            if any(sd[y] != sd[x] or su[y] != su[x] for y in twins):
                 break
-            twins = list(_bits(cell))
             cells = cells[:i] + [1 << y for y in twins] + cells[i + 1 :]
-            path = path + twins
+            path = [*path, *twins]
         level = len(path)
         explored: list[int] = []
         known = -1  # automorphisms reflected in roots

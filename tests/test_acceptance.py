@@ -22,11 +22,11 @@ from finspace.complexes import (
 from finspace.enumeration import (
     enumerate_height1_cores,
     enumerate_height2_cores,
-    enumerate_posets,
 )
 from finspace.posets import fence
 from finspace.presentations import poset_presentation, tietze_simplify
 from finspace.verify import verify_paper
+from oracle_posets import enumerate_posets
 
 
 _INVENTORIES: dict[tuple[int, int], object] = {}

@@ -19,10 +19,10 @@ from finspace.complexes import (
     smith_normal_form,
     _dense_snf,
 )
-from finspace.enumeration import enumerate_posets
 from finspace.formats import load_poset
 from finspace.posets import Poset, projective_plane
 from finspace.presentations import poset_presentation
+from oracle_posets import enumerate_posets
 import oracle_tietze
 from oracle_tietze import abelianized_rank, matrix_from_rows
 

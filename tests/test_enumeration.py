@@ -14,10 +14,10 @@ from finspace.enumeration import (
     _orderly_rows,
     enumerate_height1_cores,
     enumerate_height2_cores,
-    enumerate_posets,
     level_shapes,
 )
 from finspace.posets import Poset, _bits, fence
+from oracle_posets import enumerate_posets
 
 
 def brute_force_posets(n: int) -> set[bytes]:

@@ -7,7 +7,6 @@ from finspace.complexes import poset_homology
 from finspace.enumeration import (
     enumerate_height1_cores,
     enumerate_height2_cores,
-    enumerate_posets,
 )
 from finspace.formats import load_poset
 from finspace.posets import (
@@ -15,11 +14,13 @@ from finspace.posets import (
     NotCover,
     Poset,
     PosetError,
+    _bits,
     fence,
     sphere_model,
     two_point_discrete,
 )
 from oracle_code import oracle_code
+from oracle_posets import enumerate_posets
 
 
 def build(labels: str, covers: str) -> Poset:
@@ -29,6 +30,19 @@ def build(labels: str, covers: str) -> Poset:
         (index[lo], index[hi]) for lo, hi in (c.split("<") for c in covers.split())
     ]
     return Poset.from_covers(len(names), pairs, names)
+
+
+class TestBits:
+    def test_matches_a_scan_of_every_bit(self):
+        rng = random.Random(7)
+        masks = [0]
+        for width in range(1, 201):
+            top = 1 << (width - 1)
+            dense = rng.getrandbits(width)
+            sparse = rng.getrandbits(width) & rng.getrandbits(width)
+            masks += [top, top | dense, top | sparse]
+        for m in masks:
+            assert list(_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 class TestConstruction:

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import random_connected_poset
 from finspace import figures
-from finspace.complexes import SimplicialComplex, order_complex, poset_homology
-from finspace.enumeration import enumerate_height2_cores, enumerate_posets
+from finspace.complexes import SimplicialComplex, homology, order_complex, poset_homology
+from finspace.enumeration import enumerate_height2_cores
 from finspace.presentations import (
     DisconnectedComplex,
     Presentation,
@@ -16,6 +16,7 @@ from finspace.presentations import (
     presentation,
     tietze_simplify,
 )
+from oracle_posets import enumerate_posets
 from oracle_tietze import abelianized_rank, oracle_tietze
 
 FULL_TRIANGLE = SimplicialComplex(
@@ -100,6 +101,17 @@ class TestPresentation:
 
     def test_to_text_no_relators(self):
         assert Presentation(2, ()).to_text() == "⟨g1, g2 | ⟩"
+
+    def test_cycle_wider_than_a_poset(self):
+        # a complex has no 64-vertex cap, so its neighbour masks run past
+        # bit 64 and every set bit of them must be visited
+        n = 100
+        edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
+        k = SimplicialComplex(n, [[(v,) for v in range(n)], edges])
+        pres = presentation(k)
+        assert pres.num_generators == 1
+        assert tietze_simplify(pres).describe() == "free of rank 1"
+        assert homology(k).betti == (1, 1)
 
 
 class TestPosetPresentation:
