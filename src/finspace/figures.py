@@ -2,10 +2,10 @@
 
 Each fixture is a small poset given by its cover relations, keyed by a
 stable figure id (``fig04a``, ``fig18cstar``, ...).  The catalog records,
-per fixture, the id of the figure its dual is isomorphic to, the wedge type
-``(circles, spheres)`` it models when it is a core, and whether it is a core
-at all; every one of those claims is checked computationally by the test
-suite and the verification harness rather than trusted.
+per fixture, the id of the figure its dual is isomorphic to and the wedge
+type ``(circles, spheres)`` it models when it is a core; an entry without a
+wedge is not a core.  Every one of those claims is checked computationally
+by the test suite and the verification harness rather than trusted.
 
 ``fig15a``..``fig15d`` are deliberately *not* cores: they are the rejected
 single-middle-point configurations (disconnected or admitting beat points).
@@ -28,14 +28,18 @@ class Figure:
     covers: tuple[tuple[str, str], ...]
     dual: str | None
     wedge: tuple[int, int] | None
-    is_core: bool
     note: str
 
+    @property
+    def is_core(self) -> bool:
+        """Every core in the catalog models a wedge; the rest are not cores."""
+        return self.wedge is not None
 
-def _fig(fid, elements, covers, dual, wedge, is_core, note):
+
+def _fig(fid, elements, covers, dual, wedge, note):
     elems = tuple(elements.split())
     pairs = tuple(tuple(pair.split("<")) for pair in covers.split())
-    return Figure(fid, elems, pairs, dual, wedge, is_core, note)
+    return Figure(fid, elems, pairs, dual, wedge, note)
 
 
 _RAW = [
@@ -46,7 +50,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 c3<a1 c3<a2 b1<a1 b1<a2 b2<a1 b2<a2",
         "fig04astar",
         (1, 1),
-        True,
         "seven-point model of one sphere and one circle",
     ),
     _fig(
@@ -55,7 +58,6 @@ _RAW = [
         "c1<b1 c1<b2 c1<a3 c2<b1 c2<b2 c2<a3 b1<a1 b1<a2 b2<a1 b2<a2",
         "fig04a",
         (1, 1),
-        True,
         "opposite of the seven-point sphere-plus-circle model",
     ),
     _fig(
@@ -64,7 +66,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 c1<b1 c1<b2 c2<b1 c2<b2 c3<b1 c3<b2",
         "fig05astar",
         (0, 2),
-        True,
         "seven-point model of two spheres, three minimal points",
     ),
     _fig(
@@ -73,7 +74,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3",
         "fig05a",
         (0, 2),
-        True,
         "seven-point model of two spheres, three maximal points",
     ),
     _fig(
@@ -82,7 +82,6 @@ _RAW = [
         "c1<b3 c1<b1 c1<b2 c2<b3 c2<b1 c2<b2 b3<a1 b3<a2 b1<a1 b1<a2 b2<a1 b2<a2",
         "fig05b",
         (0, 2),
-        True,
         "self-opposite seven-point model of two spheres, three middle points",
     ),
     _fig(
@@ -91,7 +90,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3",
         "fig05a",
         (0, 2),
-        True,
         "two-sphere model read off a modified cell structure",
     ),
     _fig(
@@ -100,7 +98,6 @@ _RAW = [
         "c1<b1 c1<b2 c1<b3 c2<b1 c2<b2 c2<b3 b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2",
         "fig07",
         (0, 2),
-        True,
         "alternative two-sphere model with three middle points",
     ),
     _fig(
@@ -109,7 +106,6 @@ _RAW = [
         "c1<b1 c1<b2 c1<b3 c2<b1 c2<b2 c2<b3 b1<a1 b1<a2 b2<a1 b2<a2",
         "fig04a",
         (1, 1),
-        True,
         "sphere-plus-circle model read off a modified cell structure",
     ),
     # -- eight-point models from modified cell structures ---------------------
@@ -119,7 +115,6 @@ _RAW = [
         "c1<b1 c1<b2 c1<a3 c1<a4 c2<b1 c2<b2 c2<a3 c2<a4 b1<a1 b1<a2 b2<a1 b2<a2",
         "fig14a",
         (2, 1),
-        True,
         "eight-point model of two circles and one sphere",
     ),
     _fig(
@@ -128,7 +123,6 @@ _RAW = [
         "c1<b1 c1<b2 c1<a4 c2<b1 c2<b2 c2<a4 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3",
         "fig18b",
         (1, 2),
-        True,
         "eight-point model of one circle and two spheres",
     ),
     _fig(
@@ -138,7 +132,6 @@ _RAW = [
         "c1<a3 c2<a3",
         "fig18a",
         (1, 2),
-        True,
         "another circle-plus-two-spheres model",
     ),
     _fig(
@@ -147,7 +140,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b1<a4 b2<a1 b2<a2 b2<a3 b2<a4",
         "fig21a",
         (0, 3),
-        True,
         "eight-point model of three spheres, four maximal points",
     ),
     # -- eight-point models of two circles and a sphere ------------------------
@@ -157,7 +149,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 c3<a1 c3<a2 b1<a1 b1<a2 b2<a1 b2<a2 c4<a1 c4<a2",
         "fig14astar",
         (2, 1),
-        True,
         "two-circles-plus-sphere model, four minimal points",
     ),
     _fig(
@@ -166,7 +157,6 @@ _RAW = [
         "c1<b1 c1<b2 c1<a3 c1<a4 c2<b1 c2<b2 c2<a3 c2<a4 b1<a1 b1<a2 b2<a1 b2<a2",
         "fig14a",
         (2, 1),
-        True,
         "opposite of fig14a",
     ),
     _fig(
@@ -175,7 +165,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b2<a1 b2<a2 c3<a1 c3<a2 c1<a3 c2<a3",
         "fig14b",
         (2, 1),
-        True,
         "self-opposite two-circles-plus-sphere model",
     ),
     _fig(
@@ -184,7 +173,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b2<a1 b2<a2 c3<a1 c3<a2 c3<a3 c2<a3",
         "fig14cstar",
         (2, 1),
-        True,
         "two-circles-plus-sphere model with a chained extra pair",
     ),
     _fig(
@@ -193,7 +181,6 @@ _RAW = [
         "b1<c1 b2<c1 b1<c2 b2<c2 a1<b1 a2<b1 a1<b2 a2<b2 a1<c3 a2<c3 a3<c3 a3<c2",
         "fig14c",
         (2, 1),
-        True,
         "opposite of fig14c",
     ),
     _fig(
@@ -202,7 +189,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b2<a1 b2<a2 b2<a3 c3<a1 c3<a2 c3<a3",
         "fig14dstar",
         (2, 1),
-        True,
         "two-circles-plus-sphere model with a middle point under three tops",
     ),
     _fig(
@@ -211,7 +197,6 @@ _RAW = [
         "a1<b1 a2<b1 a1<b2 a2<b2 a3<b2 b1<c1 b1<c2 b2<c1 b2<c2 a1<c3 a2<c3 a3<c3",
         "fig14d",
         (2, 1),
-        True,
         "opposite of fig14d",
     ),
     # -- rejected seven-point single-middle configurations ---------------------
@@ -221,7 +206,6 @@ _RAW = [
         "c1<b c2<b b<a1 b<a2",
         None,
         None,
-        False,
         "disconnected single-middle configuration (two isolated points)",
     ),
     _fig(
@@ -230,7 +214,6 @@ _RAW = [
         "c1<b c2<b b<a1 b<a2 c3<a1 c3<a2 c4<a1 c4<a2",
         None,
         None,
-        False,
         "connected single-middle configuration with beat points",
     ),
     _fig(
@@ -239,7 +222,6 @@ _RAW = [
         "c1<b c2<b b<a1 b<a2",
         None,
         None,
-        False,
         "disconnected single-middle configuration",
     ),
     _fig(
@@ -248,7 +230,6 @@ _RAW = [
         "c1<b c2<b c3<b b<a1 b<a2 b<a3",
         None,
         None,
-        False,
         "star through the middle point: every outer point is a beat point",
     ),
     _fig(
@@ -257,7 +238,6 @@ _RAW = [
         "c1<b c2<b b<a1 b<a2 c1<a3 c2<a3 c3<a1 c3<a2",
         "fig15e",
         (2, 0),
-        True,
         "seven-point core with single middle point; homology gives two circles",
     ),
     # -- eight-point models of four spheres -------------------------------------
@@ -268,7 +248,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2",
         "fig16astar",
         (0, 4),
-        True,
         "complete 3-3-2 layered model of four spheres",
     ),
     _fig(
@@ -278,7 +257,6 @@ _RAW = [
         "b1<c1 b2<c1 b3<c1 b1<c2 b2<c2 b3<c2 b1<c3 b2<c3 b3<c3",
         "fig16a",
         (0, 4),
-        True,
         "complete 2-3-3 layered model of four spheres",
     ),
     _fig(
@@ -288,7 +266,6 @@ _RAW = [
         "b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3",
         "fig16b",
         (0, 4),
-        True,
         "self-opposite complete 3-2-3 layered model of four spheres",
     ),
     # -- eight-point wedge-of-circles cores --------------------------------------
@@ -298,7 +275,6 @@ _RAW = [
         "c1<a1 c1<a2 c2<a2 c2<a3 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17astar",
         (3, 0),
-        True,
         "eight-point core modelling three circles",
     ),
     _fig(
@@ -307,7 +283,6 @@ _RAW = [
         "a1<c1 a2<c1 a2<c2 a3<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17a",
         (3, 0),
-        True,
         "opposite of fig17a",
     ),
     _fig(
@@ -316,7 +291,6 @@ _RAW = [
         "c1<a3 c1<a2 c2<a1 c2<a3 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17bstar",
         (3, 0),
-        True,
         "three-circles core, crossed attachments",
     ),
     _fig(
@@ -325,7 +299,6 @@ _RAW = [
         "a3<c1 a2<c1 a1<c2 a3<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17b",
         (3, 0),
-        True,
         "opposite of fig17b",
     ),
     _fig(
@@ -334,7 +307,6 @@ _RAW = [
         "c1<a1 c1<a2 c2<a1 c2<a2 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17cstar",
         (3, 0),
-        True,
         "three-circles core, doubled pair attachments",
     ),
     _fig(
@@ -343,7 +315,6 @@ _RAW = [
         "a1<c1 a2<c1 a1<c2 a2<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17c",
         (3, 0),
-        True,
         "opposite of fig17c",
     ),
     _fig(
@@ -352,7 +323,6 @@ _RAW = [
         "c1<a1 c1<a2 c2<a1 c2<a2 c2<a3 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17dstar",
         (4, 0),
-        True,
         "eight-point core modelling four circles",
     ),
     _fig(
@@ -361,7 +331,6 @@ _RAW = [
         "a1<c1 a2<c1 a1<c2 a2<c2 a3<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17d",
         (4, 0),
-        True,
         "opposite of fig17d",
     ),
     _fig(
@@ -370,7 +339,6 @@ _RAW = [
         "c1<a1 c1<a2 c1<a3 c2<a1 c2<a2 c2<a3 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17estar",
         (5, 0),
-        True,
         "eight-point core modelling five circles",
     ),
     _fig(
@@ -379,7 +347,6 @@ _RAW = [
         "a1<c1 a2<c1 a3<c1 a1<c2 a2<c2 a3<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17e",
         (5, 0),
-        True,
         "opposite of fig17e",
     ),
     _fig(
@@ -388,7 +355,6 @@ _RAW = [
         "c1<a1 c1<a2 c2<b1 c2<a3 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17fstar",
         (3, 0),
-        True,
         "three-circles core with a thrice-covered middle point",
     ),
     _fig(
@@ -397,7 +363,6 @@ _RAW = [
         "a1<c1 a2<c1 b1<c2 a3<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17f",
         (3, 0),
-        True,
         "opposite of fig17f",
     ),
     _fig(
@@ -406,7 +371,6 @@ _RAW = [
         "c1<a1 c1<a2 c1<a3 c2<b1 c2<a3 c3<b1 c3<a3 c4<b1 c4<a3 b1<a1 b1<a2",
         "fig17gstar",
         (4, 0),
-        True,
         "four-circles core with a thrice-covered middle point",
     ),
     _fig(
@@ -415,7 +379,6 @@ _RAW = [
         "a1<c1 a2<c1 a3<c1 b1<c2 a3<c2 b1<c3 a3<c3 b1<c4 a3<c4 a1<b1 a2<b1",
         "fig17g",
         (4, 0),
-        True,
         "opposite of fig17g",
     ),
     # -- eight-point models of one circle and two spheres -------------------------
@@ -426,7 +389,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2 c3<a1 c3<a2",
         "fig18astar",
         (1, 2),
-        True,
         "circle-plus-two-spheres model, extra bottom point",
     ),
     _fig(
@@ -436,7 +398,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2 c1<a3 c2<a3",
         "fig18a",
         (1, 2),
-        True,
         "circle-plus-two-spheres model, extra top point",
     ),
     _fig(
@@ -446,7 +407,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 c4<a1 c4<a2",
         "fig18bstar",
         (1, 2),
-        True,
         "circle-plus-two-spheres model on a 3-2-2 block",
     ),
     _fig(
@@ -455,7 +415,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3 c1<a4 c2<a4",
         "fig18b",
         (1, 2),
-        True,
         "opposite of fig18b",
     ),
     _fig(
@@ -464,7 +423,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3 c3<a1 c3<a2",
         "fig18cstar",
         (1, 2),
-        True,
         "circle-plus-two-spheres model; extra bottom under tops one and two",
     ),
     _fig(
@@ -473,7 +431,6 @@ _RAW = [
         "c1<b1 c2<b1 c3<b1 c1<b2 c2<b2 c3<b2 b1<a1 b1<a2 b2<a1 b2<a2 c1<a3 c2<a3",
         "fig18c",
         (1, 2),
-        True,
         "opposite of fig18c",
     ),
     _fig(
@@ -482,7 +439,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3 c3<a1 c3<a3",
         "fig18dstar",
         (1, 2),
-        True,
         "same class as fig18c; extra bottom under tops one and three",
     ),
     _fig(
@@ -491,7 +447,6 @@ _RAW = [
         "c1<b1 c2<b1 c3<b1 c1<b2 c2<b2 c3<b2 b1<a1 b1<a2 b2<a1 b2<a2 c1<a3 c3<a3",
         "fig18d",
         (1, 2),
-        True,
         "opposite of fig18d",
     ),
     _fig(
@@ -500,7 +455,6 @@ _RAW = [
         "c1<b1 c1<b2 c2<b1 c2<b2 b1<a1 b1<a2 b1<a3 b2<a1 b2<a2 b2<a3 c3<a2 c3<a3",
         "fig18estar",
         (1, 2),
-        True,
         "same class as fig18c; extra bottom under tops two and three",
     ),
     _fig(
@@ -509,7 +463,6 @@ _RAW = [
         "c1<b1 c2<b1 c3<b1 c1<b2 c2<b2 c3<b2 b1<a1 b1<a2 b2<a1 b2<a2 c2<a3 c3<a3",
         "fig18e",
         (1, 2),
-        True,
         "opposite of fig18e",
     ),
     # -- extra three-sphere model ---------------------------------------------------
@@ -520,7 +473,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2 b4<a1 b4<a2",
         "fig19",
         (0, 3),
-        True,
         "complete 2-4-2 layered model of three spheres",
     ),
     # -- the unique three-circles-plus-sphere model ----------------------------------
@@ -531,7 +483,6 @@ _RAW = [
         "a3<c1 a3<c2 a3<c3 a1<c3 a2<c3",
         "fig20a",
         (3, 1),
-        True,
         "the unique eight-point model of three circles and one sphere",
     ),
     # -- eight-point models of three spheres ------------------------------------------
@@ -542,7 +493,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2",
         "fig21astar",
         (0, 3),
-        True,
         "complete 4-2-2 layered model of three spheres",
     ),
     _fig(
@@ -552,7 +502,6 @@ _RAW = [
         "b1<a1 b1<a2 b1<a3 b1<a4 b2<a1 b2<a2 b2<a3 b2<a4",
         "fig21a",
         (0, 3),
-        True,
         "complete 2-2-4 layered model of three spheres",
     ),
     _fig(
@@ -562,7 +511,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2 b4<a1 b4<a2",
         "fig21b",
         (0, 3),
-        True,
         "self-opposite complete 2-4-2 layered model of three spheres",
     ),
     _fig(
@@ -572,7 +520,6 @@ _RAW = [
         "b1<a1 b1<a2 b2<a1 b2<a2 b3<a1 b3<a2",
         "fig21cstar",
         (0, 3),
-        True,
         "three-sphere model with one thinned bottom point",
     ),
     _fig(
@@ -582,7 +529,6 @@ _RAW = [
         "b1<c1 b1<c2 b2<c1 b2<c2 b3<c1 b3<c2 b3<c3 b2<c3",
         "fig21c",
         (0, 3),
-        True,
         "opposite of fig21c",
     ),
 ]

@@ -137,22 +137,6 @@ class Poset:
         n = len(up_masks)
         if not 1 <= n <= MAX_ELEMENTS:
             raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
-        up = tuple(up_masks)
-        full = (1 << n) - 1
-        for i in range(n):
-            if up[i] & ~full:
-                raise PosetError(f"relation row {i} references elements >= n")
-            if not up[i] >> i & 1:
-                raise PosetError(f"relation not reflexive at element {i}")
-        down = _transpose(up)
-        for i in range(n):
-            on_cycle = up[i] & down[i] & ~(1 << i)
-            if on_cycle:
-                j = _bits(on_cycle)[0]
-                raise CycleDetected(f"elements {i} and {j} lie on a cycle")
-            for j in _bits(up[i]):
-                if up[j] & ~up[i]:
-                    raise PosetError(f"relation not transitive at ({i}, {j})")
         if labels is None:
             labels = tuple(f"x{i}" for i in range(n))
         else:
@@ -161,6 +145,22 @@ class Poset:
                 raise PosetError("label count does not match element count")
             if len(set(labels)) != n:
                 raise PosetError("element labels must be distinct")
+        up = tuple(up_masks)
+        full = (1 << n) - 1
+        for i in range(n):
+            if up[i] & ~full:
+                raise PosetError(f"relation row of {labels[i]} references elements >= n")
+            if not up[i] >> i & 1:
+                raise PosetError(f"relation not reflexive at element {labels[i]}")
+        down = _transpose(up)
+        for i in range(n):
+            on_cycle = up[i] & down[i] & ~(1 << i)
+            if on_cycle:
+                j = _bits(on_cycle)[0]
+                raise CycleDetected(f"elements {labels[i]} and {labels[j]} lie on a cycle")
+            for j in _bits(up[i]):
+                if up[j] & ~up[i]:
+                    raise PosetError(f"relation not transitive at ({labels[i]}, {labels[j]})")
         self.n = n
         self.labels = labels
         self._up = up
@@ -180,8 +180,9 @@ class Poset:
 
         Raises :class:`PosetError` for an index outside ``0..n-1``,
         :class:`CycleDetected` for a self-cover or a closure that is not
-        antisymmetric, and :class:`NotCover` if a listed pair is implied by
-        the others.
+        antisymmetric, and :class:`NotCover` if a pair is listed twice or
+        is implied by the others.  Errors about the order name the elements
+        by their labels.
         """
         if not 1 <= n <= MAX_ELEMENTS:
             raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
@@ -190,8 +191,6 @@ class Poset:
         for lo, hi in pairs:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise PosetError(f"cover ({lo}, {hi}) out of range for n={n}")
-            if lo == hi:
-                raise CycleDetected(f"cover ({lo}, {hi}) relates an element to itself")
             above[lo] |= 1 << hi
         up = [1 << i | above[i] for i in range(n)]
         changed = True
@@ -205,13 +204,17 @@ class Poset:
                     up[i] = acc
                     changed = True
         poset = cls(up, labels)
-        strict = poset._strict_up
+        name, strict = poset.labels, poset._strict_up
+        if sum(map(int.bit_count, above)) < len(pairs):  # one bit per distinct pair
+            lo, hi = next(pair for k, pair in enumerate(pairs) if pair in pairs[:k])
+            raise NotCover(f"pair ({name[lo]}, {name[hi]}) is listed twice")
         for lo, hi in pairs:
+            if lo == hi:
+                raise CycleDetected(f"cover ({name[lo]}, {name[hi]}) relates an element to itself")
             between = strict[lo] & poset._strict_down[hi]
             if between:
-                raise NotCover(
-                    f"pair ({lo}, {hi}) is implied through element {_bits(between)[0]}"
-                )
+                through = name[_bits(between)[0]]
+                raise NotCover(f"pair ({name[lo]}, {name[hi]}) is implied through element {through}")
         return poset
 
     @classmethod

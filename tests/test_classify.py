@@ -8,6 +8,7 @@ from finspace.classify import (
     WedgeLabel,
     circle_wedge_size,
     circle_wedge_size_closed_form,
+    classify_cores,
     classify_poset,
     inventory,
     label,
@@ -17,7 +18,7 @@ from finspace import classify
 from finspace.complexes import HomologyProfile, poset_homology
 from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset, fence, mobius_band
-from finspace.presentations import Presentation, SimplificationStatus
+from finspace.presentations import Presentation, SimplificationStatus, tietze_simplify
 
 
 def profile(f_vector, betti, torsion=None, f2=None):
@@ -231,8 +232,8 @@ class TestInventory:
 
 
 class TestDualPairing:
-    """``inventory`` codes each dual pair once; the records must still hold
-    the dual code ``classify_poset`` computes on its own."""
+    """``inventory`` classifies each dual pair once; the records must still
+    equal those ``classify_poset`` computes on its own."""
 
     def test_dual_code_is_code_of_dual(self):
         for n in range(1, 10):
@@ -246,9 +247,27 @@ class TestDualPairing:
                 dual = {r.code: r.dual_code for r in inventory(n, height).records}
                 assert all(dual[dual[code]] == code for code in dual)
 
-    def test_given_dual_code_changes_nothing(self):
-        for p in enumerate_height2_cores(8) + [figures.poset("fig14c"), fence()]:
-            assert classify_poset(p, dual_code=p.dual().canonical_code) == classify_poset(p)
+    def test_copied_records_equal_computed_ones(self):
+        for n in range(1, 10):
+            for height in (1, 2):
+                cores = enumerate_height1_cores(n) if height == 1 else enumerate_height2_cores(n)
+                got = list(classify_cores(cores))
+                assert len(got) == len(cores)
+                for rec, p in zip(got, cores):
+                    assert rec == classify_poset(p), (n, height, p.canonical_code)
+
+    def test_tietze_runs_once_per_dual_orbit(self, monkeypatch):
+        calls = []
+
+        def counted(presentation):
+            calls.append(presentation)
+            return tietze_simplify(presentation)
+
+        monkeypatch.setattr(classify, "tietze_simplify", counted)
+        for height, orbits in ((2, 241), (1, 160)):
+            calls.clear()
+            inventory(9, height)
+            assert len(calls) == orbits, height
 
 
 class TestMinModelSearch:

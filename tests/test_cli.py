@@ -154,6 +154,24 @@ class TestExitCodes:
             assert err.startswith("error: ") and says in err, data
 
     @pytest.mark.parametrize(
+        "covers, says",
+        [
+            ("cover lo mid\ncover lo mid\n", "pair (lo, mid) is listed twice"),
+            (
+                "cover lo mid\ncover mid hi\ncover lo hi\n",
+                "pair (lo, hi) is implied through element mid",
+            ),
+        ],
+        ids=["repeated", "implied"],
+    )
+    def test_data_error_names_elements(self, capsys, tmp_path, covers, says):
+        bad = tmp_path / "bad.poset"
+        bad.write_text("poset 3\nelements lo mid hi\n" + covers)
+        code, out, err = run(capsys, "homology", str(bad))
+        assert (code, out) == (3, "")
+        assert err == f"error: {bad}: {says}\n"
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"n": 2, "elements": ["a", "b"], "covers": 5}',

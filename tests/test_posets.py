@@ -76,6 +76,31 @@ class TestConstruction:
         with pytest.raises(NotCover):
             Poset.from_covers(3, [(0, 1), (1, 2), (0, 2)])
 
+    def test_repeated_cover_rejected(self):
+        with pytest.raises(NotCover, match=r"pair \(a, b\) is listed twice"):
+            Poset.from_covers(2, [(0, 1), (0, 1)], ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "make, error, says",
+        [
+            (lambda: build("a b c", "a<b b<c a<c"), NotCover, "(a, c) is implied through element b"),
+            (lambda: build("a b", "a<b b<a"), CycleDetected, "elements a and b lie on a cycle"),
+            (lambda: build("a b", "b<b"), CycleDetected, "cover (b, b) relates"),
+            (lambda: Poset([0b01, 0b00], ["a", "b"]), PosetError, "not reflexive at element b"),
+            (lambda: Poset([0b101, 0b10], ["a", "b"]), PosetError, "row of a references"),
+            (
+                lambda: Poset([0b011, 0b110, 0b100], ["a", "b", "c"]),
+                PosetError,
+                "not transitive at (a, b)",
+            ),
+        ],
+        ids=["implied", "cycle", "self-cover", "reflexive", "range", "transitive"],
+    )
+    def test_order_errors_name_labels(self, make, error, says):
+        with pytest.raises(error) as info:
+            make()
+        assert says in str(info.value)
+
     def test_bad_index(self):
         with pytest.raises(PosetError):
             Poset.from_covers(2, [(0, 5)])
