@@ -141,7 +141,10 @@ class SmithNormalForm:
     """Invariant factors d_1 | d_2 | ... | d_r (all positive) and rank r."""
 
     invariant_factors: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
@@ -203,14 +206,14 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
                 pending.append(j)
     left = [row for row in rows if row]
     if not left:
-        return SmithNormalForm((1,) * units, units)
+        return SmithNormalForm((1,) * units)
     index = {j: t for t, j in enumerate(sorted({j for row in left for j in row}))}
     rest = _dense_snf(
         IntegerMatrix(
             len(left), len(index), tuple({index[j]: v for j, v in row.items()} for row in left)
         )
     )
-    return SmithNormalForm((1,) * units + rest.invariant_factors, units + rest.rank)
+    return SmithNormalForm((1,) * units + rest.invariant_factors)
 
 
 def _dense_snf(m: IntegerMatrix) -> SmithNormalForm:
@@ -282,7 +285,7 @@ def _dense_snf(m: IntegerMatrix) -> SmithNormalForm:
                 a[t][j] += a[offender][j]
         factors.append(abs(a[t][t]))
         t += 1
-    return SmithNormalForm(tuple(factors), len(factors))
+    return SmithNormalForm(tuple(factors))
 
 
 def f2_rank(m: IntegerMatrix) -> int:

@@ -279,13 +279,15 @@ def _beaten(tops: tuple[int, ...], top_swaps, m0: int) -> bool:
     return False
 
 
-def _stratum_labels(shape: LevelShape) -> list[str]:
+def _stratum_labels(shape: LevelShape) -> tuple[str, ...]:
+    """Labels by level, lowest first.  A tuple, so that every poset built
+    with it shares this one object as its ``labels``."""
     m2, m1, m0 = shape
     middle = "b" if m2 else "a"
     return (
-        [f"c{j + 1}" for j in range(m0)]
-        + [f"{middle}{i + 1}" for i in range(m1)]
-        + [f"a{k + 1}" for k in range(m2)]
+        tuple(f"c{j + 1}" for j in range(m0))
+        + tuple(f"{middle}{i + 1}" for i in range(m1))
+        + tuple(f"a{k + 1}" for k in range(m2))
     )
 
 

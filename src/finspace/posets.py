@@ -8,8 +8,10 @@ operations everything else is built on: up/down-set masks, heights and levels,
 duals, beat points and cores, the non-Hausdorff suspension, and canonical
 codes for isomorphism testing.
 
-Elements are indices ``0..n-1``; the order relation is stored as one bitmask
-per element, which keeps every operation exact and fast for ``n <= 64``.
+Elements are indices ``0..n-1``.  The order relation is stored once, as two
+tuples of bitmasks per poset: the strict up-set and the strict down-set of
+each element, neither holding the element itself.  Every algorithm here reads
+those masks, which keeps every operation exact and fast for ``n <= 64``.
 """
 
 from __future__ import annotations
@@ -128,9 +130,13 @@ class RolePartition:
 class Poset:
     """An immutable finite poset on elements ``0..n-1``.
 
-    ``up[i]`` is the bitmask of ``{j : i <= j}`` and ``down[i]`` the bitmask
-    of ``{j : j <= i}``, both including ``i`` itself.  Instances are never
-    mutated after construction, so they are safe to share across threads.
+    The constructor takes the reflexive up-set masks: ``up_masks[i]`` is the
+    bitmask of ``{j : i <= j}``, including ``i`` itself.  An instance stores
+    ``n``, ``labels`` and the order once, as ``_strict_up[i]``, the bitmask
+    of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
+    of ``{j : j < i}``; the other attributes are cached invariants.
+    Instances are never mutated after construction, so they are safe to
+    share across threads.
     """
 
     def __init__(self, up_masks: Sequence[int], labels: Sequence[str] | None = None):
@@ -145,16 +151,17 @@ class Poset:
                 raise PosetError("label count does not match element count")
             if len(set(labels)) != n:
                 raise PosetError("element labels must be distinct")
-        up = tuple(up_masks)
         full = (1 << n) - 1
-        for i in range(n):
-            if up[i] & ~full:
+        up = []
+        for i, row in enumerate(up_masks):
+            if row & ~full:
                 raise PosetError(f"relation row of {labels[i]} references elements >= n")
-            if not up[i] >> i & 1:
+            if not row >> i & 1:
                 raise PosetError(f"relation not reflexive at element {labels[i]}")
+            up.append(row ^ 1 << i)
         down = _transpose(up)
         for i in range(n):
-            on_cycle = up[i] & down[i] & ~(1 << i)
+            on_cycle = up[i] & down[i]
             if on_cycle:
                 j = _bits(on_cycle)[0]
                 raise CycleDetected(f"elements {labels[i]} and {labels[j]} lie on a cycle")
@@ -163,8 +170,8 @@ class Poset:
                     raise PosetError(f"relation not transitive at ({labels[i]}, {labels[j]})")
         self.n = n
         self.labels = labels
-        self._up = up
-        self._down = tuple(down)
+        self._strict_up = tuple(up)
+        self._strict_down = tuple(down)
 
     # -- construction ------------------------------------------------------
 
@@ -229,14 +236,6 @@ class Poset:
     # -- basic accessors -----------------------------------------------------
 
     @cached_property
-    def _strict_up(self) -> tuple[int, ...]:
-        return tuple(self._up[i] & ~(1 << i) for i in range(self.n))
-
-    @cached_property
-    def _strict_down(self) -> tuple[int, ...]:
-        return tuple(self._down[i] & ~(1 << i) for i in range(self.n))
-
-    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse diagram edge set, sorted."""
         out = []
@@ -252,7 +251,7 @@ class Poset:
     @cached_property
     def element_heights(self) -> tuple[int, ...]:
         """Longest chain strictly below each element (minimal elements get 0)."""
-        order = sorted(range(self.n), key=lambda i: self._down[i].bit_count())
+        order = sorted(range(self.n), key=lambda i: self._strict_down[i].bit_count())
         h = [0] * self.n
         for i in order:
             below = self._strict_down[i]
@@ -299,7 +298,7 @@ class Poset:
 
     def dual(self) -> "Poset":
         """The opposite poset: same elements, order reversed."""
-        return Poset(self._down, self.labels)
+        return Poset([row | 1 << i for i, row in enumerate(self._strict_down)], self.labels)
 
     def permuted(self, sigma: Sequence[int]) -> "Poset":
         """Relabelled copy: element i of self becomes element sigma[i]."""
@@ -309,8 +308,8 @@ class Poset:
         up = [0] * n
         labels = [""] * n
         for i in range(n):
-            mask = 0
-            for j in _bits(self._up[i]):
+            mask = 1 << sigma[i]
+            for j in _bits(self._strict_up[i]):
                 mask |= 1 << sigma[j]
             up[sigma[i]] = mask
             labels[sigma[i]] = self.labels[i]
@@ -321,8 +320,8 @@ class Poset:
         pos = {x: k for k, x in enumerate(keep)}
         up = []
         for x in keep:
-            mask = 0
-            for j in _bits(self._up[x]):
+            mask = 1 << pos[x]
+            for j in _bits(self._strict_up[x]):
                 if j in pos:
                     mask |= 1 << pos[j]
             up.append(mask)
@@ -379,7 +378,7 @@ class Poset:
         for _ in range(k):
             n = p.n
             top = (1 << n) | (1 << (n + 1))
-            up = [p._up[i] | top for i in range(n)]
+            up = [row | 1 << i | top for i, row in enumerate(p._strict_up)]
             up.append(1 << n)
             up.append(1 << (n + 1))
             existing = set(p.labels)

@@ -102,12 +102,12 @@ class SimplificationStatus:
         )
 
 
-def presentation(k: SimplicialComplex, basepoint: int | None = None) -> Presentation:
+def presentation(k: SimplicialComplex) -> Presentation:
     """Edge-path group presentation of a connected complex of dimension <= 2.
 
-    The spanning tree is breadth-first from ``basepoint`` (default: the
-    least vertex), neighbours visited in increasing order, so the output is
-    deterministic.  The abelianization of the result has rank beta_1.
+    The spanning tree is breadth-first from the least vertex, neighbours
+    visited in increasing order, so the output is deterministic.  The
+    abelianization of the result has rank beta_1.
     """
     if k.dimension > 2:
         raise ValueError("presentation requires dimension <= 2")
@@ -117,17 +117,17 @@ def presentation(k: SimplicialComplex, basepoint: int | None = None) -> Presenta
         neighbours[v] |= 1 << u
     vertices = sum(1 << v for v in k.vertices())
     triangles = k.simplices[2] if k.dimension == 2 else ()
-    return _edge_path(neighbours, vertices, triangles, basepoint)
+    return _edge_path(neighbours, vertices, triangles)
 
 
-def poset_presentation(p: Poset, basepoint: int | None = None) -> Presentation:
+def poset_presentation(p: Poset) -> Presentation:
     """The presentation of the order complex of ``p``, read off the order
     bitmasks without building the complex.
 
     Edges are the comparable pairs and triangles the 3-chains, the latter as
     sorted index tuples in lexicographic order, which is the order
     :func:`~finspace.complexes.order_complex` gives them; so the result
-    equals ``presentation(order_complex(p), basepoint)``.
+    equals ``presentation(order_complex(p))``.
     """
     if p.height > 2:
         raise ValueError("presentation requires dimension <= 2")
@@ -138,29 +138,27 @@ def poset_presentation(p: Poset, basepoint: int | None = None) -> Presentation:
         for j in _bits(row >> (i + 1) << (i + 1))
         for k in _bits(row & comparable[j] >> (j + 1) << (j + 1))
     )
-    return _edge_path(comparable, (1 << p.n) - 1, triangles, basepoint)
+    return _edge_path(comparable, (1 << p.n) - 1, triangles)
 
 
 def _edge_path(
     neighbours: Sequence[int],
     vertices: int,
     triangles: Iterable[tuple[int, ...]],
-    basepoint: int | None,
 ) -> Presentation:
     """Presentation of the 2-complex whose vertex set is the bitmask
     ``vertices``, whose edges are given by the neighbour mask of each vertex
     and whose triangles are sorted index tuples: one generator per non-tree
     edge, numbered in lexicographic edge order, and one relator per
-    triangle."""
-    if basepoint is None:
-        basepoint = (vertices & -vertices).bit_length() - 1
-    if basepoint < 0 or not vertices >> basepoint & 1:
-        raise ValueError(f"basepoint {basepoint} is not a vertex")
+    triangle.  The spanning tree is rooted at the least vertex."""
+    if not vertices:
+        raise ValueError("complex has no vertices")
+    root = (vertices & -vertices).bit_length() - 1
     # upper[u] holds the non-tree edges (u, v) with v > u once the
     # breadth-first search below has cleared the tree edges from it.
     upper = [row >> (u + 1) << (u + 1) for u, row in enumerate(neighbours)]
-    seen = 1 << basepoint
-    queue = [basepoint]
+    seen = 1 << root
+    queue = [root]
     for u in queue:
         new = neighbours[u] & ~seen
         seen |= new

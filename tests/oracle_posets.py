@@ -12,7 +12,7 @@ from finspace.posets import Poset, _bits
 
 
 def _order_ideal_masks(p: Poset) -> list[int]:
-    down = p._down
+    down = p._strict_down
     return [
         mask
         for mask in range(1 << p.n)
@@ -23,7 +23,7 @@ def _order_ideal_masks(p: Poset) -> list[int]:
 def _with_new_maximal(p: Poset, ideal: int) -> Poset:
     n = p.n
     new_bit = 1 << n
-    up = [p._up[i] | (new_bit if ideal >> i & 1 else 0) for i in range(n)]
+    up = [row | 1 << i | (new_bit if ideal >> i & 1 else 0) for i, row in enumerate(p._strict_up)]
     up.append(new_bit)
     return Poset(up)
 

@@ -222,6 +222,12 @@ class TestLevelShapes:
         shape = LevelShape(2, 2, 2)
         assert (shape.m2, shape.m1, shape.m0) == (2, 2, 2)
 
+    def test_cores_of_one_shape_share_labels(self):
+        for shape in (LevelShape(0, 4, 4), LevelShape(2, 2, 3)):
+            cores = _cores_for_shape(shape)
+            assert len(cores) > 1
+            assert all(p.labels is cores[0].labels for p in cores)
+
 
 class TestHeight2Cores:
     def test_empty_below_six(self):

@@ -32,6 +32,23 @@ def build(labels: str, covers: str) -> Poset:
     return Poset.from_covers(len(names), pairs, names)
 
 
+def transpose(up: list[int]) -> list[int]:
+    return [sum(1 << j for j in range(len(up)) if up[j] >> i & 1) for i in range(len(up))]
+
+
+def masks_from_covers(n: int, covers) -> tuple[list[int], list[int]]:
+    """Strict up- and down-set masks of the transitive closure of the
+    (lower, upper) pairs ``covers``, by Warshall's algorithm."""
+    up = [0] * n
+    for lo, hi in covers:
+        up[lo] |= 1 << hi
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return up, transpose(up)
+
+
 class TestBits:
     def test_matches_a_scan_of_every_bit(self):
         rng = random.Random(7)
@@ -50,8 +67,8 @@ class TestConstruction:
         p = fence()
         assert p.n == 4
         assert p.height == 1
-        assert p._up[0] >> 2 & 1 and p._up[1] >> 3 & 1
-        assert not p._up[2] >> 3 & 1 and not p._up[0] >> 1 & 1
+        assert p._strict_up[0] >> 2 & 1 and p._strict_up[1] >> 3 & 1
+        assert not p._strict_up[2] >> 3 & 1 and not p._strict_up[0] >> 1 & 1
 
     def test_singleton(self):
         p = Poset.from_covers(1, [])
@@ -60,7 +77,7 @@ class TestConstruction:
 
     def test_chain_closure_is_transitive(self):
         p = build("x y z", "x<y y<z")
-        assert p._up[p.labels.index("x")] >> p.labels.index("z") & 1
+        assert p._strict_up[p.labels.index("x")] >> p.labels.index("z") & 1
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
@@ -130,16 +147,41 @@ class TestUpDownSets:
         b1 = p.labels.index("b1")
         assert names(p, p._strict_up[b1]) == {"a1", "a2", "a3"}
 
-    def test_up_set_contains_self(self):
+    def test_strict_masks_invariant(self):
         rng = random.Random(7)
         from conftest import random_poset
 
         for _ in range(25):
             p = random_poset(rng)
-            for x in range(p.n):
-                assert p._up[x] >> x & 1
-                assert p._down[x] >> x & 1
+            n = p.n
+            for x in range(n):
                 assert not p._strict_up[x] >> x & 1
+                assert not p._strict_down[x] >> x & 1
+                for y in range(n):
+                    assert p._strict_down[x] >> y & 1 == p._strict_up[y] >> x & 1
+            d = p.dual()
+            assert (d._strict_up, d._strict_down) == (p._strict_down, p._strict_up)
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            keep = [x for x in sigma if rng.random() < 0.7] or [sigma[0]]
+            up = masks_from_covers(n, p.covers)[0]
+            tops = [(m, n + k) for m in p.maximal_elements for k in (0, 1)]
+            pos = {x: k for k, x in enumerate(keep)}
+            restricted_up = [
+                sum(1 << pos[y] for y in _bits(up[x]) if y in pos) for x in keep
+            ]
+            moved = [(sigma[i], sigma[j]) for i, j in p.covers]
+            cases = [
+                (p.permuted(sigma), masks_from_covers(n, moved)),
+                (p.restricted(keep), (restricted_up, transpose(restricted_up))),
+                (p.nh_suspension(), masks_from_covers(n + 2, list(p.covers) + tops)),
+                (Poset.from_covers(n, p.covers), masks_from_covers(n, p.covers)),
+            ]
+            for q, (q_up, q_down) in cases:
+                assert (q._strict_up, q._strict_down) == (tuple(q_up), tuple(q_down))
+
+    def test_stores_only_the_strict_masks(self):
+        assert set(vars(Poset.chain(3))) == {"n", "labels", "_strict_up", "_strict_down"}
 
     def test_fence_hat_down_set(self):
         p = fence()
@@ -256,7 +298,7 @@ class TestCore:
     @staticmethod
     def assert_matches_oracle(p: Poset, where="") -> None:
         core, expected = p.core(), core_one_at_a_time(p)
-        assert (core.labels, core._up) == (expected.labels, expected._up), where
+        assert (core.labels, core._strict_up) == (expected.labels, expected._strict_up), where
 
     def test_against_oracle_on_small_posets(self):
         for n in range(1, 7):
@@ -449,8 +491,8 @@ def matching_crown(m: int) -> Poset:
 
 
 def disjoint_union(p: Poset, q: Poset) -> Poset:
-    up = list(p._up) + [mask << p.n for mask in q._up]
-    return Poset(up)
+    up = list(p._strict_up) + [mask << p.n for mask in q._strict_up]
+    return Poset([mask | 1 << i for i, mask in enumerate(up)])
 
 
 class TestCrowns:

@@ -24,6 +24,15 @@ FULL_TRIANGLE = SimplicialComplex(
 )
 
 
+def at_every_basepoint(p):
+    """One relabelled copy of ``p`` per element x, with x swapped to index 0,
+    where the spanning tree of a presentation starts."""
+    for x in range(p.n):
+        sigma = list(range(p.n))
+        sigma[0], sigma[x] = x, 0
+        yield p.permuted(sigma)
+
+
 class TestWords:
     def test_free_reduce(self):
         assert free_reduce((1, -1)) == ()
@@ -55,9 +64,8 @@ class TestPresentation:
                 ],
             ),
         ):
-            for basepoint in (None, *k.vertices()):
-                with pytest.raises(DisconnectedComplex):
-                    presentation(k, basepoint)
+            with pytest.raises(DisconnectedComplex):
+                presentation(k)
 
     def test_empty_complex_raises_value_error(self):
         k = SimplicialComplex(0, [])
@@ -66,18 +74,10 @@ class TestPresentation:
             presentation(k)
 
     def test_vertex_indices_with_gaps(self):
-        # vertex 1 is missing: the default basepoint is still the least
-        # vertex, and no vertex 1 is needed to reach every vertex
+        # vertex 1 is missing: the tree still starts at the least vertex,
+        # and no vertex 1 is needed to reach every vertex
         k = SimplicialComplex(3, [[(0,), (2,)], [(0, 2)]])
-        assert presentation(k) == presentation(k, 0) == Presentation(0, ())
-        assert presentation(k, 2) == Presentation(0, ())
-
-    def test_basepoint_not_a_vertex(self):
-        gapped = SimplicialComplex(3, [[(0,), (2,)], [(0, 2)]])
-        for k, basepoint in ((FULL_TRIANGLE, 3), (FULL_TRIANGLE, -1), (gapped, 1)):
-            with pytest.raises(ValueError) as err:
-                presentation(k, basepoint)
-            assert type(err.value) is ValueError
+        assert presentation(k) == Presentation(0, ())
 
     def test_triangle_relators_short(self):
         for fid in ("fig17a", "fig14c", "fig05a"):
@@ -141,11 +141,8 @@ class TestPosetPresentation:
 
     def test_basepoints(self):
         p = figures.poset("fig14c")
-        k = order_complex(p)
-        for basepoint in range(p.n):
-            assert poset_presentation(p, basepoint) == presentation(k, basepoint)
-        with pytest.raises(ValueError):
-            poset_presentation(p, p.n)
+        for q in at_every_basepoint(p):
+            assert poset_presentation(q) == presentation(order_complex(q))
 
 
 class TestTietze:
@@ -231,8 +228,8 @@ class TestOracle:
         for fid in figures.all_ids():
             p = figures.poset(fid)
             if p.is_connected and p.height <= 2:
-                for basepoint in range(p.n):
-                    self.check(poset_presentation(p, basepoint))
+                for q in at_every_basepoint(p):
+                    self.check(poset_presentation(q))
 
     def test_random_connected_posets(self):
         rng = random.Random(20261018)
@@ -266,8 +263,8 @@ class TestBasepointIndependence:
         for fid in ("fig17a", "fig14c", "fig05b", "fig04a", "fig20a"):
             p = figures.poset(fid)
             outcomes = set()
-            for basepoint in range(p.n):
-                status = tietze_simplify(poset_presentation(p, basepoint))
+            for q in at_every_basepoint(p):
+                status = tietze_simplify(poset_presentation(q))
                 outcomes.add((status.kind, status.rank))
             assert len(outcomes) == 1, fid
 
