@@ -7,7 +7,9 @@ replays the whole published-claims expectation table; ``export`` converts a
 poset file to DOT or JSON.
 
 Exit status: 0 success, 1 failed verification checks, 2 usage errors,
-3 malformed or unsupported poset files.  Machine output (JSON, JSON lines,
+3 malformed or unsupported poset files, 4 a homology profile whose order
+complex would exceed ``complexes.SIMPLEX_BUDGET`` simplices (a core that is
+not cellular and too large).  Machine output (JSON, JSON lines,
 DOT) is byte-stable across runs; progress counters go to standard error.
 """
 
@@ -19,7 +21,7 @@ import sys
 
 from finspace import figures
 from finspace.classify import classify_cores, inventory, min_model_search
-from finspace.complexes import poset_homology
+from finspace.complexes import SimplexBudgetExceeded, poset_homology
 from finspace.enumeration import (
     SizeTooLarge,
     check_cap,
@@ -39,6 +41,7 @@ from finspace.verify import verify_paper
 
 USAGE_ERROR = 2
 DATA_ERROR = 3
+BUDGET_EXCEEDED = 4
 
 
 def _int_at_least(low: int):
@@ -290,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except SimplexBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return BUDGET_EXCEEDED
 
 
 if __name__ == "__main__":

@@ -134,9 +134,9 @@ class Poset:
     bitmask of ``{j : i <= j}``, including ``i`` itself.  An instance stores
     ``n``, ``labels`` and the order once, as ``_strict_up[i]``, the bitmask
     of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
-    of ``{j : j < i}``; the other attributes are cached invariants.
-    Instances are never mutated after construction, so they are safe to
-    share across threads.
+    of ``{j : j < i}``; the other attributes are cached invariants, among
+    them ``_core``, set by :meth:`core`.  The order is never mutated after
+    construction, so instances are safe to share across threads.
     """
 
     def __init__(self, up_masks: Sequence[int], labels: Sequence[str] | None = None):
@@ -347,7 +347,18 @@ class Poset:
         the punctured down- and up-sets only of the elements comparable to
         x, so only those are checked again; the subposet is built once, at
         the end.
+
+        The result is kept, so every later call returns it at once.  A
+        poset that is already a core returns itself and keeps ``None``
+        rather than a reference to itself, and the core it returns knows
+        that it is its own core.
         """
+        try:
+            core = self._core
+        except AttributeError:
+            pass
+        else:
+            return self if core is None else core
         down = list(self._strict_down)
         up = list(self._strict_up)
         beats = _beat_points(down, up)
@@ -363,8 +374,11 @@ class Poset:
             near = down[x] | up[x]
             beats = beats & ~low & ~near | _beat_points(down, up, near)
         if not removed:
+            self._core = None
             return self
-        return self.restricted(_bits((1 << self.n) - 1 & ~removed))
+        core = self._core = self.restricted(_bits((1 << self.n) - 1 & ~removed))
+        core._core = None
+        return core
 
     def nh_suspension(self, k: int = 1) -> "Poset":
         """Non-Hausdorff suspension, iterated ``k`` times.

@@ -43,6 +43,12 @@ def random_connected_poset(rng: random.Random, n_max: int = 8) -> Poset:
             return p
 
 
+def disjoint_union(p: Poset, q: Poset) -> Poset:
+    """p and q side by side, q's elements numbered after p's."""
+    up = list(p._strict_up) + [mask << p.n for mask in q._strict_up]
+    return Poset([mask | 1 << i for i, mask in enumerate(up)])
+
+
 def betti_signature(profile) -> tuple[int, ...]:
     """Betti numbers with trailing zeros stripped: the right shape for
     comparing spaces whose complexes have different dimensions."""

@@ -224,6 +224,21 @@ class TestInventory:
         a, b = trivial
         assert (a.dual_code, b.dual_code) == (b.code, a.code)
 
+    def test_wedge_types_first_modelled_on_nine_points(self):
+        """Twelve wedge types have a model on 9 points (at height 2) and none
+        on fewer points at height 1 or 2; (0, 7) still has none, although
+        (0, 8) has one.  The only other new label is (0, 0), the pair of
+        homotopically trivial cores."""
+        first = {
+            (0, 5): 5, (0, 6): 8, (0, 8): 1, (1, 3): 14, (1, 4): 6, (2, 3): 4,
+            (2, 4): 4, (3, 2): 11, (3, 3): 2, (4, 1): 10, (4, 2): 4, (5, 1): 2,
+        }
+        earlier = {key for n in range(1, 9) for h in (1, 2) for key in inventory(n, h).counts}
+        counts = inventory(9, 2).counts
+        new = {key: c for key, c in counts.items() if key is not None and key not in earlier}
+        assert new == {**first, (0, 0): 2}
+        assert counts[(0, 7)] == 0
+
     def test_jsonl_output(self):
         inv = inventory(6, 2)
         lines = [r.to_json_line() for r in inv.records]

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from finspace.cli import main
-from finspace.posets import Poset
+from finspace.formats import poset_to_text
+from finspace.posets import Poset, sphere_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -196,6 +197,35 @@ class TestExitCodes:
         code, out, err = run(capsys, "pi1", str(path))
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_homology_of_a_tall_sphere(self, capsys, tmp_path, monkeypatch):
+        """The 62-point model of S^30 is cellular: its homology needs no
+        order complex, which would have 3^31 - 1 simplices."""
+
+        def refuse(p):
+            raise AssertionError("order complex built")
+
+        monkeypatch.setattr("finspace.complexes.order_complex", refuse)
+        path = tmp_path / "s30.poset"
+        path.write_text(poset_to_text(sphere_model(30)))
+        code, out, _ = run(capsys, "homology", str(path))
+        assert code == 0
+        assert json.loads(out)["betti"] == [1] + [0] * 29 + [1]
+
+    def test_homology_over_budget(self, capsys, tmp_path, monkeypatch):
+        """A core that is not cellular and whose order complex is too large
+        exits with status 4 and one ``error:`` line, before building it."""
+
+        def refuse(p):
+            raise AssertionError("order complex built")
+
+        monkeypatch.setattr("finspace.complexes.order_complex", refuse)
+        path = tmp_path / "big.poset"
+        path.write_text(poset_to_text(Poset.antichain(3).nh_suspension(8)))
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "budget" in err
 
     def test_enumerate_cap(self, capsys):
         assert main(["enumerate", "--n", "99", "--height", "2"]) == 2

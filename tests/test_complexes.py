@@ -1,14 +1,15 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from finspace import figures
+from finspace import complexes, figures
 from finspace.complexes import (
     ComplexError,
     IntegerMatrix,
+    SimplexBudgetExceeded,
     SimplicialComplex,
     boundary_matrices,
     boundary_ranks,
@@ -17,11 +18,16 @@ from finspace.complexes import (
     order_complex,
     poset_homology,
     smith_normal_form,
+    _betti,
+    _cellular_complex,
+    _chain_homology,
     _dense_snf,
+    _kernel_vector,
 )
 from finspace.formats import load_poset
-from finspace.posets import Poset, projective_plane
+from finspace.posets import Poset, fence, mobius_band, projective_plane, sphere_model
 from finspace.presentations import poset_presentation
+from conftest import disjoint_union
 from oracle_posets import enumerate_posets
 import oracle_tietze
 from oracle_tietze import abelianized_rank, matrix_from_rows
@@ -468,3 +474,235 @@ class TestJsonSchema:
     def test_stable_output(self):
         prof = poset_homology(figures.poset("fig14c"))
         assert prof.to_json() == prof.to_json()
+
+
+def product(p: Poset, q: Poset) -> Poset:
+    """The product order on pairs, (a, b) <= (c, d) iff a <= c and b <= d;
+    pair (i, j) is element i * q.n + j."""
+    up = []
+    for i in range(p.n):
+        for j in range(q.n):
+            mask = 0
+            for a in (i, *[a for a in range(p.n) if p._strict_up[i] >> a & 1]):
+                for b in (j, *[b for b in range(q.n) if q._strict_up[j] >> b & 1]):
+                    mask |= 1 << (a * q.n + b)
+            up.append(mask)
+    return Poset(up)
+
+
+def rp2_with_second_triangle() -> Poset:
+    """``projective_plane()`` with one more point t above the boundary of the
+    triangle t012: H_2 = Z, from the cycle t - t012, while H_1 keeps its
+    Z/2."""
+    p = projective_plane()
+    t012 = p.labels.index("t012")
+    up = [row | 1 << i for i, row in enumerate(p._strict_up)]
+    for i in range(p.n):
+        if p._strict_up[i] >> t012 & 1:
+            up[i] |= 1 << p.n
+    up.append(1 << p.n)
+    return Poset(up, [*p.labels, "t"])
+
+
+class TestCellularRoute:
+    """A cellular poset's homology from one cell per point equals its order
+    complex's: Betti numbers, torsion and GF(2) Betti numbers."""
+
+    @staticmethod
+    def agrees(p: Poset, where="") -> bool:
+        """Whether ``p`` is cellular; if it is, its cellular complex is
+        checked against its order complex."""
+        cellular = _cellular_complex(p)
+        if cellular is None:
+            return False
+        cell, full = _chain_homology(*cellular), homology(order_complex(p))
+        assert (cell.betti, cell.torsion) == (full.betti, full.torsion), where
+        assert _betti(cell.f_vector, cell.f2_ranks) == _betti(full.f_vector, full.f2_ranks), where
+        return True
+
+    def test_every_poset_up_to_seven_points(self):
+        cellular = 0
+        for n in range(1, 8):
+            for p in enumerate_posets(n):
+                self.agrees(p, p.canonical_code)
+                cellular += self.agrees(p.core(), p.canonical_code)
+        assert cellular == 2295
+
+    def test_fixtures(self, fixture_dir):
+        cellular = 0
+        for path in sorted(fixture_dir.glob("*.poset")):
+            p = load_poset(str(path))
+            self.agrees(p, path.name)
+            cellular += self.agrees(p.core(), path.name)
+        assert cellular > 0
+
+    def test_sphere_models(self):
+        for k in range(8):
+            assert self.agrees(sphere_model(k), k)
+            assert _cellular_complex(sphere_model(k))[0] == (2,) * (k + 1)
+
+    def test_face_posets(self):
+        # a face poset of a regular CW complex is cellular; the core of the
+        # Möbius band's is not
+        assert self.agrees(mobius_band())
+        assert not self.agrees(mobius_band().core())
+        assert self.agrees(projective_plane())
+        assert _chain_homology(*_cellular_complex(projective_plane())).torsion == ((), (2,), ())
+
+    def test_products_of_height_three(self):
+        """A product of cellular posets is cellular, so each cellular core in
+        the figure catalog times the circle is a cellular core of height 3,
+        and its height-3 points go through the Smith normal form check."""
+        tall = 0
+        for fid in figures.all_ids():
+            core = figures.poset(fid).core()
+            if _cellular_complex(core) is not None:
+                q = product(core, fence())
+                assert self.agrees(q, fid)
+                tall += q.height == 3
+        assert tall >= 10
+
+    @pytest.mark.parametrize(
+        "bottom, betti, torsion",
+        [
+            # S^2 ⊔ S^1: H_2 = Z and the Euler characteristic of S^2, but
+            # two components and an H_1
+            (disjoint_union(sphere_model(2), fence()), (1, 1, 1, 1), ((),) * 4),
+            # H_2 = Z and the Euler characteristic of S^2, but H_1 = Z/2
+            (rp2_with_second_triangle(), (1, 0, 0, 1), ((), (), (2,), ())),
+            # two circles: as many edges as vertices, but not connected
+            (disjoint_union(fence(), fence()), (1, 1, 2), ((),) * 3),
+        ],
+        ids=["extra-component", "torsion", "two-circles"],
+    )
+    def test_wrong_lower_homology_takes_order_complex(self, bottom, betti, torsion, monkeypatch):
+        """Two points above ``bottom``, so Û_x of each is ``bottom``."""
+        p = bottom.nh_suspension()
+        assert p.is_core
+        built = []
+
+        def spy(q):
+            built.append(q)
+            return order_complex(q)
+
+        monkeypatch.setattr(complexes, "order_complex", spy)
+        assert _cellular_complex(p) is None
+        prof = poset_homology(p)
+        assert built == [p]
+        assert prof == homology(order_complex(p))
+        assert (prof.betti, prof.torsion) == (betti, torsion)
+
+    def test_sphere_model_30_builds_no_order_complex(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("order complex built")
+
+        monkeypatch.setattr(complexes, "order_complex", refuse)
+        assert poset_homology(sphere_model(30)).betti == (1,) + (0,) * 29 + (1,)
+
+
+def rational_nullspace(m: IntegerMatrix) -> list[list[Fraction]]:
+    """Independent oracle: a basis of the kernel over the rationals, one
+    vector per free column of the reduced row echelon form."""
+    rows = [[Fraction(row.get(j, 0)) for j in range(m.cols)] for row in m.entries]
+    pivots = []
+    for col in range(m.cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m.rows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][col]:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+class TestKernelVector:
+    @staticmethod
+    def assert_matches_oracle(m: IntegerMatrix) -> list[int]:
+        (basis,) = rational_nullspace(m)
+        v = _kernel_vector(m)
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
+        # proportional to the rational basis vector
+        j = next(j for j, x in enumerate(basis) if x)
+        assert all(basis[j] * x == v[j] * b for x, b in zip(v, basis))
+        return v
+
+    def test_random_matrices_of_corank_one(self):
+        """Rows orthogonal to a chosen integer vector u, so the kernel is
+        spanned by u divided by the gcd of its entries, up to sign."""
+        rng = random.Random(53)
+        for _ in range(200):
+            cols = rng.randint(1, 7)
+            u = [rng.randint(-4, 4) for _ in range(cols)]
+            if not any(u):
+                continue
+            uu = sum(x * x for x in u)
+            entries = []
+            for _ in range(rng.randint(cols - 1, cols + 2)):
+                w = [rng.randint(-3, 3) for _ in range(cols)]
+                wu = sum(a * b for a, b in zip(w, u))
+                row = [uu * a - wu * b for a, b in zip(w, u)]
+                entries.append({j: x for j, x in enumerate(row) if x})
+            m = IntegerMatrix(len(entries), cols, tuple(entries))
+            if rational_rank(m) != cols - 1:
+                continue
+            v = self.assert_matches_oracle(m)
+            g = gcd(*u)
+            assert v in ([x // g for x in u], [-x // g for x in u])
+
+    def test_cellular_boundary_maps(self):
+        """The top boundary map of a sphere model's cells below its top point
+        has kernel rank 1; its generator is a cycle of the model."""
+        for k in range(1, 6):
+            _, maps = _cellular_complex(sphere_model(k))
+            self.assert_matches_oracle(maps[-1])
+
+    def test_rejects_other_kernel_ranks(self):
+        with pytest.raises(ValueError, match="rank 2"):
+            _kernel_vector(IntegerMatrix(1, 3, ({0: 1},)))
+        with pytest.raises(ValueError, match="rank 0"):
+            _kernel_vector(IntegerMatrix(1, 1, ({0: 2},)))
+
+
+class TestSimplexBudget:
+    def test_refused_before_any_simplex(self, monkeypatch):
+        p = Poset.antichain(3).nh_suspension(8)  # not cellular, 26,243 chains
+        assert p.is_core and _cellular_complex(p) is None
+
+        def refuse(q):
+            raise AssertionError("order complex built")
+
+        monkeypatch.setattr(complexes, "order_complex", refuse)
+        with pytest.raises(SimplexBudgetExceeded, match="26243 simplices"):
+            poset_homology(p)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        p = Poset.antichain(3).nh_suspension(1)  # 11 chains
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 11)
+        assert poset_homology(p).betti == (1, 2)
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 10)
+        with pytest.raises(SimplexBudgetExceeded):
+            poset_homology(p)
+
+    def test_budget_counts_the_core(self, monkeypatch):
+        """A beat point below a minimal point of a core with 11 chains adds
+        6 chains to p, not to the core, so a budget of 11 still answers."""
+        q = Poset.antichain(3).nh_suspension(1)
+        a = next(x for x in range(q.n) if not q._strict_down[x])
+        p = Poset([m | 1 << x for x, m in enumerate(q._strict_up)] + [1 << q.n | 1 << a | q._strict_up[a]])
+        assert sum(poset_homology(p).f_vector) == 17 and p.core().n == q.n
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 11)
+        assert poset_homology(p).betti == (1, 2, 0)
+
+    def test_cellular_cores_have_no_budget(self):
+        assert sum(poset_homology(sphere_model(20)).f_vector) > complexes.SIMPLEX_BUDGET

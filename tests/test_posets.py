@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,11 +16,13 @@ from finspace.posets import (
     NotCover,
     Poset,
     PosetError,
+    _beat_points,
     _bits,
     fence,
     sphere_model,
     two_point_discrete,
 )
+from conftest import disjoint_union
 from oracle_code import oracle_code
 from oracle_posets import enumerate_posets
 
@@ -352,6 +356,51 @@ class TestCore:
             assert core.n <= p.n
 
 
+class TestCoreKept:
+    def test_same_object_every_call(self):
+        p = fence()
+        assert p.core() is p
+        for p in (Poset.chain(3), build("c1 c2 a1 a2 t", "c1<a1 c1<a2 c2<a1 c2<a2 a1<t")):
+            core = p.core()
+            assert core is not p and p.core() is core and core.core() is core
+
+    def test_homology_reduces_no_further(self, monkeypatch):
+        """``poset_homology`` after ``core()`` looks for no beat point."""
+        from conftest import random_poset
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _beat_points(*args)
+
+        monkeypatch.setattr("finspace.posets._beat_points", counted)
+        rng = random.Random(59)
+        for _ in range(20):
+            p = random_poset(rng, n_max=10, n_min=5)
+            p.core()
+            assert calls
+            calls.clear()
+            poset_homology(p)
+            assert not calls, p.canonical_code
+
+    @pytest.mark.parametrize("make", [fence, lambda: Poset.chain(3)], ids=["core", "chain"])
+    def test_no_reference_cycle(self, make):
+        """With the cycle collector off, a dropped poset and its core are
+        freed by reference counting alone."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            p = make()
+            core = p.core()
+            refs = weakref.ref(p), weakref.ref(core)
+            del p, core
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
 class TestSuspension:
     def test_s0_suspends_to_fence(self):
         s1 = two_point_discrete().nh_suspension(1)
@@ -488,11 +537,6 @@ def matching_crown(m: int) -> Poset:
             if i != j:
                 up[i] |= 1 << (m + j)
     return Poset(up)
-
-
-def disjoint_union(p: Poset, q: Poset) -> Poset:
-    up = list(p._strict_up) + [mask << p.n for mask in q._strict_up]
-    return Poset([mask | 1 << i for i, mask in enumerate(up)])
 
 
 class TestCrowns:
