@@ -4,10 +4,11 @@ classification.
 A record gets the label ``(p, q)`` (p circles, q spheres) exactly when its
 order complex is at most 2-dimensional, connected in homology (beta_0 = 1),
 torsion-free, with beta_1 = p and beta_2 = q; the label additionally carries
-``pi1_verified`` when the edge-path presentation was certified free of rank
-p.  Labelling is invariant-based evidence, not a weak-equivalence proof, and
-asphericity is never checked; downstream consumers see exactly how much was
-certified.
+``pi1_verified`` when pi1 was certified free of rank p: by Tietze
+simplification of the edge-path presentation, or at height at most 1 by an
+edge count (below).  Labelling is invariant-based evidence, not a
+weak-equivalence proof, and asphericity is never checked; downstream
+consumers see exactly how much was certified.
 
 For a connected core of height at most 2 the certificate also fixes the
 homology, so no order complex is built and no Smith normal form is run.
@@ -19,6 +20,14 @@ counts come from the order bitmasks (see
 :func:`~finspace.complexes.free_pi1_homology`).  Every other core, and
 every core whose simplification is inconclusive, gets its homology from
 Smith normal form.
+
+At height at most 1 there is nothing to simplify.  The order complex is
+then the comparability graph, with one vertex per point and one edge per
+comparable pair, and the fundamental group of a connected graph is free of
+rank E - V + 1 (a spanning tree is contractible, and each of the other
+edges adds a free generator).  So a height-1 ``pi1_verified`` rests on this
+count of the order bitmasks, not on a Tietze run; ``finspace pi1`` still
+simplifies the presentation.
 
 :func:`classify_cores` classifies each dual pair once.  A chain of P is a
 chain of P^op, so both have the same order complex, hence the same homology,
@@ -124,7 +133,11 @@ def classify_poset(p: Poset) -> ClassificationRecord:
     status = None
     profile = None
     if p.is_connected and p.height <= 2:
-        status = tietze_simplify(poset_presentation(p))
+        if p.height <= 1:  # a graph: pi1 is free on E - V + 1 generators
+            edges = sum(map(int.bit_count, p._strict_up))
+            status = SimplificationStatus.free_of_rank(edges - p.n + 1)
+        else:
+            status = tietze_simplify(poset_presentation(p))
         if status.is_conclusive:
             profile = free_pi1_homology(p, status.rank or 0)
     if profile is None:
@@ -138,7 +151,7 @@ def classify_poset(p: Poset) -> ClassificationRecord:
         profile=profile,
         wedge=label(profile, status, p.height),
         homogeneous=p.is_homogeneous,
-        dual_code=p.dual().canonical_code,
+        dual_code=p.dual_code,
         figure_matches=figures.matches(p),
     )
 

@@ -52,7 +52,11 @@ order duality, which keeps connectivity and beat points, so both readings
 see the same row sequence and split it into classes alike: the wide
 classes match the narrow ones one for one, and the first wide member of
 each class, the one generating the wide shape on its own would keep, is
-the reading of the first narrow member.
+the reading of the first narrow member.  The reading is the narrow core's
+dual, so it also hands each of the two classes its partner's canonical
+code (``Poset.dual_code``), and classifying them builds no dual and codes
+nothing again.  A square shape (as many minimals as maximals) has no wide
+reading; its cores code their duals when first asked.
 
 Cheap arithmetic facts prune the height-2 search further: in a core every
 height-1 element sits above at least two minimals, every height-1 element
@@ -346,6 +350,8 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
             wide = []
             for p in kept:
                 rows = p._strict_down[m0:]
-                wide.append(Poset([r << m1 | 1 << i for i, r in enumerate(rows)] + tops, labels))
+                q = Poset([r << m1 | 1 << i for i, r in enumerate(rows)] + tops, labels)
+                p.dual_code, q.dual_code = q.canonical_code, p.canonical_code
+                wide.append(q)
             shards.append(wide)
     return _merged(shards)

@@ -135,8 +135,10 @@ class Poset:
     ``n``, ``labels`` and the order once, as ``_strict_up[i]``, the bitmask
     of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
     of ``{j : j < i}``; the other attributes are cached invariants, among
-    them ``_core``, set by :meth:`core`.  The order is never mutated after
-    construction, so instances are safe to share across threads.
+    them ``_core``, set by :meth:`core`, and ``dual_code``, which a
+    generator that holds the dual's code may set in advance.  The order is
+    never mutated after construction, so instances are safe to share across
+    threads.
     """
 
     def __init__(self, up_masks: Sequence[int], labels: Sequence[str] | None = None):
@@ -417,6 +419,12 @@ class Poset:
         """
         rows = _canonical_rows(self._strict_down, self._strict_up)
         return (f"{self.n}:" + ",".join(f"{r:x}" for r in rows)).encode("ascii")
+
+    @cached_property
+    def dual_code(self) -> bytes:
+        """The canonical code of :meth:`dual`.  A generator that has already
+        coded the dual may set it first, so that it is not coded again."""
+        return self.dual().canonical_code
 
     def is_isomorphic(self, other: "Poset") -> bool:
         return self.canonical_code == other.canonical_code

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,11 +15,17 @@ from finspace.classify import (
     label,
     min_model_search,
 )
-from finspace import classify
+from finspace import classify, posets
 from finspace.complexes import HomologyProfile, poset_homology
 from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
+from finspace.formats import load_poset
 from finspace.posets import Poset, fence, mobius_band
-from finspace.presentations import Presentation, SimplificationStatus, tietze_simplify
+from finspace.presentations import (
+    Presentation,
+    SimplificationStatus,
+    poset_presentation,
+    tietze_simplify,
+)
 
 
 def profile(f_vector, betti, torsion=None, f2=None):
@@ -279,10 +286,83 @@ class TestDualPairing:
             return tietze_simplify(presentation)
 
         monkeypatch.setattr(classify, "tietze_simplify", counted)
-        for height, orbits in ((2, 241), (1, 160)):
+        # a height-1 core's pi1 is counted off its graph, never simplified
+        for height, orbits in ((2, 241), (1, 0)):
             calls.clear()
             inventory(9, height)
             assert len(calls) == orbits, height
+
+    def test_height1_inventory_codes_each_class_about_once(self, monkeypatch):
+        """The wide reading hands each class its partner's code, so
+        classification codes no dual again."""
+        calls = []
+        rows = posets._canonical_rows
+        monkeypatch.setattr(
+            posets, "_canonical_rows", lambda *args: calls.append(1) or rows(*args)
+        )
+        assert len(inventory(9, 1).records) == 320
+        assert len(calls) <= 323
+
+
+class TestCountedPi1:
+    """At height at most 1 the order complex is a graph, and ``classify_poset``
+    counts its pi1 (free of rank E - V + 1) instead of simplifying the
+    edge-path presentation.  The count must agree with the simplifier."""
+
+    @staticmethod
+    def check(monkeypatch, p):
+        """The status ``classify_poset`` hands to ``label`` for ``p`` is the
+        simplifier's, and the record is certified with the right homology."""
+        assert p.is_connected and p.height <= 1
+        seen = []
+
+        def spied(prof, status, dim):
+            seen.append(status)
+            return label(prof, status, dim)
+
+        monkeypatch.setattr(classify, "label", spied)
+        rec = classify_poset(p)
+        simplified = tietze_simplify(poset_presentation(p))
+        want = [(simplified.kind, simplified.rank)]
+        assert [(s.kind, s.rank) for s in seen] == want, p.canonical_code
+        assert rec.wedge is not None and rec.wedge.pi1_verified
+        assert rec.profile == poset_homology(p), p.canonical_code
+
+    def test_every_height1_core_up_to_nine_points(self, monkeypatch):
+        cores = [p for n in range(1, 10) for p in enumerate_height1_cores(n)]
+        assert len(cores) == 1 + 2 + 6 + 18 + 69 + 320
+        for p in cores:
+            self.check(monkeypatch, p)
+
+    def test_catalog_and_fixtures(self, monkeypatch, fixture_dir):
+        """The figure catalog has no figure of height at most 1, so the
+        fixture files stand in: ``chain2`` (contractible, not a core) and
+        ``circle4`` (the circle's minimal model), with the one-point space
+        at height 0."""
+        named = {fid: figures.poset(fid) for fid in figures.all_ids()}
+        named.update((path.stem, load_poset(path)) for path in fixture_dir.glob("*.poset"))
+        named["point"] = Poset.antichain(1)
+        picked = sorted(k for k, p in named.items() if p.is_connected and p.height <= 1)
+        assert picked == ["chain2", "circle4", "point"]
+        for key in picked:
+            self.check(monkeypatch, named[key])
+
+    def test_random_height1_posets(self, monkeypatch):
+        """Connected bipartite orders with beat points and trees included."""
+        rng = random.Random(20)
+        checked = 0
+        while checked < 200:
+            m0, m1 = rng.randint(1, 5), rng.randint(1, 5)
+            prob = rng.choice((0.3, 0.5, 0.8))
+            up = [1 << i for i in range(m0 + m1)]
+            for i in range(m0):
+                for j in range(m0, m0 + m1):
+                    if rng.random() < prob:
+                        up[i] |= 1 << j
+            p = Poset(up)
+            if p.is_connected and p.height == 1:
+                self.check(monkeypatch, p)
+                checked += 1
 
 
 class TestMinModelSearch:

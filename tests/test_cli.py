@@ -333,6 +333,20 @@ class TestPipelines:
         pairs = {frozenset((r["code"], r["dual_code"])) for r in records}
         assert len(records) == 53 and len(calls) == len(pairs) < len(records)
 
+    def test_enumerate_h1_jsonl_builds_no_dual(self, capsys, tmp_path, monkeypatch):
+        """On 9 points every height-1 level shape is non-square, so the
+        enumerator hands each core its dual's code and no dual is built."""
+        calls = []
+        dual = Poset.dual
+        monkeypatch.setattr(Poset, "dual", lambda p: calls.append(p) or dual(p))
+        out_path = tmp_path / "inv.jsonl"
+        code, _, _ = run(
+            capsys, "enumerate", "--n", "9", "--height", "1", "--jsonl", str(out_path)
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert len(records) == 320 and calls == []
+
     def test_enumerate_stdout_stable(self, capsys):
         code, first, _ = run(capsys, "enumerate", "--n", "6", "--height", "2")
         assert code == 0

@@ -360,6 +360,23 @@ class TestHeight1Cores:
         assert len(enumerate_height1_cores(9)) == 320
         assert len(calls) <= 323
 
+    def test_dual_codes_passed_along(self, monkeypatch):
+        """Each core of a non-square shape holds the code of its dual, which
+        the enumerator coded anyway; only a square core (as many minimals
+        as maximals) builds its dual to code it."""
+        calls = []
+        dual = Poset.dual
+        monkeypatch.setattr(Poset, "dual", lambda p: calls.append(p) or dual(p))
+        for n in range(4, 11):
+            calls.clear()
+            cores = enumerate_height1_cores(n)
+            codes = [p.dual_code for p in cores]
+            square = [p for p in cores if len(p.minimal_elements) == len(p.maximal_elements)]
+            assert calls == square, n
+            assert codes == [dual(p).canonical_code for p in cores], n
+            if n in (8, 10):
+                assert square and len(square) < len(cores), n
+
     def test_closed_under_duality(self):
         for n in (4, 5, 6, 7):
             codes = {p.canonical_code for p in enumerate_height1_cores(n)}
