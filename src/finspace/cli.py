@@ -205,7 +205,10 @@ def _cmd_enumerate(args) -> int:
             for rec in classify_cores(_enumerated(args)):
                 fh.write(rec.to_json_line() + "\n")
         return 0
-    for p in _enumerated(args):
+    cores = _enumerated(args)
+    cores.reverse()
+    while cores:  # pop each core before printing it, so none outlives its line
+        p = cores.pop()
         covers = " ".join(f"{p.labels[lo]}<{p.labels[hi]}" for lo, hi in p.covers)
         print(f"{p.canonical_code.decode('ascii')}\t{p.n}\t{covers}")
     return 0

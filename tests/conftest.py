@@ -6,6 +6,7 @@ import pytest
 from finspace.posets import Poset
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+CATALOG_DIR = Path(__file__).resolve().parent.parent / "src" / "finspace" / "catalog"
 
 
 def random_poset(rng: random.Random, n_max: int = 8, n_min: int = 1) -> Poset:
@@ -73,4 +74,19 @@ def composes_to_zero(low, high) -> bool:
 
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:
+    """The spaces that are not published figures: chain2, circle4, sphere6."""
     return FIXTURE_DIR
+
+
+@pytest.fixture(scope="session")
+def catalog_dir() -> Path:
+    """The package's figure files, one ``<figure id>.poset`` per figure."""
+    return CATALOG_DIR
+
+
+@pytest.fixture(scope="session")
+def fixture_paths() -> list[Path]:
+    """Every ``.poset`` file of the fixtures and of the catalog, sorted by
+    file name: chain2, circle4, fig04a, ..., fig21cstar, sphere6."""
+    paths = [*FIXTURE_DIR.glob("*.poset"), *CATALOG_DIR.glob("*.poset")]
+    return sorted(paths, key=lambda path: path.name)

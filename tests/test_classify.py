@@ -334,13 +334,13 @@ class TestCountedPi1:
         for p in cores:
             self.check(monkeypatch, p)
 
-    def test_catalog_and_fixtures(self, monkeypatch, fixture_dir):
+    def test_catalog_and_fixtures(self, monkeypatch, fixture_paths):
         """The figure catalog has no figure of height at most 1, so the
         fixture files stand in: ``chain2`` (contractible, not a core) and
         ``circle4`` (the circle's minimal model), with the one-point space
         at height 0."""
         named = {fid: figures.poset(fid) for fid in figures.all_ids()}
-        named.update((path.stem, load_poset(path)) for path in fixture_dir.glob("*.poset"))
+        named.update((path.stem, load_poset(path)) for path in fixture_paths)
         named["point"] = Poset.antichain(1)
         picked = sorted(k for k, p in named.items() if p.is_connected and p.height <= 1)
         assert picked == ["chain2", "circle4", "point"]

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,24 +23,23 @@ def run(capsys, *argv):
 
 
 class TestFileCommands:
-    def test_homology_fig17a(self, capsys, fixture_dir):
-        code, out, _ = run(capsys, "homology", str(fixture_dir / "fig17a.poset"))
+    def test_homology_fig17a(self, capsys, catalog_dir):
+        code, out, _ = run(capsys, "homology", str(catalog_dir / "fig17a.poset"))
         assert code == 0
         obj = json.loads(out)
         assert obj["betti"] == [1, 3, 0]
         assert obj["euler"] == -2
 
-    def test_homology_output_pinned(self, capsys, fixture_dir):
+    def test_homology_output_pinned(self, capsys, fixture_paths):
         """One digest over the homology JSON of every fixture, in sorted
         order: f-vectors, Betti numbers, torsion, Euler characteristic and
         GF(2) ranks, byte for byte."""
         digest = hashlib.sha256()
-        paths = sorted(fixture_dir.glob("*.poset"))
-        for path in paths:
+        for path in fixture_paths:
             code, out, _ = run(capsys, "homology", str(path))
             assert code == 0, path
             digest.update(out.encode())
-        assert len(paths) == 61
+        assert len(fixture_paths) == 61
         assert digest.hexdigest() == (
             "e686e24248aced8bd18c913f8b79718dfc13e0f678fa1d5463641e7779f480a8"
         )
@@ -65,33 +66,32 @@ class TestFileCommands:
         ],
         ids=["core", "pi1", "export-dot", "export-json"],
     )
-    def test_output_pinned(self, capsys, fixture_dir, argv, expected):
+    def test_output_pinned(self, capsys, fixture_paths, argv, expected):
         """One digest over the exit code and stdout of a command on every
         fixture, in sorted order, byte for byte."""
         digest = hashlib.sha256()
-        paths = sorted(fixture_dir.glob("*.poset"))
-        for path in paths:
+        for path in fixture_paths:
             code, out, _ = run(capsys, *argv, str(path))
             digest.update(f"{code}\n{out}".encode())
-        assert len(paths) == 61
+        assert len(fixture_paths) == 61
         assert digest.hexdigest() == expected
 
-    def test_iso_fig18(self, capsys, fixture_dir):
+    def test_iso_fig18(self, capsys, catalog_dir):
         code, out, _ = run(
             capsys,
             "iso",
-            str(fixture_dir / "fig18c.poset"),
-            str(fixture_dir / "fig18d.poset"),
+            str(catalog_dir / "fig18c.poset"),
+            str(catalog_dir / "fig18d.poset"),
         )
         assert code == 0
         assert out.strip() == "isomorphic"
 
-    def test_iso_negative(self, capsys, fixture_dir):
+    def test_iso_negative(self, capsys, catalog_dir):
         code, out, _ = run(
             capsys,
             "iso",
-            str(fixture_dir / "fig18c.poset"),
-            str(fixture_dir / "fig21b.poset"),
+            str(catalog_dir / "fig18c.poset"),
+            str(catalog_dir / "fig21b.poset"),
         )
         assert code == 0
         assert out.strip() == "not isomorphic"
@@ -101,22 +101,22 @@ class TestFileCommands:
         assert code == 0
         assert out.splitlines()[0] == "poset 1"
 
-    def test_dual_round_trip(self, capsys, fixture_dir, tmp_path):
-        code, out, _ = run(capsys, "dual", str(fixture_dir / "fig04a.poset"))
+    def test_dual_round_trip(self, capsys, catalog_dir, tmp_path):
+        code, out, _ = run(capsys, "dual", str(catalog_dir / "fig04a.poset"))
         assert code == 0
         twice = tmp_path / "dual.poset"
         twice.write_text(out)
-        code, out2, _ = run(capsys, "iso", str(twice), str(fixture_dir / "fig04astar.poset"))
+        code, out2, _ = run(capsys, "iso", str(twice), str(catalog_dir / "fig04astar.poset"))
         assert out2.strip() == "isomorphic"
 
-    def test_show(self, capsys, fixture_dir):
-        code, out, _ = run(capsys, "show", str(fixture_dir / "fig20a.poset"))
+    def test_show(self, capsys, catalog_dir):
+        code, out, _ = run(capsys, "show", str(catalog_dir / "fig20a.poset"))
         assert code == 0
         assert "height: 2" in out
         assert "matches figures: fig20a" in out
 
-    def test_pi1(self, capsys, fixture_dir):
-        code, out, _ = run(capsys, "pi1", str(fixture_dir / "fig17a.poset"))
+    def test_pi1(self, capsys, catalog_dir):
+        code, out, _ = run(capsys, "pi1", str(catalog_dir / "fig17a.poset"))
         assert code == 0
         assert "free of rank 3" in out
 
@@ -187,10 +187,10 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("fixture", ["fig15a", "fig15c", "chain4"])
-    def test_pi1_unsupported_poset(self, capsys, fixture_dir, tmp_path, fixture):
+    def test_pi1_unsupported_poset(self, capsys, catalog_dir, tmp_path, fixture):
         """A well-formed file that is disconnected or taller than 2 exits 3
         with one ``error:`` line, like a malformed one."""
-        path = fixture_dir / f"{fixture}.poset"
+        path = catalog_dir / f"{fixture}.poset"
         if fixture == "chain4":  # height 3; no fixture is that tall
             path = tmp_path / "chain4.poset"
             path.write_text("poset 4\nelements a b c d\ncover a b\ncover b c\ncover c d\n")
@@ -275,8 +275,8 @@ class TestExitCodes:
         ],
         ids=["enumerate", "classify", "min-model", "min-model-max-n", "pi1"],
     )
-    def test_out_of_range_count(self, capsys, fixture_dir, argv):
-        argv = [str(fixture_dir / "fig17a.poset") if a == "FIXTURE" else a for a in argv]
+    def test_out_of_range_count(self, capsys, catalog_dir, argv):
+        argv = [str(catalog_dir / "fig17a.poset") if a == "FIXTURE" else a for a in argv]
         assert main(argv) == 2
         err_lines = capsys.readouterr().err.splitlines()
         assert len([line for line in err_lines if "error:" in line]) == 1
@@ -346,6 +346,33 @@ class TestPipelines:
         assert code == 0
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(records) == 320 and calls == []
+
+    @pytest.mark.parametrize("height, n", [(1, 8), (2, 8)])
+    def test_enumerate_drops_printed_cores(self, monkeypatch, height, n):
+        """Each core is freed once its line is printed: while line k is
+        written, cores 0..k-1 are gone."""
+        import finspace.cli as cli
+
+        refs = []
+        enumerated = cli._enumerated
+
+        def tracked(args):
+            cores = enumerated(args)
+            refs.extend(weakref.ref(p) for p in cores)
+            return cores
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                if text.strip():
+                    done = self.getvalue().count("\n")
+                    assert all(ref() is None for ref in refs[:done]), done
+                return super().write(text)
+
+        out = Stdout()
+        monkeypatch.setattr(cli, "_enumerated", tracked)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "--n", str(n), "--height", str(height)]) == 0
+        assert len(refs) == out.getvalue().count("\n") > 1
 
     def test_enumerate_stdout_stable(self, capsys):
         code, first, _ = run(capsys, "enumerate", "--n", "6", "--height", "2")

@@ -386,8 +386,8 @@ class TestCoreFirstHomology:
             for p in enumerate_posets(n):
                 self.assert_matches_full(p, p.canonical_code)
 
-    def test_fixtures(self, fixture_dir):
-        for path in sorted(fixture_dir.glob("*.poset")):
+    def test_fixtures(self, fixture_paths):
+        for path in fixture_paths:
             self.assert_matches_full(load_poset(str(path)), path.name)
 
     def test_chain(self):
@@ -528,9 +528,9 @@ class TestCellularRoute:
                 cellular += self.agrees(p.core(), p.canonical_code)
         assert cellular == 2295
 
-    def test_fixtures(self, fixture_dir):
+    def test_fixtures(self, fixture_paths):
         cellular = 0
-        for path in sorted(fixture_dir.glob("*.poset")):
+        for path in fixture_paths:
             p = load_poset(str(path))
             self.agrees(p, path.name)
             cellular += self.agrees(p.core(), path.name)

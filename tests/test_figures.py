@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 from finspace import figures
 from finspace.complexes import poset_homology
 from finspace.formats import load_poset, poset_to_text
@@ -80,18 +82,21 @@ class TestMatches:
 
 
 class TestFixtureFiles:
-    def test_disk_files_match_catalog(self, fixture_dir):
-        for fid in figures.all_ids():
-            path = fixture_dir / f"{fid}.poset"
-            assert path.exists(), fid
-            on_disk = load_poset(path)
-            expected = figures.poset(fid)
-            assert (on_disk.n, on_disk.covers) == (expected.n, expected.covers), fid
+    def test_disk_files_match_catalog(self):
+        """The package's catalog directory holds one file per id of the
+        claims table, with no orphan and none missing, and each file opens
+        with a ``# `` note line saying what the figure shows."""
+        catalog = files("finspace").joinpath("catalog")
+        names = sorted(entry.name for entry in catalog.iterdir())
+        assert names == [f"{fid}.poset" for fid in figures.all_ids()]
+        for name in names:
+            first = catalog.joinpath(name).read_text(encoding="utf-8").splitlines()[0]
+            assert first.startswith("# ") and first[2:].strip(), name
 
-    def test_every_fixture_file_round_trips(self, fixture_dir):
+    def test_every_fixture_file_round_trips(self, fixture_paths):
         from finspace.formats import parse_poset_json, poset_to_json
 
-        for path in sorted(fixture_dir.glob("*.poset")):
+        for path in fixture_paths:
             p = load_poset(path)
             assert poset_to_text(p) in path.read_text()
             again = parse_poset_json(poset_to_json(p))

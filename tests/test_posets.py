@@ -309,8 +309,8 @@ class TestCore:
             for p in enumerate_posets(n):
                 self.assert_matches_oracle(p, p.canonical_code)
 
-    def test_against_oracle_on_fixtures(self, fixture_dir):
-        for path in sorted(fixture_dir.glob("*.poset")):
+    def test_against_oracle_on_fixtures(self, fixture_paths):
+        for path in fixture_paths:
             self.assert_matches_oracle(load_poset(str(path)), path.name)
 
     def test_against_oracle_on_random_posets(self):
@@ -511,8 +511,8 @@ class TestCanonicalAgainstOracle:
             assert copy.canonical_code == q.canonical_code
             assert _codes_agree([p, q, copy])
 
-    def test_fixtures(self, fixture_dir):
-        ps = [load_poset(path) for path in sorted(fixture_dir.glob("*.poset"))]
+    def test_fixtures(self, fixture_paths):
+        ps = [load_poset(path) for path in fixture_paths]
         assert len(ps) == 61
         assert _codes_agree(ps)
 
