@@ -76,11 +76,14 @@ class WedgeLabel:
         }
 
 
-def label(
-    profile: HomologyProfile, status: SimplificationStatus | None, dim: int
-) -> WedgeLabel | None:
-    """Wedge-type label from invariants; ``None`` means unrecognized."""
-    if dim > 2 or profile.betti[0] != 1 or profile.has_torsion:
+def label(profile: HomologyProfile, status: SimplificationStatus | None) -> WedgeLabel | None:
+    """Wedge-type label from invariants; ``None`` means unrecognized.
+
+    The dimension of the complex is ``len(profile.f_vector) - 1``; above 2
+    the profile is unrecognized.  The label carries ``pi1_verified`` when
+    ``status`` certifies pi1 free of rank beta_1.
+    """
+    if len(profile.f_vector) > 3 or profile.betti[0] != 1 or profile.has_torsion:
         return None
     betti = profile.betti + (0,) * (3 - len(profile.betti))
     p, q = betti[1], betti[2]
@@ -132,14 +135,14 @@ def classify_poset(p: Poset) -> ClassificationRecord:
     """Full record for one core: homology, pi1 certification, label, dual."""
     status = None
     profile = None
-    if p.is_connected and p.height <= 2:
+    if p.is_connected and p.height <= 2:  # homology follows from pi1 only on a 2-complex
         if p.height <= 1:  # a graph: pi1 is free on E - V + 1 generators
             edges = sum(map(int.bit_count, p._strict_up))
             status = SimplificationStatus.free_of_rank(edges - p.n + 1)
         else:
             status = tietze_simplify(poset_presentation(p))
         if status.is_conclusive:
-            profile = free_pi1_homology(p, status.rank or 0)
+            profile = free_pi1_homology(p, status.rank)
     if profile is None:
         profile = poset_homology(p)
     return ClassificationRecord(
@@ -149,7 +152,7 @@ def classify_poset(p: Poset) -> ClassificationRecord:
         covers=p.covers,
         labels=p.labels,
         profile=profile,
-        wedge=label(profile, status, p.height),
+        wedge=label(profile, status),
         homogeneous=p.is_homogeneous,
         dual_code=p.dual_code,
         figure_matches=figures.matches(p),

@@ -7,15 +7,17 @@ replays the whole published-claims expectation table; ``export`` converts a
 poset file to DOT or JSON.
 
 Exit status: 0 success, 1 failed verification checks, 2 usage errors,
-3 malformed or unsupported poset files, 4 a homology profile whose order
+3 malformed poset files and disconnected ones given to ``pi1`` (which
+takes a connected poset of any height), 4 a homology profile whose order
 complex would exceed ``complexes.SIMPLEX_BUDGET`` simplices (a core that is
-not cellular and too large).  Machine output (JSON, JSON lines,
-DOT) is byte-stable across runs; progress counters go to standard error.
+not cellular and too large).  Machine output (JSON, JSON lines, DOT) is
+byte-stable across runs; progress counters go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -36,7 +38,7 @@ from finspace.formats import (
     poset_to_text,
 )
 from finspace.posets import Poset, PosetError
-from finspace.presentations import DEFAULT_STEP_BUDGET, poset_presentation, tietze_simplify
+from finspace.presentations import poset_presentation, tietze_simplify
 from finspace.verify import verify_paper
 
 USAGE_ERROR = 2
@@ -82,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_pi1 = sub.add_parser("pi1", help="fundamental group presentation and status")
     p_pi1.add_argument("file")
-    p_pi1.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_STEP_BUDGET)
 
     p_enum = sub.add_parser("enumerate", help="enumerate cores up to isomorphism")
     p_enum.add_argument("--n", type=_int_at_least(1), required=True)
@@ -170,11 +171,8 @@ def _cmd_pi1(args) -> int:
     if not p.is_connected:
         print("error: space is not connected; no presentation", file=sys.stderr)
         return DATA_ERROR
-    if p.height > 2:
-        print("error: height exceeds 2; presentation unsupported", file=sys.stderr)
-        return DATA_ERROR
     pres = poset_presentation(p)
-    status = tietze_simplify(pres, step_budget=args.budget)
+    status = tietze_simplify(pres)
     print(pres.to_text())
     print(status.describe())
     return 0
@@ -193,24 +191,34 @@ def _enumerated(args):
     return cores
 
 
+def _popped(cores: list[Poset]):
+    """The cores in order, each dropped from the list as it is handed out,
+    so that none outlives its output line."""
+    cores.reverse()
+    while cores:
+        yield cores.pop()
+
+
+def _core_line(p: Poset) -> str:
+    covers = " ".join(f"{p.labels[lo]}<{p.labels[hi]}" for lo, hi in p.covers)
+    return f"{p.canonical_code.decode('ascii')}\t{p.n}\t{covers}"
+
+
 def _cmd_enumerate(args) -> int:
     check_cap(args.n, args.height)  # before --jsonl truncates its file
-    if args.jsonl:
-        try:  # before enumerating, so that a bad path wastes no enumeration
-            fh = open(args.jsonl, "w")
-        except OSError as exc:
-            print(f"error: cannot write --jsonl file: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        with fh:
-            for rec in classify_cores(_enumerated(args)):
-                fh.write(rec.to_json_line() + "\n")
-        return 0
-    cores = _enumerated(args)
-    cores.reverse()
-    while cores:  # pop each core before printing it, so none outlives its line
-        p = cores.pop()
-        covers = " ".join(f"{p.labels[lo]}<{p.labels[hi]}" for lo, hi in p.covers)
-        print(f"{p.canonical_code.decode('ascii')}\t{p.n}\t{covers}")
+    try:  # before enumerating, so that a bad path wastes no enumeration
+        out = open(args.jsonl, "w") if args.jsonl else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write --jsonl file: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    with out as fh:
+        cores = _popped(_enumerated(args))
+        if args.jsonl:
+            lines = (rec.to_json_line() for rec in classify_cores(cores))
+        else:
+            lines = map(_core_line, cores)
+        for line in lines:
+            fh.write(line + "\n")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Edge-path presentations of fundamental groups of 2-complexes.
+"""Edge-path presentations of fundamental groups, read off 2-skeleta.
 
 The builder takes one neighbour bitmask per vertex: a poset passes its
 comparability masks directly, a simplicial complex builds them from its
@@ -6,15 +6,21 @@ edges.  A breadth-first search over the masks, neighbours in increasing
 order, gives the spanning tree and fails with :class:`DisconnectedComplex`
 when it does not reach every vertex.  Generators are the edges outside the
 tree, numbered in lexicographic edge order; every triangle contributes one
-relator of length at most three.  The simplifier
-then tries to certify the group free of some rank by eliminating
-generators with two Tietze moves: a length-1 relator kills its generator,
-and a generator occurring exactly once in a relator is solved for and
-substituted.  Each move rewrites, cyclically reduces or drops only the
-relators containing the generator, found through an occurrence index.
-Free-group recognition is undecidable in general, so the simplifier runs
-under an explicit step budget and reports ``inconclusive`` when it cannot
-finish; callers must treat that as honest ignorance, not failure.
+relator of length at most three.  The simplifier then tries to certify the
+group free of some rank by eliminating generators with two Tietze moves:
+a length-1 relator kills its generator, and a generator occurring exactly
+once in a relator is solved for and substituted.  Each move rewrites,
+cyclically reduces or drops only the relators containing the generator,
+found through an occurrence index, and removes the generator, so the
+simplifier stops after at most ``num_generators`` moves.  Free-group
+recognition is undecidable in general, so it reports ``inconclusive`` when
+relators are left and no move applies; callers must treat that as honest
+ignorance, not failure.
+
+Complexes and posets of any dimension are accepted.  Only vertices, edges
+and triangles are read, and the fundamental group of a complex is that of
+its 2-skeleton; a poset's triangles are its 3-chains, and its order complex
+has the fundamental group of the finite space (McCord 1966).
 
 Words are tuples of nonzero signed integers: ``+g`` is generator ``g``,
 ``-g`` its inverse, with generators numbered from one.
@@ -30,8 +36,6 @@ from finspace.complexes import SimplicialComplex
 from finspace.posets import Poset, _bits
 
 Word = tuple[int, ...]
-
-DEFAULT_STEP_BUDGET = 10_000
 
 
 class DisconnectedComplex(ValueError):
@@ -61,62 +65,60 @@ class Presentation:
 
 @dataclass(frozen=True)
 class SimplificationStatus:
-    """Outcome of :func:`tietze_simplify`.
-
-    ``kind`` is one of ``"free"`` (with ``rank`` set), ``"trivial"`` or
-    ``"inconclusive"`` (with ``remaining`` holding the stuck presentation).
+    """Outcome of :func:`tietze_simplify`: the group is free of ``rank``
+    generators (trivial when ``rank`` is 0), or ``rank`` is ``None`` and
+    ``remaining`` holds the stuck presentation.
     """
 
-    kind: str
-    rank: int | None = None
+    rank: int | None
     remaining: Presentation | None = None
 
     @classmethod
     def free_of_rank(cls, rank: int) -> "SimplificationStatus":
-        if rank == 0:
-            return cls(kind="trivial")
-        return cls(kind="free", rank=rank)
+        return cls(rank=rank)
 
     @classmethod
     def inconclusive(cls, remaining: Presentation) -> "SimplificationStatus":
-        return cls(kind="inconclusive", remaining=remaining)
+        return cls(rank=None, remaining=remaining)
+
+    @property
+    def kind(self) -> str:
+        """``"trivial"``, ``"free"`` or ``"inconclusive"``."""
+        if self.rank is None:
+            return "inconclusive"
+        return "free" if self.rank else "trivial"
 
     @property
     def is_conclusive(self) -> bool:
-        return self.kind != "inconclusive"
+        return self.rank is not None
 
     def certifies_free_rank(self, rank: int) -> bool:
-        if rank == 0:
-            return self.kind == "trivial"
-        return self.kind == "free" and self.rank == rank
+        return self.rank == rank
 
     def describe(self) -> str:
-        if self.kind == "trivial":
-            return "trivial group"
-        if self.kind == "free":
-            return f"free of rank {self.rank}"
-        assert self.remaining is not None
-        return (
-            f"inconclusive ({self.remaining.num_generators} generators, "
-            f"{len(self.remaining.relators)} relators left)"
-        )
+        if self.rank is None:
+            assert self.remaining is not None
+            return (
+                f"inconclusive ({self.remaining.num_generators} generators, "
+                f"{len(self.remaining.relators)} relators left)"
+            )
+        return f"free of rank {self.rank}" if self.rank else "trivial group"
 
 
 def presentation(k: SimplicialComplex) -> Presentation:
-    """Edge-path group presentation of a connected complex of dimension <= 2.
+    """Edge-path group presentation of a connected complex, built from its
+    2-skeleton.
 
     The spanning tree is breadth-first from the least vertex, neighbours
     visited in increasing order, so the output is deterministic.  The
     abelianization of the result has rank beta_1.
     """
-    if k.dimension > 2:
-        raise ValueError("presentation requires dimension <= 2")
     neighbours = [0] * k.n_vertices
     for u, v in k.edges():
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
     vertices = sum(1 << v for v in k.vertices())
-    triangles = k.simplices[2] if k.dimension == 2 else ()
+    triangles = k.simplices[2] if k.dimension >= 2 else ()
     return _edge_path(neighbours, vertices, triangles)
 
 
@@ -127,10 +129,8 @@ def poset_presentation(p: Poset) -> Presentation:
     Edges are the comparable pairs and triangles the 3-chains, the latter as
     sorted index tuples in lexicographic order, which is the order
     :func:`~finspace.complexes.order_complex` gives them; so the result
-    equals ``presentation(order_complex(p))``.
+    equals ``presentation(order_complex(p))`` at every height.
     """
-    if p.height > 2:
-        raise ValueError("presentation requires dimension <= 2")
     comparable = [u | d for u, d in zip(p._strict_up, p._strict_down)]
     triangles = (
         (i, j, k)
@@ -232,26 +232,23 @@ def _lone_move(relators: Iterable[Word]) -> tuple[int, Word] | None:
     return abs(rel[pos]), solved
 
 
-def tietze_simplify(
-    pres: Presentation, step_budget: int = DEFAULT_STEP_BUDGET
-) -> SimplificationStatus:
+def tietze_simplify(pres: Presentation) -> SimplificationStatus:
     """Eliminate generators by Tietze moves until no relator is left or no
     move applies.
 
     Relators are kept cyclically reduced, by id, with the ids of the
     relators that contain each generator.  A length-1 relator forces its
     generator trivial; otherwise the shortest relator in which a generator
-    occurs once is solved for it.  Either move rewrites only the relators
-    that contain the generator, dropping any that become empty, and costs
-    one budget step.  Exhaustion yields ``inconclusive`` with the
-    partly-simplified presentation.
+    occurs once is solved for it.  Either move removes the generator and
+    rewrites only the relators that contain it, dropping any that become
+    empty, so at most ``num_generators`` moves are made.  Relators left
+    when no move applies yield ``inconclusive`` with the partly-simplified
+    presentation.
 
     Duplicate relators need no move of their own.  A duplicate is a
     rotation of a relator B g A, or of its inverse; substituting g from one
     copy reduces the other to the empty word.
     """
-    if step_budget <= 0:
-        raise ValueError("step budget must be positive")
     relators: dict[int, Word] = {}
     occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
     units: list[int] = []  # ids of relators that were of length 1
@@ -269,7 +266,6 @@ def tietze_simplify(
     for rid, rel in enumerate(pres.relators):
         store(rid, cyclic_reduce(rel))
     num_gens = pres.num_generators
-    steps = 0
     while relators:
         move = None
         while units and move is None:
@@ -277,9 +273,8 @@ def tietze_simplify(
             if len(unit) == 1:
                 move = (abs(unit[0]), ())
         move = move or _lone_move(relators.values())
-        if move is None or steps == step_budget:
+        if move is None:
             break
-        steps += 1
         gen, solved = move
         inv = tuple(-v for v in reversed(solved))
         for rid in occ.pop(gen):

@@ -50,6 +50,20 @@ def disjoint_union(p: Poset, q: Poset) -> Poset:
     return Poset([mask | 1 << i for i, mask in enumerate(up)])
 
 
+def product(p: Poset, q: Poset) -> Poset:
+    """The product order on pairs, (a, b) <= (c, d) iff a <= c and b <= d;
+    pair (i, j) is element i * q.n + j."""
+    up = []
+    for i in range(p.n):
+        for j in range(q.n):
+            mask = 0
+            for a in (i, *[a for a in range(p.n) if p._strict_up[i] >> a & 1]):
+                for b in (j, *[b for b in range(q.n) if q._strict_up[j] >> b & 1]):
+                    mask |= 1 << (a * q.n + b)
+            up.append(mask)
+    return Poset(up)
+
+
 def betti_signature(profile) -> tuple[int, ...]:
     """Betti numbers with trailing zeros stripped: the right shape for
     comparing spaces whose complexes have different dimensions."""

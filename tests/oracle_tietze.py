@@ -16,13 +16,14 @@ equal the rank of any free group the simplifier certifies.
 
 from finspace.complexes import ComplexError, IntegerMatrix, smith_normal_form
 from finspace.presentations import (
-    DEFAULT_STEP_BUDGET,
     Presentation,
     SimplificationStatus,
     Word,
     cyclic_reduce,
     free_reduce,
 )
+
+DEFAULT_STEP_BUDGET = 10_000
 
 
 def _cyclic_normal(word: Word) -> Word:

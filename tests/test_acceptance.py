@@ -217,10 +217,7 @@ def test_criterion_10_property_suites():
             failures += 1
     for p in sample:
         dual_prof = homology(order_complex(p.dual()))
-        dim = p.height
-        if dual_prof.betti != prof(p).betti or label(dual_prof, None, dim) != label(
-            prof(p), None, dim
-        ):
+        if dual_prof.betti != prof(p).betti or label(dual_prof, None) != label(prof(p), None):
             failures += 1
     for p in sample:
         sigma = list(range(p.n))

@@ -45,31 +45,31 @@ class TestLabel:
     def test_wedge_two_circles_one_sphere(self):
         prof = profile((8, 16, 8), (1, 2, 1))
         status = SimplificationStatus.free_of_rank(2)
-        got = label(prof, status, 2)
+        got = label(prof, status)
         assert got == WedgeLabel(circles=2, spheres=1, pi1_verified=True)
 
     def test_contractible(self):
         prof = profile((1,), (1,))
-        got = label(prof, SimplificationStatus.free_of_rank(0), 0)
+        got = label(prof, SimplificationStatus.free_of_rank(0))
         assert got == WedgeLabel(circles=0, spheres=0, pi1_verified=True)
 
     def test_inconclusive_pi1_left_unverified(self):
         prof = profile((8, 14, 4), (1, 3, 0))
         stuck = SimplificationStatus.inconclusive(Presentation(3, ((1, 2, -1, -2),)))
-        got = label(prof, stuck, 2)
+        got = label(prof, stuck)
         assert got == WedgeLabel(circles=3, spheres=0, pi1_verified=False)
 
     def test_torsion_unrecognized(self):
         prof = profile((6, 15, 10), (1, 0, 0), torsion=((), (2,), ()))
-        assert label(prof, None, 2) is None
+        assert label(prof, None) is None
 
     def test_disconnected_unrecognized(self):
         prof = profile((2,), (2,))
-        assert label(prof, None, 0) is None
+        assert label(prof, None) is None
 
     def test_high_dimension_unrecognized(self):
         prof = profile((4, 6, 4, 1), (1, 0, 0, 0))
-        assert label(prof, None, 3) is None
+        assert label(prof, None) is None
 
 
 class TestClassifyPoset:
@@ -316,9 +316,9 @@ class TestCountedPi1:
         assert p.is_connected and p.height <= 1
         seen = []
 
-        def spied(prof, status, dim):
+        def spied(prof, status):
             seen.append(status)
-            return label(prof, status, dim)
+            return label(prof, status)
 
         monkeypatch.setattr(classify, "label", spied)
         rec = classify_poset(p)

@@ -186,17 +186,23 @@ class TestExitCodes:
         assert main(["show", str(bad)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("fixture", ["fig15a", "fig15c", "chain4"])
-    def test_pi1_unsupported_poset(self, capsys, catalog_dir, tmp_path, fixture):
-        """A well-formed file that is disconnected or taller than 2 exits 3
-        with one ``error:`` line, like a malformed one."""
-        path = catalog_dir / f"{fixture}.poset"
-        if fixture == "chain4":  # height 3; no fixture is that tall
-            path = tmp_path / "chain4.poset"
-            path.write_text("poset 4\nelements a b c d\ncover a b\ncover b c\ncover c d\n")
-        code, out, err = run(capsys, "pi1", str(path))
+    @pytest.mark.parametrize("fixture", ["fig15a", "fig15c"])
+    def test_pi1_unsupported_poset(self, capsys, catalog_dir, fixture):
+        """A well-formed file that is disconnected exits 3 with one
+        ``error:`` line, like a malformed one."""
+        code, out, err = run(capsys, "pi1", str(catalog_dir / f"{fixture}.poset"))
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("p", [Poset.chain(4), sphere_model(3)], ids=["chain4", "sphere3"])
+    def test_pi1_tall_poset(self, capsys, tmp_path, p):
+        """A connected file taller than 2, which no fixture is, gets a
+        presentation and a verdict."""
+        path = tmp_path / "tall.poset"
+        path.write_text(poset_to_text(p))
+        code, out, err = run(capsys, "pi1", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "trivial group"
 
     def test_homology_of_a_tall_sphere(self, capsys, tmp_path, monkeypatch):
         """The 62-point model of S^30 is cellular: its homology needs no
@@ -271,12 +277,10 @@ class TestExitCodes:
             ["classify", "--n", "-1", "--height", "1"],
             ["min-model", "--circles", "-1", "--spheres", "0"],
             ["min-model", "--circles", "1", "--spheres", "0", "--max-n", "0"],
-            ["pi1", "FIXTURE", "--budget", "0"],
         ],
-        ids=["enumerate", "classify", "min-model", "min-model-max-n", "pi1"],
+        ids=["enumerate", "classify", "min-model", "min-model-max-n"],
     )
-    def test_out_of_range_count(self, capsys, catalog_dir, argv):
-        argv = [str(catalog_dir / "fig17a.poset") if a == "FIXTURE" else a for a in argv]
+    def test_out_of_range_count(self, capsys, argv):
         assert main(argv) == 2
         err_lines = capsys.readouterr().err.splitlines()
         assert len([line for line in err_lines if "error:" in line]) == 1
@@ -347,32 +351,49 @@ class TestPipelines:
         records = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert len(records) == 320 and calls == []
 
-    @pytest.mark.parametrize("height, n", [(1, 8), (2, 8)])
-    def test_enumerate_drops_printed_cores(self, monkeypatch, height, n):
-        """Each core is freed once its line is printed: while line k is
-        written, cores 0..k-1 are gone."""
+    @pytest.mark.parametrize(
+        "height, n, jsonl",
+        [(1, 8, False), (2, 8, False), (1, 8, True), (2, 8, True)],
+        ids=["1-8", "2-8", "1-8-jsonl", "2-8-jsonl"],
+    )
+    def test_enumerate_drops_printed_cores(self, monkeypatch, tmp_path, height, n, jsonl):
+        """Each core is freed once its line is made, on stdout or as a
+        ``--jsonl`` record: while line k is made, cores 0..k-1 are gone."""
         import finspace.cli as cli
+        from finspace.classify import ClassificationRecord
 
         refs = []
+        made = []
         enumerated = cli._enumerated
+        to_json_line = ClassificationRecord.to_json_line
 
         def tracked(args):
             cores = enumerated(args)
             refs.extend(weakref.ref(p) for p in cores)
             return cores
 
+        def making_line():
+            assert all(ref() is None for ref in refs[: len(made)]), len(made)
+            made.append(None)
+
         class Stdout(io.StringIO):
             def write(self, text):
                 if text.strip():
-                    done = self.getvalue().count("\n")
-                    assert all(ref() is None for ref in refs[:done]), done
+                    making_line()
                 return super().write(text)
 
-        out = Stdout()
+        def record_line(rec):
+            making_line()
+            return to_json_line(rec)
+
         monkeypatch.setattr(cli, "_enumerated", tracked)
-        monkeypatch.setattr(sys, "stdout", out)
-        assert main(["enumerate", "--n", str(n), "--height", str(height)]) == 0
-        assert len(refs) == out.getvalue().count("\n") > 1
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        monkeypatch.setattr(ClassificationRecord, "to_json_line", record_line)
+        argv = ["enumerate", "--n", str(n), "--height", str(height)]
+        if jsonl:
+            argv += ["--jsonl", str(tmp_path / "inv.jsonl")]
+        assert main(argv) == 0
+        assert len(refs) == len(made) > 1
 
     def test_enumerate_stdout_stable(self, capsys):
         code, first, _ = run(capsys, "enumerate", "--n", "6", "--height", "2")

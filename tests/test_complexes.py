@@ -27,7 +27,7 @@ from finspace.complexes import (
 from finspace.formats import load_poset
 from finspace.posets import Poset, fence, mobius_band, projective_plane, sphere_model
 from finspace.presentations import poset_presentation
-from conftest import disjoint_union
+from conftest import disjoint_union, product
 from oracle_posets import enumerate_posets
 import oracle_tietze
 from oracle_tietze import abelianized_rank, matrix_from_rows
@@ -474,20 +474,6 @@ class TestJsonSchema:
     def test_stable_output(self):
         prof = poset_homology(figures.poset("fig14c"))
         assert prof.to_json() == prof.to_json()
-
-
-def product(p: Poset, q: Poset) -> Poset:
-    """The product order on pairs, (a, b) <= (c, d) iff a <= c and b <= d;
-    pair (i, j) is element i * q.n + j."""
-    up = []
-    for i in range(p.n):
-        for j in range(q.n):
-            mask = 0
-            for a in (i, *[a for a in range(p.n) if p._strict_up[i] >> a & 1]):
-                for b in (j, *[b for b in range(q.n) if q._strict_up[j] >> b & 1]):
-                    mask |= 1 << (a * q.n + b)
-            up.append(mask)
-    return Poset(up)
 
 
 def rp2_with_second_triangle() -> Poset:

@@ -72,8 +72,7 @@ def test_dual_preserves_homology_and_label(pool, profiles):
         assert dual_prof.betti == prof.betti
         assert dual_prof.torsion == prof.torsion
         assert dual_prof.f_vector == prof.f_vector
-        dim = order_complex(p).dimension
-        assert label(dual_prof, None, dim) == label(prof, None, dim)
+        assert label(dual_prof, None) == label(prof, None)
         checked += 1
     assert checked >= 200
 
