@@ -16,11 +16,16 @@ are built: two adjacent columns that are equal over the rows so far are
 and a 0 in the higher one (every matrix can be brought into this form by
 permuting its rows and columns; Lubiw, "Doubly lexical orderings of
 matrices", SIAM J. Comput. 1987).  A rejected row cuts off its whole subtree.
-Every candidate of either height then goes through one filter: no element
-of the level under the top lies below exactly one top element, the
-comparability graph is connected, there is no beat point (the mask helpers
-of :mod:`finspace.posets`), and the first member of each class, by
-canonical code, is kept.
+While the rows are read, a candidate is dropped if an element of the level
+under the top lies below exactly one top element, or, at height two, if a
+minimal is an up beat point; both are read off one count of how many rows
+set each column (see :func:`_shape_candidates`), before the candidate's
+masks are built.  At n = 10 this drops 6,618 of the 12,037 height-2
+candidates, and 5,417 of the 5,419 left are cores.  Every remaining candidate
+of either height then goes through one filter, which is the definition of
+a core: the comparability graph is connected, there is no beat point (the
+mask helpers of :mod:`finspace.posets`), and the first member of each
+class, by canonical code, is kept.
 
 The rule never rejects that first member.  Without the rule the generation
 order is descending lexicographic, so the first member of a class is its
@@ -193,13 +198,22 @@ def level_shapes(n: int) -> list[LevelShape]:
     return out
 
 
-def _lone_columns(rows: tuple[int, ...]) -> int:
-    """Bitmask of the columns set in exactly one of ``rows``."""
+def _column_counts(rows: tuple[int, ...]) -> tuple[int, int]:
+    """``(once, twice)``: the bitmasks of the columns set in at least one
+    and in at least two of ``rows``."""
     once = twice = 0
     for row in rows:
         twice |= once & row
         once |= row
-    return once & ~twice
+    return once, twice
+
+
+def _extra_needs(once: int, twice: int, minimals: int) -> tuple[int, int]:
+    """The minimals that must be taken as an extra cover by at least one,
+    and by at least two, chosen tops, lest they be up beat points, given
+    the columns ``once`` and ``twice`` set in at least one and two middles:
+    those under exactly one middle, and those under none."""
+    return once & ~twice, minimals & ~once
 
 
 def _union_table(values) -> list[int]:
@@ -213,8 +227,21 @@ def _union_table(values) -> list[int]:
 def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the strict down- and up-set masks (minimals first, then the
     height-1 elements, then the height-2 ones) of each candidate of one shape
-    in which no element of the level under the top lies below exactly one
-    top element; such an element would be an up beat point.
+    that has neither of two kinds of up beat point: an element of the level
+    under the top that lies below exactly one top element, and, at height
+    two, a minimal whose strict up-set has a minimum.
+
+    The middles above a minimal x of a height-2 candidate are minimal in
+    its strict up-set, since nothing there lies below a middle, so with two
+    of them x is no beat point.  With one, b, the rest of the set is the
+    tops above b and the tops taking x as an extra cover; an extra is never
+    below its top's middles, so such a top is not above b, and b is the
+    minimum exactly when no chosen top takes x as an extra.  With none, the
+    set is the tops taking x as an extra: one of them is its minimum, and
+    with none x is isolated, so two are needed.  One pass over the chosen
+    tops counts, for every column, whether it is set in one row and in two;
+    it serves the lone-middle test too, before the swap test and before any
+    mask of the candidate is built.
 
     The rows of the height-1 elements are their minimal-set masks (at least
     two bits).  With ``m2 == 0`` these elements are the top level.
@@ -237,7 +264,8 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
     m2, m1, m0 = shape
     minimals = (1 << m0) - 1
     for middles, ties in _orderly_rows(_descending_masks(m0, 2), m1, _all_tied(m0)):
-        if not m2 and _lone_columns(middles):
+        once, twice = _column_counts(middles)
+        if not m2 and once & ~twice:
             continue
         swaps = _column_swaps(middles, m0)
         if swaps is None:
@@ -264,10 +292,18 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
         for i in range(1, m1):
             if middles[i] == middles[i - 1]:
                 ties |= 1 << (m0 + i)
+        need_once, need_twice = _extra_needs(once, twice, minimals)
         for chosen, _ in _orderly_rows(tops, m2, ties):
-            if not _lone_columns(chosen) >> m0 and not _beaten(chosen, top_swaps, m0):
-                full = down + [top | unions[top >> m0] for top in chosen]
-                yield full, _transpose(full)
+            over, twice_over = _column_counts(chosen)
+            if (
+                (over & ~twice_over) >> m0
+                or need_once & ~over
+                or need_twice & ~twice_over
+                or _beaten(chosen, top_swaps, m0)
+            ):
+                continue
+            full = down + [top | unions[top >> m0] for top in chosen]
+            yield full, _transpose(full)
 
 
 def _beaten(tops: tuple[int, ...], top_swaps, m0: int) -> bool:

@@ -5,22 +5,36 @@ comparability masks directly, a simplicial complex builds them from its
 edges.  A breadth-first search over the masks, neighbours in increasing
 order, gives the spanning tree and fails with :class:`DisconnectedComplex`
 when it does not reach every vertex.  Generators are the edges outside the
-tree, numbered in lexicographic edge order; every triangle contributes one
-relator of length at most three.  The simplifier then tries to certify the
-group free of some rank by eliminating generators with two Tietze moves:
-a length-1 relator kills its generator, and a generator occurring exactly
-once in a relator is solved for and substituted.  Each move rewrites,
-cyclically reduces or drops only the relators containing the generator,
-found through an occurrence index, and removes the generator, so the
-simplifier stops after at most ``num_generators`` moves.  Free-group
-recognition is undecidable in general, so it reports ``inconclusive`` when
-relators are left and no move applies; callers must treat that as honest
-ignorance, not failure.
+tree, numbered in lexicographic edge order; every closed vertex walk handed
+to the builder contributes one relator, its non-tree edges read in walk
+order.  A triangle (u, v, w) is the walk u -> v -> w -> u.  The simplifier
+then tries to certify the group free of some rank by eliminating generators
+with two Tietze moves: a length-1 relator kills its generator, and a
+generator occurring exactly once in a relator is solved for and
+substituted.  Each move rewrites, cyclically reduces or drops only the
+relators containing the generator, found through an occurrence index, and
+removes the generator, so the simplifier stops after at most
+``num_generators`` moves.  Free-group recognition is undecidable in
+general, so it reports ``inconclusive`` when relators are left and no move
+applies; callers must treat that as honest ignorance, not failure.
 
 Complexes and posets of any dimension are accepted.  Only vertices, edges
 and triangles are read, and the fundamental group of a complex is that of
 its 2-skeleton; a poset's triangles are its 3-chains, and its order complex
 has the fundamental group of the finite space (McCord 1966).
+
+At height at most 2 a smaller presentation of the same group is read off
+the Hasse diagram (:func:`hasse_presentation`; Barmak, LNM 2032, 2011).
+Every 3-chain is then a < b < c with both steps covers and (a, c) a
+comparable pair that is not a cover, and every such pair has a middle.  So
+a spanning tree of the Hasse diagram spans the order complex, and each
+non-cover edge (a, c) is a generator.  With middles b_1 < ... < b_k, the
+triangle through b_1 solves [ac] = [a b_1][b_1 c]; substituting it turns
+the triangle through b_i into the square a -> b_i -> c -> b_1 -> a, and
+these squares generate the same normal subgroup as the consecutive ones
+a -> b_{i-1} -> c -> b_i -> a.  Dropping the generator [ac] with its
+defining triangle leaves the group unchanged, so the Hasse diagram's edges
+and the consecutive squares present it.
 
 Words are tuples of nonzero signed integers: ``+g`` is generator ``g``,
 ``-g`` its inverse, with generators numbered from one.
@@ -141,16 +155,48 @@ def poset_presentation(p: Poset) -> Presentation:
     return _edge_path(comparable, (1 << p.n) - 1, triangles)
 
 
+def hasse_presentation(p: Poset) -> Presentation:
+    """A presentation of pi1 of a connected poset of height at most 2, read
+    off its Hasse diagram: the covers are the edges, and each comparable
+    pair a < c that is not a cover, with middles b_1 < ... < b_k, gives the
+    square walks a -> b_{i-1} -> c -> b_i -> a for i = 2..k (see the module
+    docstring for why this presents the same group as
+    :func:`poset_presentation`).
+
+    Raises :class:`ValueError` above height 2, where a 3-chain can have a
+    non-cover step, and :class:`DisconnectedComplex` on a disconnected
+    poset.
+    """
+    if p.height > 2:
+        raise ValueError("the Hasse-diagram presentation needs height at most 2")
+    up, down = p._strict_up, p._strict_down
+    neighbours = [0] * p.n
+    squares = []
+    for a, row in enumerate(up):
+        for c in _bits(row):
+            middles = row & down[c]
+            if not middles:
+                neighbours[a] |= 1 << c
+                neighbours[c] |= 1 << a
+                continue
+            bs = _bits(middles)
+            squares.extend((a, bs[i - 1], c, bs[i]) for i in range(1, len(bs)))
+    return _edge_path(neighbours, (1 << p.n) - 1, squares)
+
+
 def _edge_path(
     neighbours: Sequence[int],
     vertices: int,
-    triangles: Iterable[tuple[int, ...]],
+    walks: Iterable[tuple[int, ...]],
 ) -> Presentation:
     """Presentation of the 2-complex whose vertex set is the bitmask
     ``vertices``, whose edges are given by the neighbour mask of each vertex
-    and whose triangles are sorted index tuples: one generator per non-tree
-    edge, numbered in lexicographic edge order, and one relator per
-    triangle.  The spanning tree is rooted at the least vertex."""
+    and whose 2-cells are closed vertex walks, each a tuple v_0, ..., v_m
+    that returns from v_m to v_0 along edges: one generator per non-tree
+    edge, numbered in lexicographic edge order, and one relator per walk.
+    Edge (u, v) with u < v is read as its generator going from u to v, and
+    as the inverse going back.  The spanning tree is rooted at the least
+    vertex."""
     if not vertices:
         raise ValueError("complex has no vertices")
     root = (vertices & -vertices).bit_length() - 1
@@ -171,15 +217,17 @@ def _edge_path(
     # non-tree edges (u, x) with x < v; first[-1] - 1 counts them all.
     first = list(accumulate((row.bit_count() for row in upper), initial=1))
 
-    # The three edges of a triangle are distinct generators or tree edges,
-    # so the word u -> v -> w -> u is already freely reduced.
+    # The walks given are triangles and squares of distinct edges, so each
+    # word is already freely and cyclically reduced.
     relators = []
-    for u, v, w in triangles:
+    for walk in walks:
         word = []
-        for a, b, sign in ((u, v, 1), (v, w, 1), (u, w, -1)):
-            row = upper[a]
-            if row >> b & 1:
-                word.append(sign * (first[a] + (row & ((1 << b) - 1)).bit_count()))
+        for x, y in zip(walk, walk[1:] + walk[:1]):
+            if x < y:
+                if upper[x] >> y & 1:
+                    word.append(first[x] + (upper[x] & ((1 << y) - 1)).bit_count())
+            elif upper[y] >> x & 1:
+                word.append(-first[y] - (upper[y] & ((1 << x) - 1)).bit_count())
         relators.append(tuple(word))
     return Presentation(num_generators=first[-1] - 1, relators=tuple(relators))
 

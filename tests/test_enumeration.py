@@ -16,7 +16,7 @@ from finspace.enumeration import (
     enumerate_height2_cores,
     level_shapes,
 )
-from finspace.posets import Poset, _bits, fence
+from finspace.posets import Poset, _beat_points, _bits, fence
 from oracle_posets import enumerate_posets
 
 
@@ -184,6 +184,32 @@ class TestColumnSwaps:
         with_check = kept()
         monkeypatch.setattr(enumeration, "_column_swaps", lambda rows, width: [])
         assert kept() == with_check
+
+
+class TestMinimalBeatPoints:
+    SHAPES = [s for n in range(6, 10) for s in level_shapes(n)]
+
+    def test_check_changes_no_shape_output(self, monkeypatch):
+        """With the minimal check patched out, every height-2 shape up to
+        nine points keeps the same labelled posets in the same order, and
+        more candidates reach the filter."""
+
+        def kept():
+            return [[(p.labels, p.covers) for p in _cores_for_shape(s)] for s in self.SHAPES]
+
+        def candidates():
+            return sum(1 for s in self.SHAPES for _ in enumeration._shape_candidates(s))
+
+        with_check, fewer = kept(), candidates()
+        monkeypatch.setattr(enumeration, "_extra_needs", lambda once, twice, minimals: (0, 0))
+        assert kept() == with_check
+        assert candidates() > fewer
+
+    def test_no_candidate_has_a_minimal_up_beat_point(self):
+        for shape in self.SHAPES:
+            minimals = (1 << shape.m0) - 1
+            for down, up in enumeration._shape_candidates(shape):
+                assert not _beat_points(down, up, minimals), (shape, down)
 
 
 def _representatives_digest(cores) -> str:

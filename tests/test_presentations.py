@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import product, random_connected_poset
+from conftest import disjoint_union, product, random_connected_poset
 from finspace import figures
 from finspace.complexes import SimplicialComplex, homology, order_complex, poset_homology
 from finspace.enumeration import enumerate_height2_cores
@@ -13,6 +13,7 @@ from finspace.presentations import (
     SimplificationStatus,
     cyclic_reduce,
     free_reduce,
+    hasse_presentation,
     poset_presentation,
     presentation,
     tietze_simplify,
@@ -144,6 +145,66 @@ class TestPosetPresentation:
         p = figures.poset("fig14c")
         for q in at_every_basepoint(p):
             assert poset_presentation(q) == presentation(order_complex(q))
+
+
+class TestHassePresentation:
+    """At height at most 2 the Hasse diagram, with one square per extra
+    middle of a non-cover pair, presents the group of the order complex."""
+
+    @staticmethod
+    def check(p):
+        hasse = tietze_simplify(hasse_presentation(p))
+        full = tietze_simplify(poset_presentation(p))
+        assert (hasse.rank, hasse.kind) == (full.rank, full.kind), p.canonical_code
+        return hasse
+
+    def test_every_small_poset(self):
+        count = 0
+        for n in range(1, 8):
+            for p in enumerate_posets(n):
+                if p.is_connected and p.height <= 2:
+                    self.check(p)
+                    count += 1
+        assert count == 1020
+
+    def test_height2_cores(self):
+        """Every height-2 core on 6 to 9 points, each certified free."""
+        for n in range(6, 10):
+            for p in enumerate_height2_cores(n):
+                assert self.check(p).is_conclusive, p.canonical_code
+
+    def test_catalog_figures(self):
+        tall = 0
+        for fid in figures.all_ids():
+            p = figures.poset(fid)
+            if p.height == 2 and p.is_connected:
+                self.check(p)
+                tall += 1
+        assert tall > 0
+
+    def test_size(self):
+        """One generator per cover outside the spanning tree, and k - 1
+        relators for each non-cover pair with k middles."""
+        for p in enumerate_height2_cores(8):
+            pres = hasse_presentation(p)
+            assert pres.num_generators == len(p.covers) - p.n + 1
+            squares = sum(
+                (row & p._strict_down[c]).bit_count() - 1
+                for row in p._strict_up
+                for c in range(p.n)
+                if row >> c & 1 and row & p._strict_down[c]
+            )
+            assert len(pres.relators) == squares
+            assert all(len(r) <= 4 for r in pres.relators)
+
+    def test_too_tall(self):
+        with pytest.raises(ValueError) as info:
+            hasse_presentation(sphere_model(3))
+        assert not isinstance(info.value, DisconnectedComplex)
+
+    def test_disconnected(self):
+        with pytest.raises(DisconnectedComplex):
+            hasse_presentation(disjoint_union(fence(), sphere_model(1)))
 
 
 class TestTietze:
