@@ -6,9 +6,9 @@ order complex is at most 2-dimensional, connected in homology (beta_0 = 1),
 torsion-free, with beta_1 = p and beta_2 = q; the label additionally carries
 ``pi1_verified`` when pi1 was certified free of rank p: at height 2 by
 Tietze simplification of the presentation read off the Hasse diagram, at
-height at most 1 by an edge count (below).  Labelling is invariant-based evidence, not a
-weak-equivalence proof, and asphericity is never checked; downstream
-consumers see exactly how much was certified.
+height at most 1 by an edge count (below).  Labelling is invariant-based
+evidence, not a weak-equivalence proof, and asphericity is never checked;
+downstream consumers see exactly how much was certified.
 
 For a connected core of height at most 2 the certificate also fixes the
 homology, so no order complex is built and no Smith normal form is run.
@@ -22,14 +22,10 @@ every core whose simplification is inconclusive, gets its homology from
 Smith normal form.
 
 At height 2 the simplified presentation is
-:func:`~finspace.presentations.hasse_presentation`: the Hasse diagram's
+:func:`~finspace.presentations.poset_presentation`: the Hasse diagram's
 covers are its edges, and each non-cover pair a < c with k middles adds
-k - 1 square relators.  Against the order complex's presentation, whose
-non-cover edges each die with their first triangle, it has about half the
-generators and under half the relators (6.8 and 4.6 per core against 13.7
-and 11.4 over the 5,187 height-2 cores on 6 to 10 points), and the same
-group (see :mod:`finspace.presentations`).  ``finspace pi1`` and
-``verify-paper`` still simplify the order complex's presentation.
+k - 1 square relators (see :mod:`finspace.presentations` for why it
+presents pi1 of the order complex).
 
 At height at most 1 there is nothing to simplify.  The order complex is
 then the comparability graph, with one vertex per point and one edge per
@@ -63,7 +59,7 @@ from finspace import figures
 from finspace.complexes import HomologyProfile, free_pi1_homology, poset_homology
 from finspace.enumeration import check_cap, enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
-from finspace.presentations import SimplificationStatus, hasse_presentation, tietze_simplify
+from finspace.presentations import SimplificationStatus, poset_presentation, tietze_simplify
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def classify_poset(p: Poset) -> ClassificationRecord:
             edges = sum(map(int.bit_count, p._strict_up))
             status = SimplificationStatus.free_of_rank(edges - p.n + 1)
         else:
-            status = tietze_simplify(hasse_presentation(p))
+            status = tietze_simplify(poset_presentation(p))
         if status.is_conclusive:
             profile = free_pi1_homology(p, status.rank)
     if profile is None:

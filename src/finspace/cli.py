@@ -8,10 +8,11 @@ poset file to DOT or JSON.
 
 Exit status: 0 success, 1 failed verification checks, 2 usage errors,
 3 malformed poset files and disconnected ones given to ``pi1`` (which
-takes a connected poset of any height), 4 a homology profile whose order
-complex would exceed ``complexes.SIMPLEX_BUDGET`` simplices (a core that is
-not cellular and too large).  Machine output (JSON, JSON lines, DOT) is
-byte-stable across runs; progress counters go to standard error.
+takes a connected poset of any height and reads its presentation off the
+Hasse diagram), 4 a homology profile whose order complex would exceed
+``complexes.SIMPLEX_BUDGET`` simplices (a core that is not cellular and too
+large).  Machine output (JSON, JSON lines, DOT) is byte-stable across runs;
+progress counters go to standard error.
 """
 
 from __future__ import annotations

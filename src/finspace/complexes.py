@@ -82,16 +82,6 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(group) for group in self.simplices)
 
-    def vertices(self) -> tuple[int, ...]:
-        if not self.simplices:
-            return ()
-        return tuple(s[0] for s in self.simplices[0])
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        if self.dimension < 1:
-            return ()
-        return self.simplices[1]  # type: ignore[return-value]
-
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """All nonempty chains of ``p``; its dimension equals the poset height."""

@@ -1,40 +1,53 @@
 """Edge-path presentations of fundamental groups, read off 2-skeleta.
 
-The builder takes one neighbour bitmask per vertex: a poset passes its
-comparability masks directly, a simplicial complex builds them from its
-edges.  A breadth-first search over the masks, neighbours in increasing
-order, gives the spanning tree and fails with :class:`DisconnectedComplex`
-when it does not reach every vertex.  Generators are the edges outside the
-tree, numbered in lexicographic edge order; every closed vertex walk handed
-to the builder contributes one relator, its non-tree edges read in walk
-order.  A triangle (u, v, w) is the walk u -> v -> w -> u.  The simplifier
-then tries to certify the group free of some rank by eliminating generators
-with two Tietze moves: a length-1 relator kills its generator, and a
-generator occurring exactly once in a relator is solved for and
-substituted.  Each move rewrites, cyclically reduces or drops only the
-relators containing the generator, found through an occurrence index, and
-removes the generator, so the simplifier stops after at most
+The builder takes one neighbour bitmask per vertex and a list of closed
+vertex walks.  A breadth-first search over the masks, neighbours in
+increasing order, gives the spanning tree and fails with
+:class:`DisconnectedComplex` when it does not reach every vertex.
+Generators are the edges outside the tree, numbered in lexicographic edge
+order; every walk contributes one relator, its non-tree edges read in walk
+order.  The simplifier then tries to certify the group free of some rank by
+eliminating generators with two Tietze moves: a length-1 relator kills its
+generator, and a generator occurring exactly once in a relator is solved
+for and substituted.  Each move rewrites, cyclically reduces or drops only
+the relators containing the generator, found through an occurrence index,
+and removes the generator, so the simplifier stops after at most
 ``num_generators`` moves.  Free-group recognition is undecidable in
 general, so it reports ``inconclusive`` when relators are left and no move
 applies; callers must treat that as honest ignorance, not failure.
 
-Complexes and posets of any dimension are accepted.  Only vertices, edges
-and triangles are read, and the fundamental group of a complex is that of
-its 2-skeleton; a poset's triangles are its 3-chains, and its order complex
-has the fundamental group of the finite space (McCord 1966).
+A simplicial complex (:func:`presentation`) of any dimension gives its
+edges and its triangles, a triangle (u, v, w) being the walk
+u -> v -> w -> u; the fundamental group of a complex is that of its
+2-skeleton.
 
-At height at most 2 a smaller presentation of the same group is read off
-the Hasse diagram (:func:`hasse_presentation`; Barmak, LNM 2032, 2011).
-Every 3-chain is then a < b < c with both steps covers and (a, c) a
-comparable pair that is not a cover, and every such pair has a middle.  So
-a spanning tree of the Hasse diagram spans the order complex, and each
-non-cover edge (a, c) is a generator.  With middles b_1 < ... < b_k, the
-triangle through b_1 solves [ac] = [a b_1][b_1 c]; substituting it turns
-the triangle through b_i into the square a -> b_i -> c -> b_1 -> a, and
-these squares generate the same normal subgroup as the consecutive ones
-a -> b_{i-1} -> c -> b_i -> a.  Dropping the generator [ac] with its
-defining triangle leaves the group unchanged, so the Hasse diagram's edges
-and the consecutive squares present it.
+A poset (:func:`poset_presentation`) of any height is read off its Hasse
+diagram.  Its order complex, whose edges are the comparable pairs and whose
+triangles are the 3-chains, has the fundamental group of the finite space
+(McCord, Duke Math. J. 1966), and the same group is presented by the
+covers as edges and, for each comparable pair a < c that is not a cover,
+with middles b_1 < ... < b_k, the walks a -> b_{i-1} -> c -> b_i -> a for
+i = 2..k (Barmak, LNM 2032, 2011).  The argument, on the order complex's
+presentation with the Hasse diagram's spanning tree (a chain of covers
+joins any two comparable points, so that tree spans the order complex):
+
+- Let b be the least cover of a below c.  The triangle a < b < c gives
+  [ac] = [ab][bc], and [b, c] is a shorter interval than [a, c]; so, by
+  induction on interval length, eliminating each non-cover generator [ac]
+  with its triangle through b turns [ac] into the word of one fixed Hasse
+  path, from a to b and on up to c.
+- Every triangle a < m < c belongs to its non-cover pair (a, c).  After the
+  substitution it becomes the closed walk a -> m -> c -> b -> a along the
+  fixed paths, which says that the paths through m and through b agree.
+- Over all middles m these walks say that every path through a middle
+  agrees with the one through b, and the consecutive walks say that each
+  agrees with the next: the two sets generate the same normal subgroup.
+
+At height at most 2 every step of a walk is a cover, and each walk is a
+square of four distinct edges.  Above height 2 a step along a non-cover
+pair x < y is read as its fixed path, whose word is built once per pair; a
+relator with such a step is cyclically reduced, and dropped if that leaves
+the empty word.
 
 Words are tuples of nonzero signed integers: ``+g`` is generator ``g``,
 ``-g`` its inverse, with generators numbered from one.
@@ -43,8 +56,8 @@ Words are tuples of nonzero signed integers: ``+g`` is generator ``g``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Sequence
+from itertools import accumulate, pairwise
+from typing import Callable, Iterable, Sequence
 
 from finspace.complexes import SimplicialComplex
 from finspace.posets import Poset, _bits
@@ -64,17 +77,11 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def to_text(self) -> str:
-        """Stable display form: ⟨g1, g2 | g1 g2 g1^-1 g2^-1⟩."""
+        """Stable display form: ⟨g1, g2 | g1 g2 g1^-1 g2^-1⟩, with ``1`` for
+        an empty relator."""
         gens = ", ".join(f"g{i + 1}" for i in range(self.num_generators))
-        words = []
-        for rel in self.relators:
-            if not rel:
-                words.append("1")
-                continue
-            words.append(
-                " ".join(f"g{v}" if v > 0 else f"g{-v}^-1" for v in rel)
-            )
-        return f"⟨{gens} | {', '.join(words)}⟩" if words else f"⟨{gens} | ⟩"
+        words = [" ".join(f"g{v}" if v > 0 else f"g{-v}^-1" for v in rel) for rel in self.relators]
+        return f"⟨{gens} | {', '.join(word or '1' for word in words)}⟩"
 
 
 @dataclass(frozen=True)
@@ -128,50 +135,27 @@ def presentation(k: SimplicialComplex) -> Presentation:
     abelianization of the result has rank beta_1.
     """
     neighbours = [0] * k.n_vertices
-    for u, v in k.edges():
+    for u, v in k.simplices[1] if k.dimension >= 1 else ():
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
-    vertices = sum(1 << v for v in k.vertices())
-    triangles = k.simplices[2] if k.dimension >= 2 else ()
-    return _edge_path(neighbours, vertices, triangles)
+    vertices = sum(1 << v for (v,) in k.simplices[0]) if k.simplices else 0
+    return _edge_path(neighbours, vertices, k.simplices[2] if k.dimension >= 2 else ())
 
 
 def poset_presentation(p: Poset) -> Presentation:
-    """The presentation of the order complex of ``p``, read off the order
-    bitmasks without building the complex.
+    """A presentation of pi1 of a connected poset of any height, read off
+    its Hasse diagram: the covers are the edges, and each comparable pair
+    a < c that is not a cover, with middles b_1 < ... < b_k, gives the walks
+    a -> b_{i-1} -> c -> b_i -> a for i = 2..k.  A step along a non-cover
+    pair x < y follows the least cover of x below y, and so on up to y (see
+    the module docstring for why this presents the group of the order
+    complex).
 
-    Edges are the comparable pairs and triangles the 3-chains, the latter as
-    sorted index tuples in lexicographic order, which is the order
-    :func:`~finspace.complexes.order_complex` gives them; so the result
-    equals ``presentation(order_complex(p))`` at every height.
+    Raises :class:`DisconnectedComplex` on a disconnected poset.
     """
-    comparable = [u | d for u, d in zip(p._strict_up, p._strict_down)]
-    triangles = (
-        (i, j, k)
-        for i, row in enumerate(comparable)
-        for j in _bits(row >> (i + 1) << (i + 1))
-        for k in _bits(row & comparable[j] >> (j + 1) << (j + 1))
-    )
-    return _edge_path(comparable, (1 << p.n) - 1, triangles)
-
-
-def hasse_presentation(p: Poset) -> Presentation:
-    """A presentation of pi1 of a connected poset of height at most 2, read
-    off its Hasse diagram: the covers are the edges, and each comparable
-    pair a < c that is not a cover, with middles b_1 < ... < b_k, gives the
-    square walks a -> b_{i-1} -> c -> b_i -> a for i = 2..k (see the module
-    docstring for why this presents the same group as
-    :func:`poset_presentation`).
-
-    Raises :class:`ValueError` above height 2, where a 3-chain can have a
-    non-cover step, and :class:`DisconnectedComplex` on a disconnected
-    poset.
-    """
-    if p.height > 2:
-        raise ValueError("the Hasse-diagram presentation needs height at most 2")
     up, down = p._strict_up, p._strict_down
     neighbours = [0] * p.n
-    squares = []
+    walks = []
     for a, row in enumerate(up):
         for c in _bits(row):
             middles = row & down[c]
@@ -180,23 +164,34 @@ def hasse_presentation(p: Poset) -> Presentation:
                 neighbours[c] |= 1 << a
                 continue
             bs = _bits(middles)
-            squares.extend((a, bs[i - 1], c, bs[i]) for i in range(1, len(bs)))
-    return _edge_path(neighbours, (1 << p.n) - 1, squares)
+            walks.extend((a, bs[i - 1], c, bs[i]) for i in range(1, len(bs)))
+
+    def least_cover(x: int, y: int) -> int:
+        """The least cover of the lower of x and y below the upper one."""
+        lo, hi = (x, y) if up[x] >> y & 1 else (y, x)
+        below = neighbours[lo] & up[lo] & down[hi]
+        return (below & -below).bit_length() - 1
+
+    return _edge_path(neighbours, (1 << p.n) - 1, walks, least_cover)
 
 
 def _edge_path(
     neighbours: Sequence[int],
     vertices: int,
     walks: Iterable[tuple[int, ...]],
+    via: Callable[[int, int], int] | None = None,
 ) -> Presentation:
     """Presentation of the 2-complex whose vertex set is the bitmask
     ``vertices``, whose edges are given by the neighbour mask of each vertex
     and whose 2-cells are closed vertex walks, each a tuple v_0, ..., v_m
-    that returns from v_m to v_0 along edges: one generator per non-tree
-    edge, numbered in lexicographic edge order, and one relator per walk.
-    Edge (u, v) with u < v is read as its generator going from u to v, and
-    as the inverse going back.  The spanning tree is rooted at the least
-    vertex."""
+    that returns from v_m to v_0: one generator per non-tree edge, numbered
+    in lexicographic edge order, and one relator per walk.  Edge (u, v)
+    with u < v is read as its generator going from u to v, and as the
+    inverse going back.  A step between two vertices that are not
+    neighbours is read as the path through ``via(x, y)``, which must equal
+    ``via(y, x)``, one step at a time; a relator with such a step is
+    cyclically reduced, and dropped if it is empty.  The spanning tree is
+    rooted at the least vertex."""
     if not vertices:
         raise ValueError("complex has no vertices")
     root = (vertices & -vertices).bit_length() - 1
@@ -217,19 +212,45 @@ def _edge_path(
     # non-tree edges (u, x) with x < v; first[-1] - 1 counts them all.
     first = list(accumulate((row.bit_count() for row in upper), initial=1))
 
-    # The walks given are triangles and squares of distinct edges, so each
-    # word is already freely and cyclically reduced.
+    # Steps along edges are read inline; a walk of edges only is a triangle
+    # or a square of distinct edges, so its word is already reduced.
+    paths: dict[tuple[int, int], Word] = {}
     relators = []
     for walk in walks:
         word = []
+        detour = False
         for x, y in zip(walk, walk[1:] + walk[:1]):
             if x < y:
                 if upper[x] >> y & 1:
                     word.append(first[x] + (upper[x] & ((1 << y) - 1)).bit_count())
+                    continue
             elif upper[y] >> x & 1:
                 word.append(-first[y] - (upper[y] & ((1 << x) - 1)).bit_count())
-        relators.append(tuple(word))
+                continue
+            if not neighbours[x] >> y & 1:
+                word.extend(_path(x, y, via, neighbours, upper, first, paths))
+                detour = True
+        word = cyclic_reduce(word) if detour else tuple(word)
+        if word:  # only a detour can leave it empty, since a tree has no cycle
+            relators.append(word)
     return Presentation(num_generators=first[-1] - 1, relators=tuple(relators))
+
+
+def _path(x, y, via, neighbours, upper, first, paths) -> Word:
+    """The word of the step from x to y between two vertices that are not
+    neighbours: the path through ``via(x, y)``, kept in ``paths``."""
+    word = paths.get((x, y))
+    if word is None:
+        word = ()
+        for u, v in pairwise((x, via(x, y), y)):
+            if not neighbours[u] >> v & 1:
+                word += _path(u, v, via, neighbours, upper, first, paths)
+            elif u < v and upper[u] >> v & 1:
+                word += (first[u] + (upper[u] & ((1 << v) - 1)).bit_count(),)
+            elif v < u and upper[v] >> u & 1:
+                word += (-first[v] - (upper[v] & ((1 << u) - 1)).bit_count(),)
+        paths[x, y] = word
+    return word
 
 
 def free_reduce(word: Word) -> Word:

@@ -16,7 +16,7 @@ from finspace.classify import (
     label,
     min_model_search,
 )
-from finspace import classify, posets, presentations
+from finspace import classify, complexes, posets, presentations
 from finspace.complexes import HomologyProfile, poset_homology
 from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
 from finspace.formats import load_poset
@@ -294,26 +294,23 @@ class TestDualPairing:
             assert len(calls) == orbits, height
 
     def test_height2_inventory_reads_pi1_off_the_hasse_diagram(self, monkeypatch):
-        """No order-complex presentation is built; every finspace module
-        holding ``poset_presentation`` gets the spy, as the tracer does."""
-        calls = []
-        original = presentations.poset_presentation
+        """One Hasse-diagram presentation per dual orbit and no order
+        complex; every finspace module holding ``poset_presentation`` or
+        ``order_complex`` gets the spy, as the tracer does."""
+        calls = {"poset_presentation": [], "order_complex": []}
+        for name, module in (("poset_presentation", presentations), ("order_complex", complexes)):
+            original = getattr(module, name)
 
-        def spy(p):
-            calls.append(p)
-            return original(p)
+            def spy(p, original=original, seen=calls[name]):
+                seen.append(p)
+                return original(p)
 
-        for module in list(sys.modules.values()):
-            name = getattr(module, "__name__", "")
-            if name.startswith("finspace") and getattr(module, "poset_presentation", None) is original:
-                monkeypatch.setattr(module, "poset_presentation", spy)
-        hasse = []
-        monkeypatch.setattr(
-            classify, "hasse_presentation", lambda p: hasse.append(p) or presentations.hasse_presentation(p)
-        )
+            for holder in list(sys.modules.values()):
+                if getattr(holder, "__name__", "").startswith("finspace") and getattr(holder, name, None) is original:
+                    monkeypatch.setattr(holder, name, spy)
         inventory(8, 2)
-        assert calls == []
-        assert len(hasse) == 30  # one per dual orbit of the 53 cores
+        assert len(calls["poset_presentation"]) == 30  # one per dual orbit of the 53 cores
+        assert calls["order_complex"] == []
 
     def test_height1_inventory_codes_each_class_about_once(self, monkeypatch):
         """The wide reading hands each class its partner's code, so
