@@ -152,16 +152,18 @@ def classify_poset(p: Poset) -> ClassificationRecord:
             profile = free_pi1_homology(p, status.rank)
     if profile is None:
         profile = poset_homology(p)
+    return _record(p, p.dual_code, p.height, profile, label(profile, status), p.is_homogeneous)
+
+
+def _record(
+    p: Poset, dual_code: bytes, height: int, profile: HomologyProfile,
+    wedge: WedgeLabel | None, homogeneous: bool,
+) -> ClassificationRecord:
+    """The record of ``p`` with the given classification fields; the rest
+    are read off ``p``."""
     return ClassificationRecord(
-        code=p.canonical_code,
-        n=p.n,
-        height=p.height,
-        covers=p.covers,
-        labels=p.labels,
-        profile=profile,
-        wedge=label(profile, status),
-        homogeneous=p.is_homogeneous,
-        dual_code=p.dual_code,
+        code=p.canonical_code, n=p.n, height=height, covers=p.covers, labels=p.labels,
+        profile=profile, wedge=wedge, homogeneous=homogeneous, dual_code=dual_code,
         figure_matches=figures.matches(p),
     )
 
@@ -222,12 +224,7 @@ def classify_cores(cores: Iterable[Poset]) -> Iterator[ClassificationRecord]:
             if rec.dual_code != rec.code:
                 waiting[rec.dual_code] = (rec.code, rec.height, rec.profile, rec.wedge, rec.homogeneous)
         else:
-            dual_code, height, profile, wedge, homogeneous = shared
-            rec = ClassificationRecord(
-                code=p.canonical_code, n=p.n, height=height, covers=p.covers, labels=p.labels,
-                profile=profile, wedge=wedge, homogeneous=homogeneous, dual_code=dual_code,
-                figure_matches=figures.matches(p),
-            )
+            rec = _record(p, *shared)
         yield rec
 
 

@@ -16,23 +16,22 @@ are built: two adjacent columns that are equal over the rows so far are
 and a 0 in the higher one (every matrix can be brought into this form by
 permuting its rows and columns; Lubiw, "Doubly lexical orderings of
 matrices", SIAM J. Comput. 1987).  A rejected row cuts off its whole subtree.
-While the rows are read, a candidate is dropped if an element of the level
-under the top lies below exactly one top element, or, at height two, if a
-minimal is an up beat point; both are read off one count of how many rows
-set each column (see :func:`_shape_candidates`), before the candidate's
-masks are built.  At n = 10 this drops 6,618 of the 12,037 height-2
-candidates, and 5,417 of the 5,419 left are cores.  Every remaining candidate
-of either height then goes through one filter, which is the definition of
-a core: the comparability graph is connected, there is no beat point (the
-mask helpers of :mod:`finspace.posets`), and the first member of each
-class, by canonical code, is kept.
+While the rows are read, a candidate is dropped if it would have a beat
+point (the row rules below), before its masks are built; at n = 10 the
+extras that rules 4 and 5 ask of the minimals drop 6,618 of 12,037
+height-2 candidates.
+Every remaining candidate then goes through one filter: the comparability
+graph is connected (the mask helper of :mod:`finspace.posets`; 5,417 of
+the 5,419 left at n = 10), and the first member of each class, by
+canonical code, is kept.
 
-The rule never rejects that first member.  Without the rule the generation
-order is descending lexicographic, so the first member of a class is its
-lexicographically greatest one.  If it broke the rule, swapping the two
-tied columns would keep the earlier rows, raise the offending row, and so
-give a greater member of the same class.  The kept representatives are
-therefore exactly those of plain row-sorted generation.
+The column rule never rejects that first member.  Without the rule the
+generation order is descending lexicographic, so the first member of a
+class is its lexicographically greatest one.  If it broke the rule,
+swapping the two tied columns would keep the earlier rows, raise the
+offending row, and so give a greater member of the same class.  The kept
+representatives are therefore exactly those of plain row-sorted
+generation.
 
 A second, direct test of lexicographic maximality (orderly generation
 after Read, "Every one a winner", Ann. Discrete Math. 1978) drops most
@@ -49,6 +48,42 @@ is not the first member of its class and the code dedupe would drop it
 too.  The first member is the greatest one, so no swap beats it.  The
 output is unchanged, and the canonical code stays the exact dedupe.
 
+The row rules are the one definition of a core here (a connected poset
+with no beat point; Stong, "Finite topological spaces", Trans. AMS 1966):
+no candidate that passes them has a beat point, and a connected candidate
+fails them only if it has one.  The argument goes by the kind of element.
+Call the elements minimals, middles (the height-1 elements, the top level
+at height one) and tops (the height-2 elements).  A top's row is ``smask
+<< m0 | emask``: the middles below it and its *extras*, the minimals it
+covers directly, none of them below a middle in ``smask``.  An element is
+a down beat point iff its strict down-set has exactly one maximal element,
+and an up beat point iff its strict up-set has exactly one minimal one.
+
+1. A middle's strict down-set is its minimals, so it is no down beat
+   point: middle rows have at least two bits (``_descending_masks(m0,
+   2)``).
+2. The maximal elements under a top are its middles and its extras, so a
+   top with one middle takes at least one extra.
+3. No element of the level under the top level lies below exactly one
+   element of the top level: at height one the lone-column test, at
+   height two the lone-middle test.  Its strict up-set lies in the top
+   level, an antichain, so it is an up beat point iff that set has one
+   element.
+4. The minimal elements over a minimal x of a height-2 candidate are the
+   middles above x and the tops taking x as an extra, since an extra is
+   never below its top's middles.  So a minimal under exactly one middle
+   is an extra of some chosen top, and such a top is never above that
+   middle.
+5. A minimal under no middle is an extra of at least two chosen tops:
+   with one, that top is the minimum over x, and with none, x is
+   isolated.
+6. The height-1 transposed reading below keeps all of this, because it is
+   the order dual, and duality swaps down and up beat points.
+
+Minimals have no down beat point and tops no up beat point, so the rules
+exclude every beat point.  Each rejects only a candidate with a beat point
+or, in rule 5, an isolated minimal.
+
 Height-1 masks take the smaller level as their columns, so a shape with
 more minimals than maximals is not generated on its own.  Its cores are
 the kept cores of the transposed shape, each read once more as the
@@ -63,11 +98,8 @@ code (``Poset.dual_code``), and classifying them builds no dual and codes
 nothing again.  A square shape (as many minimals as maximals) has no wide
 reading; its cores code their duals when first asked.
 
-Cheap arithmetic facts prune the height-2 search further: in a core every
-height-1 element sits above at least two minimals, every height-1 element
-lies below zero or at least two height-2 elements, and strata of size one
-force beat points, so level shapes with any class smaller than two are
-skipped outright.
+Cheap arithmetic facts prune the height-2 search further: level shapes
+with any class smaller than two are skipped outright (:func:`level_shapes`).
 """
 
 from __future__ import annotations
@@ -75,7 +107,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from finspace.posets import Poset, _beat_points, _connected, _transpose
+from finspace.posets import Poset, _connected, _transpose
 
 HEIGHT2_CAP = 10
 HEIGHT1_CAP = 12
@@ -184,10 +216,11 @@ def _column_swaps(
 def level_shapes(n: int) -> list[LevelShape]:
     """Shapes that can carry a height-2 core: every class has >= 2 elements.
 
-    A singleton class forces a beat point: one minimal makes every height-1
-    element a down beat point, one height-1 element makes some minimal an up
-    beat point, and one height-2 element makes some height-1 element an up
-    beat point.
+    This is a pure prune: the row rules of :func:`_shape_candidates` reject
+    every candidate of a shape with a singleton class.  One minimal leaves
+    no middle row of two bits (rule 1); one middle is below every top, so
+    no top can take a minimal under it as an extra (rule 4); one top is
+    the only top above each middle under it (rule 3).
     """
     out = []
     for m2 in range(2, n - 3):
@@ -208,14 +241,6 @@ def _column_counts(rows: tuple[int, ...]) -> tuple[int, int]:
     return once, twice
 
 
-def _extra_needs(once: int, twice: int, minimals: int) -> tuple[int, int]:
-    """The minimals that must be taken as an extra cover by at least one,
-    and by at least two, chosen tops, lest they be up beat points, given
-    the columns ``once`` and ``twice`` set in at least one and two middles:
-    those under exactly one middle, and those under none."""
-    return once & ~twice, minimals & ~once
-
-
 def _union_table(values) -> list[int]:
     """``out[mask]``: the union of ``values[i]`` over the bits i of mask."""
     out = [0]
@@ -226,30 +251,18 @@ def _union_table(values) -> list[int]:
 
 def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the strict down- and up-set masks (minimals first, then the
-    height-1 elements, then the height-2 ones) of each candidate of one shape
-    that has neither of two kinds of up beat point: an element of the level
-    under the top that lies below exactly one top element, and, at height
-    two, a minimal whose strict up-set has a minimum.
-
-    The middles above a minimal x of a height-2 candidate are minimal in
-    its strict up-set, since nothing there lies below a middle, so with two
-    of them x is no beat point.  With one, b, the rest of the set is the
-    tops above b and the tops taking x as an extra cover; an extra is never
-    below its top's middles, so such a top is not above b, and b is the
-    minimum exactly when no chosen top takes x as an extra.  With none, the
-    set is the tops taking x as an extra: one of them is its minimum, and
-    with none x is isolated, so two are needed.  One pass over the chosen
-    tops counts, for every column, whether it is set in one row and in two;
-    it serves the lone-middle test too, before the swap test and before any
-    mask of the candidate is built.
+    height-1 elements, then the height-2 ones) of each beat-point-free
+    candidate of one shape, by the row rules of the module docstring.
 
     The rows of the height-1 elements are their minimal-set masks (at least
     two bits).  With ``m2 == 0`` these elements are the top level.
     Otherwise height-2 element k gets the row ``smask << m0 | emask``: the
-    height-1 elements below it and the extra minimals it covers directly.  A
-    height-2 element with a single height-1 predecessor must take at least
-    one extra minimal cover, else that predecessor would be the maximum of
-    its punctured down-set.
+    height-1 elements below it and the extra minimals it covers directly.
+    One pass over the rows of a level counts, for every column, whether it
+    is set in one row and in two.  Over the middles that gives the
+    lone-column test and the extras each minimal needs, and over the tops
+    the lone-middle test and the extras they take, before the swap test and
+    before any mask of the candidate is built.
 
     Both levels come from :func:`_orderly_rows`.  The height-1 level starts
     with all minimal columns tied.  The height-2 level starts with the
@@ -292,7 +305,7 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
         for i in range(1, m1):
             if middles[i] == middles[i - 1]:
                 ties |= 1 << (m0 + i)
-        need_once, need_twice = _extra_needs(once, twice, minimals)
+        need_once, need_twice = once & ~twice, minimals & ~once
         for chosen, _ in _orderly_rows(tops, m2, ties):
             over, twice_over = _column_counts(chosen)
             if (
@@ -337,7 +350,7 @@ def _cores_for_shape(shape: LevelShape) -> list[Poset]:
     labels = _stratum_labels(shape)
     found: dict[bytes, Poset] = {}
     for down, up in _shape_candidates(shape):
-        if not _connected(down, up) or _beat_points(down, up):
+        if not _connected(down, up):
             continue
         p = Poset([mask | 1 << i for i, mask in enumerate(up)], labels)
         found.setdefault(p.canonical_code, p)

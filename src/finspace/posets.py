@@ -202,16 +202,11 @@ class Poset:
                 raise PosetError(f"cover ({lo}, {hi}) out of range for n={n}")
             above[lo] |= 1 << hi
         up = [1 << i | above[i] for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall: after step k, paths through 0..k are closed
+            bit, row = 1 << k, up[k]
             for i in range(n):
-                acc = up[i]
-                for j in _bits(up[i]):
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
+                if up[i] & bit:
+                    up[i] |= row
         poset = cls(up, labels)
         name, strict = poset.labels, poset._strict_up
         if sum(map(int.bit_count, above)) < len(pairs):  # one bit per distinct pair

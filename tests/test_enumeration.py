@@ -186,30 +186,16 @@ class TestColumnSwaps:
         assert kept() == with_check
 
 
-class TestMinimalBeatPoints:
-    SHAPES = [s for n in range(6, 10) for s in level_shapes(n)]
-
-    def test_check_changes_no_shape_output(self, monkeypatch):
-        """With the minimal check patched out, every height-2 shape up to
-        nine points keeps the same labelled posets in the same order, and
-        more candidates reach the filter."""
-
-        def kept():
-            return [[(p.labels, p.covers) for p in _cores_for_shape(s)] for s in self.SHAPES]
-
-        def candidates():
-            return sum(1 for s in self.SHAPES for _ in enumeration._shape_candidates(s))
-
-        with_check, fewer = kept(), candidates()
-        monkeypatch.setattr(enumeration, "_extra_needs", lambda once, twice, minimals: (0, 0))
-        assert kept() == with_check
-        assert candidates() > fewer
-
-    def test_no_candidate_has_a_minimal_up_beat_point(self):
-        for shape in self.SHAPES:
-            minimals = (1 << shape.m0) - 1
+class TestRowRules:
+    def test_no_candidate_has_a_beat_point(self):
+        """The row rules alone keep beat points out: no element of any
+        candidate of any shape, at height 2 on 6-10 points or at height 1
+        on 4-11 points, is a beat point."""
+        shapes = [s for n in range(6, 11) for s in level_shapes(n)]
+        shapes += [LevelShape(0, n - m0, m0) for n in range(4, 12) for m0 in range(2, n // 2 + 1)]
+        for shape in shapes:
             for down, up in enumeration._shape_candidates(shape):
-                assert not _beat_points(down, up, minimals), (shape, down)
+                assert _beat_points(down, up) == 0, (shape, down)
 
 
 def _representatives_digest(cores) -> str:

@@ -156,8 +156,9 @@ class TestUpDownSets:
         from conftest import random_poset
 
         for _ in range(25):
-            p = random_poset(rng)
+            p = random_poset(rng)  # closed by conftest's own fixed point
             n = p.n
+            assert Poset.from_covers(n, p.covers)._strict_up == p._strict_up
             for x in range(n):
                 assert not p._strict_up[x] >> x & 1
                 assert not p._strict_down[x] >> x & 1
@@ -183,6 +184,15 @@ class TestUpDownSets:
             ]
             for q, (q_up, q_down) in cases:
                 assert (q._strict_up, q._strict_down) == (tuple(q_up), tuple(q_down))
+        # a chain whose covers run against the index order, so one closure
+        # pass in index order must carry every relation across all 64 points
+        sigma = list(range(64))
+        rng.shuffle(sigma)
+        chain = Poset.chain(64).permuted(sigma)
+        rebuilt = Poset.from_covers(64, chain.covers)
+        assert rebuilt._strict_up == chain._strict_up
+        up, down = masks_from_covers(64, chain.covers)
+        assert (rebuilt._strict_up, rebuilt._strict_down) == (tuple(up), tuple(down))
 
     def test_stores_only_the_strict_masks(self):
         assert set(vars(Poset.chain(3))) == {"n", "labels", "_strict_up", "_strict_down"}
