@@ -21,9 +21,10 @@ import argparse
 import contextlib
 import json
 import sys
+from collections import Counter
 
 from finspace import figures
-from finspace.classify import classify_cores, inventory, min_model_search
+from finspace.classify import classify_cores, min_model_search
 from finspace.complexes import SimplexBudgetExceeded, poset_homology
 from finspace.enumeration import (
     SizeTooLarge,
@@ -224,20 +225,23 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    inv = inventory(args.n, args.height)
-    print(f"cores: {len(inv.records)}")
-    for key, count in sorted(inv.counts.items(), key=lambda kv: (kv[0] is None, kv[0])):
+    """Count labels, and verified labels, as the records come; no record is
+    kept, and each core is dropped once it is classified."""
+    check_cap(args.n, args.height)
+    generate = enumerate_height1_cores if args.height == 1 else enumerate_height2_cores
+    counts = Counter()
+    verified = Counter()
+    for rec in classify_cores(_popped(generate(args.n))):
+        counts[rec.label_key] += 1
+        verified[rec.label_key] += rec.wedge is not None and rec.wedge.pi1_verified
+    print(f"cores: {sum(counts.values())}")
+    for key, count in sorted(counts.items(), key=lambda kv: (kv[0] is None, kv[0])):
         if key is None:
             print(f"unrecognized: {count}")
         else:
-            verified = sum(
-                1
-                for r in inv.records
-                if r.label_key == key and r.wedge is not None and r.wedge.pi1_verified
-            )
             print(
                 f"{key[0]} circles, {key[1]} spheres: {count} "
-                f"(pi1 verified for {verified})"
+                f"(pi1 verified for {verified[key]})"
             )
     return 0
 

@@ -23,7 +23,11 @@ height-2 candidates.
 Every remaining candidate then goes through one filter: the comparability
 graph is connected (the mask helper of :mod:`finspace.posets`; 5,417 of
 the 5,419 left at n = 10), and the first member of each class, by
-canonical code, is kept.
+canonical code, is kept.  A candidate is coded straight from its masks,
+and a :class:`~finspace.posets.Poset` is built only for the first member
+of a class, without the constructor's checks: each row names only
+elements of lower levels, closed downwards, so the masks are an order by
+construction.
 
 The column rule never rejects that first member.  Without the rule the
 generation order is descending lexicographic, so the first member of a
@@ -94,9 +98,12 @@ classes match the narrow ones one for one, and the first wide member of
 each class, the one generating the wide shape on its own would keep, is
 the reading of the first narrow member.  The reading is the narrow core's
 dual, so it also hands each of the two classes its partner's canonical
-code (``Poset.dual_code``), and classifying them builds no dual and codes
-nothing again.  A square shape (as many minimals as maximals) has no wide
-reading; its cores code their duals when first asked.
+code (``Poset.dual_code``), and classifying them codes nothing again.  A
+square shape (as many minimals as maximals) has no wide reading; its
+cores, like the height-2 cores, code their duals when first asked, and
+classification asks once per dual pair.  No dual ``Poset`` is built at
+either height: ``dual_code`` codes a poset's own masks read the other way
+round.
 
 Cheap arithmetic facts prune the height-2 search further: level shapes
 with any class smaller than two are skipped outright (:func:`level_shapes`).
@@ -107,7 +114,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from finspace.posets import Poset, _connected, _transpose
+from finspace.posets import Poset, _code, _connected, _transpose
 
 HEIGHT2_CAP = 10
 HEIGHT1_CAP = 12
@@ -346,14 +353,17 @@ def _stratum_labels(shape: LevelShape) -> tuple[str, ...]:
 
 def _cores_for_shape(shape: LevelShape) -> list[Poset]:
     """One connected core per isomorphism class of the given shape: the
-    first candidate of each class."""
+    first candidate of each class.  Candidates are coded from their masks,
+    and a poset is built, unchecked, only for a new code."""
     labels = _stratum_labels(shape)
     found: dict[bytes, Poset] = {}
     for down, up in _shape_candidates(shape):
         if not _connected(down, up):
             continue
-        p = Poset([mask | 1 << i for i, mask in enumerate(up)], labels)
-        found.setdefault(p.canonical_code, p)
+        code = _code(down, up)
+        if code not in found:
+            p = found[code] = Poset._from_strict(down, up, labels)
+            p.canonical_code = code
     return list(found.values())
 
 
@@ -395,11 +405,10 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
         shards.append(kept)
         if m0 < m1:  # the wide shape: each kept core read transposed
             labels = _stratum_labels(LevelShape(0, m0, m1))
-            tops = [1 << j for j in range(m1, n)]
             wide = []
             for p in kept:
-                rows = p._strict_down[m0:]
-                q = Poset([r << m1 | 1 << i for i, r in enumerate(rows)] + tops, labels)
+                up = [r << m1 for r in p._strict_down[m0:]] + [0] * m0
+                q = Poset._from_strict(_transpose(up), up, labels)
                 p.dual_code, q.dual_code = q.canonical_code, p.canonical_code
                 wide.append(q)
             shards.append(wide)

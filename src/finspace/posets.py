@@ -135,10 +135,22 @@ class Poset:
     ``n``, ``labels`` and the order once, as ``_strict_up[i]``, the bitmask
     of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
     of ``{j : j < i}``; the other attributes are cached invariants, among
-    them ``_core``, set by :meth:`core`, and ``dual_code``, which a
-    generator that holds the dual's code may set in advance.  The order is
-    never mutated after construction, so instances are safe to share across
-    threads.
+    them ``_core``, set by :meth:`core`, and ``canonical_code`` and
+    ``dual_code``, which a generator that has already coded the poset or
+    its dual may set in advance.  The order is never mutated after
+    construction, so instances are safe to share across threads.
+
+    Every public way in checks its input: the constructor (size, labels,
+    range, reflexivity, antisymmetry, transitivity), and through it
+    :meth:`from_covers` (which adds the cover checks), the parsers of
+    :mod:`finspace.formats`, :meth:`permuted`, :meth:`restricted` and
+    :meth:`nh_suspension`.  The private :meth:`_from_strict` stores strict
+    masks unchecked, and is used only for masks derived from an order
+    already known to be valid: :meth:`dual` swaps a poset's two tuples, and
+    the core generator of :mod:`finspace.enumeration` builds each kept core
+    from down-set rows that name only lower levels, closed downwards, and
+    their transpose, and each wide height-1 core by transposing a kept one.
+    Checking those masks again would find nothing.
     """
 
     def __init__(self, up_masks: Sequence[int], labels: Sequence[str] | None = None):
@@ -170,10 +182,24 @@ class Poset:
             for j in _bits(up[i]):
                 if up[j] & ~up[i]:
                     raise PosetError(f"relation not transitive at ({labels[i]}, {labels[j]})")
-        self.n = n
+        self._store(down, up, labels)
+
+    def _store(self, down: Sequence[int], up: Sequence[int], labels: tuple[str, ...]) -> None:
+        self.n = len(up)
         self.labels = labels
         self._strict_up = tuple(up)
         self._strict_down = tuple(down)
+
+    @classmethod
+    def _from_strict(
+        cls, down: Sequence[int], up: Sequence[int], labels: tuple[str, ...]
+    ) -> "Poset":
+        """The poset with strict down- and up-set masks ``down`` and ``up``,
+        which must be transposes of each other and a valid order, and the
+        label tuple ``labels``, stored as given: nothing is checked."""
+        poset = cls.__new__(cls)
+        poset._store(down, up, labels)
+        return poset
 
     # -- construction ------------------------------------------------------
 
@@ -295,7 +321,7 @@ class Poset:
 
     def dual(self) -> "Poset":
         """The opposite poset: same elements, order reversed."""
-        return Poset([row | 1 << i for i, row in enumerate(self._strict_down)], self.labels)
+        return Poset._from_strict(self._strict_up, self._strict_down, self.labels)
 
     def permuted(self, sigma: Sequence[int]) -> "Poset":
         """Relabelled copy: element i of self becomes element sigma[i]."""
@@ -407,19 +433,17 @@ class Poset:
 
     @cached_property
     def canonical_code(self) -> bytes:
-        """A byte string equal for two posets iff they are isomorphic.
-
-        ``"<n>:<rows>"``, where rows are the strict up-set masks, in hex,
-        under the canonical labelling of :func:`_canonical_rows`.
-        """
-        rows = _canonical_rows(self._strict_down, self._strict_up)
-        return (f"{self.n}:" + ",".join(f"{r:x}" for r in rows)).encode("ascii")
+        """A byte string equal for two posets iff they are isomorphic
+        (:func:`_code`)."""
+        return _code(self._strict_down, self._strict_up)
 
     @cached_property
     def dual_code(self) -> bytes:
-        """The canonical code of :meth:`dual`.  A generator that has already
-        coded the dual may set it first, so that it is not coded again."""
-        return self.dual().canonical_code
+        """The canonical code of :meth:`dual`, coded from this poset's own
+        masks read the other way round; no dual is built.  A generator that
+        has already coded the dual may set it first, so that it is not
+        coded again."""
+        return _code(self._strict_up, self._strict_down)
 
     def is_isomorphic(self, other: "Poset") -> bool:
         return self.canonical_code == other.canonical_code
@@ -450,6 +474,7 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
     each cell by the key (|below x & S|, |above x & S|), pieces in key order.
     A split cell that is not queued itself queues all its pieces but the
     first largest, whose counts follow from the others' (Hopcroft's rule).
+    One pass over the cells applies one splitter and rebuilds the list.
     """
     n = len(sd)
     pending = set(queue)
@@ -461,16 +486,20 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
             continue
         pending.discard(s)
         single = not s & (s - 1)
-        above = below = 0  # elements above / below some element of s
-        for y in _bits(s):
-            above |= su[y]
-            below |= sd[y]
+        # the elements above / below some element of s
+        if single:
+            y = s.bit_length() - 1
+            above, below = su[y], sd[y]
+        else:
+            above = below = 0
+            for y in _bits(s):
+                above |= su[y]
+                below |= sd[y]
         touched = above | below
-        i = 0
-        while i < len(cells):
-            c = cells[i]
+        out: list[int] = []
+        for c in cells:
             if not (c & (c - 1) and c & touched):
-                i += 1
+                out.append(c)
                 continue
             if single:  # keys (0, 0), (0, 1), (1, 0)
                 pieces = [p for p in (c & ~touched, c & below, c & above) if p]
@@ -479,20 +508,22 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
                 for x in _bits(c):
                     key = (sd[x] & s).bit_count() << 7 | (su[x] & s).bit_count()
                     groups[key] = groups.get(key, 0) | 1 << x
-                pieces = [groups[key] for key in sorted(groups)]
-            if len(pieces) > 1:
-                cells[i : i + 1] = pieces
-                skip = -1
-                if c in pending:
-                    pending.discard(c)
-                else:
-                    sizes = [p.bit_count() for p in pieces]
-                    skip = sizes.index(max(sizes))
-                for k, p in enumerate(pieces):
-                    if k != skip:
-                        queue.append(p)
-                        pending.add(p)
-            i += len(pieces)
+                pieces = [groups[key] for key in sorted(groups)] if len(groups) > 1 else [c]
+            if len(pieces) == 1:
+                out.append(c)
+                continue
+            out += pieces
+            skip = -1
+            if c in pending:
+                pending.discard(c)
+            else:
+                sizes = [p.bit_count() for p in pieces]
+                skip = sizes.index(max(sizes))
+            for k, p in enumerate(pieces):
+                if k != skip:
+                    queue.append(p)
+                    pending.add(p)
+        cells[:] = out
 
 
 def _orbit_roots(
@@ -612,6 +643,15 @@ def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
     visit(cells, [])
     assert best is not None
     return best[0]
+
+
+def _code(sd: Sequence[int], su: Sequence[int]) -> bytes:
+    """The canonical code of the poset with strict down- and up-set masks
+    ``sd`` and ``su``: ``"<n>:<rows>"``, where rows are the strict up-set
+    masks, in hex, under the canonical labelling of :func:`_canonical_rows`.
+    Swapping the arguments gives the code of the dual."""
+    rows = _canonical_rows(sd, su)
+    return (f"{len(sd)}:" + ",".join(f"{r:x}" for r in rows)).encode("ascii")
 
 
 def fence() -> Poset:

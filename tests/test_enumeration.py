@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from finspace.enumeration import (
     level_shapes,
 )
 from finspace.posets import Poset, _beat_points, _bits, fence
+from oracle_burnside import core_counts
 from oracle_posets import enumerate_posets
 
 
@@ -241,6 +243,25 @@ class TestLevelShapes:
             assert all(p.labels is cores[0].labels for p in cores)
 
 
+def _checked(p: Poset) -> Poset:
+    """``p`` rebuilt from its up-set masks through the checking constructor."""
+    return Poset([mask | 1 << i for i, mask in enumerate(p._strict_up)], p.labels)
+
+
+class TestUncheckedBuilder:
+    def test_generated_posets_pass_the_checks(self):
+        """The generator and ``dual`` build their posets unchecked; every
+        core, wide readings included, and the dual of each, passes the
+        constructor's checks with the same strict masks."""
+        cores = [p for n in range(1, 10) for p in enumerate_height2_cores(n)]
+        cores += [p for n in range(1, 11) for p in enumerate_height1_cores(n)]
+        assert len(cores) == 512 + 2289
+        for p in cores + [p.dual() for p in cores]:
+            checked = _checked(p)
+            assert checked._strict_down == p._strict_down, p.canonical_code
+            assert checked._strict_up == p._strict_up, p.canonical_code
+
+
 class TestHeight2Cores:
     def test_empty_below_six(self):
         for n in range(1, 6):
@@ -375,19 +396,42 @@ class TestHeight1Cores:
     def test_dual_codes_passed_along(self, monkeypatch):
         """Each core of a non-square shape holds the code of its dual, which
         the enumerator coded anyway; only a square core (as many minimals
-        as maximals) builds its dual to code it."""
+        as maximals) codes its dual when asked for it."""
         calls = []
-        dual = Poset.dual
-        monkeypatch.setattr(Poset, "dual", lambda p: calls.append(p) or dual(p))
+        rows = posets._canonical_rows
+        monkeypatch.setattr(
+            posets, "_canonical_rows", lambda *args: calls.append(1) or rows(*args)
+        )
         for n in range(4, 11):
-            calls.clear()
             cores = enumerate_height1_cores(n)
-            codes = [p.dual_code for p in cores]
-            square = [p for p in cores if len(p.minimal_elements) == len(p.maximal_elements)]
-            assert calls == square, n
-            assert codes == [dual(p).canonical_code for p in cores], n
+            codes, coded = [], []
+            for p in cores:
+                calls.clear()
+                codes.append(p.dual_code)
+                coded.append(len(calls))
+            square = [len(p.minimal_elements) == len(p.maximal_elements) for p in cores]
+            assert coded == [int(sq) for sq in square], n
+            checked_duals = [
+                Poset([row | 1 << i for i, row in enumerate(p._strict_down)], p.labels)
+                for p in cores
+            ]
+            assert codes == [d.canonical_code for d in checked_duals], n
             if n in (8, 10):
-                assert square and len(square) < len(cores), n
+                assert any(square) and not all(square), n
+
+    def test_counts_match_burnside(self):
+        """Per (minimals, maximals) shape up to 10 points, and in total on
+        11 and 12, the generator finds as many classes as Burnside's lemma
+        counts, so it neither misses a class nor keeps one twice."""
+        counts = core_counts(12)
+        for n in range(1, 11):
+            found = Counter(
+                (len(p.minimal_elements), len(p.maximal_elements))
+                for p in enumerate_height1_cores(n)
+            )
+            assert found == {shape: k for shape, k in counts.items() if sum(shape) == n}, n
+        totals = [sum(k for shape, k in counts.items() if sum(shape) == n) for n in (11, 12)]
+        assert totals == [13912, 133369]
 
     def test_closed_under_duality(self):
         for n in (4, 5, 6, 7):

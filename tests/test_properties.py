@@ -9,6 +9,7 @@ import random
 import pytest
 
 from conftest import betti_signature, composes_to_zero, random_poset
+from finspace import figures
 from finspace.classify import label
 from finspace.complexes import (
     boundary_matrices,
@@ -75,6 +76,16 @@ def test_dual_preserves_homology_and_label(pool, profiles):
         assert label(dual_prof, None) == label(prof, None)
         checked += 1
     assert checked >= 200
+
+
+def test_dual_code_is_code_of_dual(pool):
+    """``dual_code`` reads the masks the other way round instead of building
+    the dual; it must agree with coding the dual, on the sample and on
+    every figure of the catalog."""
+    catalog = [figures.poset(fid) for fid in figures.all_ids()]
+    assert len(catalog) == 58
+    for p in pool + catalog:
+        assert p.dual_code == p.dual().canonical_code
 
 
 def test_canonical_code_relabeling_invariance(pool):
