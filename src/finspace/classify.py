@@ -17,9 +17,16 @@ The order complex carries the weak homotopy type of the space (McCord
 then H_1, its abelianization, is Z^p with no torsion; H_2 of a 2-complex is
 free, and the Euler characteristic gives beta_2 = chi - 1 + p.  Chain
 counts come from the order bitmasks (see
-:func:`~finspace.complexes.free_pi1_homology`).  Every other core, and
-every core whose simplification is inconclusive, gets its homology from
-Smith normal form.
+:func:`~finspace.complexes.free_pi1_homology`).  The certificate is
+decided in one place, :func:`~finspace.complexes._pi1_certificate`, which
+:func:`~finspace.complexes.poset_homology` calls too, so ``finspace
+homology`` and ``verify-paper`` read the same cores' homology off the same
+certificates.  Every other core, and every core whose simplification is
+inconclusive, gets its homology from
+:func:`~finspace.complexes.poset_homology`: the cellular route first, then
+the order complex and Smith normal form under the simplex budget (an
+inconclusive certificate is simplified there a second time, on its way to
+the order complex).
 
 At height 2 the simplified presentation is
 :func:`~finspace.presentations.poset_presentation`: the Hasse diagram's
@@ -56,10 +63,10 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from finspace import figures
-from finspace.complexes import HomologyProfile, free_pi1_homology, poset_homology
+from finspace.complexes import HomologyProfile, _pi1_certificate, free_pi1_homology, poset_homology
 from finspace.enumeration import check_cap, enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
-from finspace.presentations import SimplificationStatus, poset_presentation, tietze_simplify
+from finspace.presentations import SimplificationStatus
 
 
 @dataclass(frozen=True)
@@ -140,17 +147,10 @@ class ClassificationRecord:
 
 def classify_poset(p: Poset) -> ClassificationRecord:
     """Full record for one core: homology, pi1 certification, label, dual."""
-    status = None
-    profile = None
-    if p.is_connected and p.height <= 2:  # homology follows from pi1 only on a 2-complex
-        if p.height <= 1:  # a graph: pi1 is free on E - V + 1 generators
-            edges = sum(map(int.bit_count, p._strict_up))
-            status = SimplificationStatus.free_of_rank(edges - p.n + 1)
-        else:
-            status = tietze_simplify(poset_presentation(p))
-        if status.is_conclusive:
-            profile = free_pi1_homology(p, status.rank)
-    if profile is None:
+    status = _pi1_certificate(p)
+    if status is not None and status.is_conclusive:
+        profile = free_pi1_homology(p, status.rank)
+    else:
         profile = poset_homology(p)
     return _record(p, p.dual_code, p.height, profile, label(profile, status), p.is_homogeneous)
 

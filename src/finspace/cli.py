@@ -10,9 +10,10 @@ Exit status: 0 success, 1 failed verification checks, 2 usage errors,
 3 malformed poset files and disconnected ones given to ``pi1`` (which
 takes a connected poset of any height and reads its presentation off the
 Hasse diagram), 4 a homology profile whose order complex would exceed
-``complexes.SIMPLEX_BUDGET`` simplices (a core that is not cellular and too
-large).  Machine output (JSON, JSON lines, DOT) is byte-stable across runs;
-progress counters go to standard error.
+``complexes.SIMPLEX_BUDGET`` simplices (a core that is too large and is
+neither cellular nor, at height at most 2, certified by its pi1).  Machine
+output (JSON, JSON lines, DOT) is byte-stable across runs; progress
+counters go to standard error.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The order complex of a poset has one simplex per nonempty chain and carries
 the weak homotopy type of the corresponding finite space (McCord, Duke Math.
 J. 1966), so all invariants here (f-vector, Betti numbers, torsion, Euler
 characteristic, boundary ranks over GF(2)) are those of its order complex.
-:func:`poset_homology` takes three routes, in order:
+:func:`poset_homology` takes the core first, then tries three routes in
+order until one gives the core's homology:
 
 1. the core: ``Poset.core()``, computed once per poset, has the same
    homology, and the poset's own chains are only counted, on its order
@@ -12,7 +13,12 @@ characteristic, boundary ranks over GF(2)) are those of its order complex.
 2. the cellular route: a core whose every Û_x has the homology of a sphere
    of dimension h(x) - 1 gets its homology from a chain complex with one
    cell per point, built by height without a single simplex;
-3. the order complex of the core, refused with
+3. the π1 certificate: a connected core of height at most 2 whose
+   fundamental group is certified free of rank r (an edge count at height
+   at most 1, Tietze simplification of the Hasse-diagram presentation at
+   height 2) has H_1 = Z^r, a free H_2 and no torsion, which with its
+   chain counts fixes the profile (:func:`free_pi1_homology`);
+4. the order complex of the core, refused with
    :class:`SimplexBudgetExceeded` when it would have more than
    :data:`SIMPLEX_BUDGET` simplices.
 
@@ -37,6 +43,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from finspace.posets import Poset, _bits
+from finspace.presentations import SimplificationStatus, poset_presentation, tietze_simplify
 
 
 class ComplexError(ValueError):
@@ -542,10 +549,10 @@ def _cellular_complex(p: Poset) -> tuple[tuple[int, ...], list[IntegerMatrix]] |
 
 SIMPLEX_BUDGET = 20_000
 """The most simplices :func:`poset_homology` builds: the order complex of a
-core that is not cellular and has more chains raises
-:class:`SimplexBudgetExceeded` before any simplex is built.  Smith normal
-form fills in on large complexes, so the time grows faster than the count:
-iterated suspensions of a three-point antichain, whose cores are not
+core that is neither cellular nor certified by its π1 and has more chains
+raises :class:`SimplexBudgetExceeded` before any simplex is built.  Smith
+normal form fills in on large complexes, so the time grows faster than the
+count: iterated suspensions of a three-point antichain, whose cores are not
 cellular, take 0.4 s at 8,747 simplices, 2.3 s at 26,243 and 25 s at 78,731
 (2-CPU Xeon host, Python 3.11).  The core of every fixture and of every
 benchmark query has at most 728 chains."""
@@ -560,8 +567,10 @@ def poset_homology(p: Poset) -> HomologyProfile:
 
     Computed on the core: removing a beat point is a strong deformation
     retract, so p and its core have the same Betti numbers, torsion and
-    GF(2) Betti numbers.  A cellular core gets them from its cellular chain
-    complex, any other core from its order complex, which raises
+    GF(2) Betti numbers.  The core's homology comes from the first route
+    that answers: its cellular chain complex if it is cellular, else its
+    π1 certificate if it is connected, of height at most 2 and certified
+    free (:func:`_pi1_certificate`), else its order complex, which raises
     :class:`SimplexBudgetExceeded` if it would have more than
     :data:`SIMPLEX_BUDGET` simplices.  The f-vector is p's, from
     :func:`_chain_counts`, and p's boundary ranks over the integers and
@@ -574,13 +583,18 @@ def poset_homology(p: Poset) -> HomologyProfile:
     if cellular is not None:
         h = _chain_homology(*cellular)
     else:
-        count = sum(f if core is p else _chain_counts(core))
-        if count > SIMPLEX_BUDGET:
-            raise SimplexBudgetExceeded(
-                f"the {core.n}-point core is not cellular and its order complex has "
-                f"{count} simplices, over the budget of {SIMPLEX_BUDGET}"
-            )
-        h = homology(order_complex(core))
+        status = _pi1_certificate(core)
+        if status is not None and status.is_conclusive:
+            h = free_pi1_homology(core, status.rank)
+        else:
+            count = sum(f if core is p else _chain_counts(core))
+            if count > SIMPLEX_BUDGET:
+                raise SimplexBudgetExceeded(
+                    f"the {core.n}-point core is neither cellular nor certified by its π1, "
+                    f"and its order complex has {count} simplices, over the budget of "
+                    f"{SIMPLEX_BUDGET}"
+                )
+            h = homology(order_complex(core))
     f2_betti = _betti(h.f_vector, h.f2_ranks)
     return _profile(f, boundary_ranks(f, h.betti), boundary_ranks(f, f2_betti), h.torsion)
 
@@ -598,3 +612,20 @@ def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:
     f = _chain_counts(p)
     ranks = boundary_ranks(f, (1, rank))
     return _profile(f, ranks, ranks, ())
+
+
+def _pi1_certificate(p: Poset) -> SimplificationStatus | None:
+    """The π1 certificate of a connected poset of height at most 2, or None
+    for any other poset, whose homology π1 does not fix.
+
+    At height at most 1 the order complex is a graph, whose π1 is free of
+    rank E - V + 1: a spanning tree is contractible, and each other edge
+    adds a free generator.  At height 2 it is Tietze simplification of the
+    Hasse-diagram presentation, which may stop inconclusive.
+    """
+    if not p.is_connected or p.height > 2:
+        return None
+    if p.height <= 1:
+        edges = sum(map(int.bit_count, p._strict_up))
+        return SimplificationStatus.free_of_rank(edges - p.n + 1)
+    return tietze_simplify(poset_presentation(p))

@@ -57,10 +57,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from finspace.complexes import SimplicialComplex
 from finspace.posets import Poset, _bits
+
+if TYPE_CHECKING:  # an annotation only: complexes imports this module
+    from finspace.complexes import SimplicialComplex
 
 Word = tuple[int, ...]
 

@@ -23,7 +23,9 @@ from finspace.complexes import (
     _chain_homology,
     _dense_snf,
     _kernel_vector,
+    _pi1_certificate,
 )
+from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
 from finspace.formats import load_poset
 from finspace.posets import Poset, fence, mobius_band, projective_plane, sphere_model
 from finspace.presentations import poset_presentation
@@ -549,20 +551,26 @@ class TestCellularRoute:
         assert tall >= 10
 
     @pytest.mark.parametrize(
-        "bottom, betti, torsion",
+        "bottom, betti, torsion, certified",
         [
             # S^2 ⊔ S^1: H_2 = Z and the Euler characteristic of S^2, but
             # two components and an H_1
-            (disjoint_union(sphere_model(2), fence()), (1, 1, 1, 1), ((),) * 4),
+            (disjoint_union(sphere_model(2), fence()), (1, 1, 1, 1), ((),) * 4, False),
             # H_2 = Z and the Euler characteristic of S^2, but H_1 = Z/2
-            (rp2_with_second_triangle(), (1, 0, 0, 1), ((), (), (2,), ())),
-            # two circles: as many edges as vertices, but not connected
-            (disjoint_union(fence(), fence()), (1, 1, 2), ((),) * 3),
+            (rp2_with_second_triangle(), (1, 0, 0, 1), ((), (), (2,), ()), False),
+            # two circles: as many edges as vertices, but not connected; the
+            # suspension is a connected core of height 2, so its π1
+            # certificate answers instead of the order complex
+            (disjoint_union(fence(), fence()), (1, 1, 2), ((),) * 3, True),
         ],
         ids=["extra-component", "torsion", "two-circles"],
     )
-    def test_wrong_lower_homology_takes_order_complex(self, bottom, betti, torsion, monkeypatch):
-        """Two points above ``bottom``, so Û_x of each is ``bottom``."""
+    def test_wrong_lower_homology_takes_order_complex(
+        self, bottom, betti, torsion, certified, monkeypatch
+    ):
+        """Two points above ``bottom``, so Û_x of each is ``bottom``: not
+        cellular, so the order complex answers unless the core is certified
+        by its π1."""
         p = bottom.nh_suspension()
         assert p.is_core
         built = []
@@ -574,7 +582,7 @@ class TestCellularRoute:
         monkeypatch.setattr(complexes, "order_complex", spy)
         assert _cellular_complex(p) is None
         prof = poset_homology(p)
-        assert built == [p]
+        assert built == ([] if certified else [p])
         assert prof == homology(order_complex(p))
         assert (prof.betti, prof.torsion) == (betti, torsion)
 
@@ -584,6 +592,67 @@ class TestCellularRoute:
 
         monkeypatch.setattr(complexes, "order_complex", refuse)
         assert poset_homology(sphere_model(30)).betti == (1,) + (0,) * 29 + (1,)
+
+
+def rp2_with_loose_point() -> Poset:
+    """``projective_plane()`` with one more point x above three of its
+    vertices: a connected core of height 2 that is not cellular, because Û_x
+    is three points.  Its π1 is Z/2 * F_2, so H_1 = Z^2 + Z/2, and Tietze
+    simplification stops at the relator g^2."""
+    p = projective_plane()
+    up = [row | 1 << i for i, row in enumerate(p._strict_up)]
+    for v in (p.labels.index(name) for name in ("v0", "v1", "v2")):
+        up[v] |= 1 << p.n
+    up.append(1 << p.n)
+    return Poset(up, [*p.labels, "x"])
+
+
+class TestCertificateRoute:
+    """A connected core of height at most 2 that is not cellular gets its
+    homology from its π1 certificate, when that is conclusive, and builds no
+    order complex; only an inconclusive one falls back to it."""
+
+    @staticmethod
+    def generated_cores() -> list[Poset]:
+        cores = [
+            p for n in range(1, 9) for p in enumerate_height1_cores(n) + enumerate_height2_cores(n)
+        ]
+        assert len(cores) == 96 + 61 and all(p.is_connected for p in cores)
+        return cores
+
+    def test_builds_no_order_complex(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError("order complex built")
+
+        cores = self.generated_cores()
+        monkeypatch.setattr(complexes, "order_complex", refuse)
+        # the Möbius band's 15-point core is neither a face poset nor cellular
+        assert _cellular_complex(mobius_band().core()) is None
+        assert poset_homology(mobius_band()).betti == (1, 1, 0)
+        for p in cores:
+            poset_homology(p)
+
+    def test_matches_order_complex(self):
+        # the catalog figures are checked by TestCoreFirstHomology.test_fixtures
+        for p in self.generated_cores():
+            assert poset_homology(p) == homology(order_complex(p)), p.canonical_code
+
+    def test_inconclusive_falls_back_to_order_complex(self, monkeypatch):
+        p = rp2_with_loose_point()
+        assert p.is_core and p.is_connected and p.height == 2
+        assert _cellular_complex(p) is None
+        assert _pi1_certificate(p).kind == "inconclusive"
+        built = []
+
+        def spy(q):
+            built.append(q)
+            return order_complex(q)
+
+        monkeypatch.setattr(complexes, "order_complex", spy)
+        prof = poset_homology(p)
+        assert built == [p]
+        assert (prof.betti, prof.torsion) == ((1, 2, 0), ((), (2,), ()))
+        assert prof == homology(order_complex(p))
 
 
 def rational_nullspace(m: IntegerMatrix) -> list[list[Fraction]]:
@@ -672,23 +741,38 @@ class TestSimplexBudget:
         with pytest.raises(SimplexBudgetExceeded, match="26243 simplices"):
             poset_homology(p)
 
+    @staticmethod
+    def tall_core() -> Poset:
+        """``Poset.antichain(3).nh_suspension(3)``: 9 points and 107 chains,
+        a core of height 3 that is not cellular, so its homology has only the
+        order complex to come from.  No non-cellular core of height >= 3 has
+        fewer points: a core of height 3 has at least 8, and the only 8-point
+        one is the cellular model of S^3."""
+        q = Poset.antichain(3).nh_suspension(3)
+        assert q.n == 9 and q.height == 3 and q.is_core and _cellular_complex(q) is None
+        return q
+
     def test_limit_is_inclusive(self, monkeypatch):
-        p = Poset.antichain(3).nh_suspension(1)  # 11 chains
-        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 11)
-        assert poset_homology(p).betti == (1, 2)
-        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 10)
-        with pytest.raises(SimplexBudgetExceeded):
+        p = self.tall_core()  # 107 chains
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 107)
+        assert poset_homology(p).betti == (1, 0, 0, 2)
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 106)
+        with pytest.raises(SimplexBudgetExceeded, match="107 simplices"):
             poset_homology(p)
 
     def test_budget_counts_the_core(self, monkeypatch):
-        """A beat point below a minimal point of a core with 11 chains adds
-        6 chains to p, not to the core, so a budget of 11 still answers."""
-        q = Poset.antichain(3).nh_suspension(1)
+        """A beat point below a minimal point of a core with 107 chains adds
+        54 chains to p, not to the core, so a budget of 107 still answers
+        and one of 106 does not."""
+        q = self.tall_core()
         a = next(x for x in range(q.n) if not q._strict_down[x])
         p = Poset([m | 1 << x for x, m in enumerate(q._strict_up)] + [1 << q.n | 1 << a | q._strict_up[a]])
-        assert sum(poset_homology(p).f_vector) == 17 and p.core().n == q.n
-        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 11)
-        assert poset_homology(p).betti == (1, 2, 0)
+        assert sum(poset_homology(p).f_vector) == 161 and p.core().n == q.n
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 107)
+        assert poset_homology(p).betti == (1, 0, 0, 2, 0)
+        monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 106)
+        with pytest.raises(SimplexBudgetExceeded, match="107 simplices"):
+            poset_homology(p)
 
     def test_cellular_cores_have_no_budget(self):
         assert sum(poset_homology(sphere_model(20)).f_vector) > complexes.SIMPLEX_BUDGET
