@@ -24,9 +24,10 @@ homology`` and ``verify-paper`` read the same cores' homology off the same
 certificates.  Every other core, and every core whose simplification is
 inconclusive, gets its homology from
 :func:`~finspace.complexes.poset_homology`: the cellular route first, then
-the order complex and Smith normal form under the simplex budget (an
-inconclusive certificate is simplified there a second time, on its way to
-the order complex).
+the order complex and Smith normal form under the simplex budget.  An
+inconclusive certificate of a core is handed to that route, which would
+otherwise compute the same certificate again, so Tietze simplification
+runs once per classified core.
 
 At height 2 the simplified presentation is
 :func:`~finspace.presentations.poset_presentation`: the Hasse diagram's
@@ -63,7 +64,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from finspace import figures
-from finspace.complexes import HomologyProfile, _pi1_certificate, free_pi1_homology, poset_homology
+from finspace.complexes import HomologyProfile, _pi1_certificate, _poset_homology, free_pi1_homology
 from finspace.enumeration import check_cap, enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
 from finspace.presentations import SimplificationStatus
@@ -150,8 +151,8 @@ def classify_poset(p: Poset) -> ClassificationRecord:
     status = _pi1_certificate(p)
     if status is not None and status.is_conclusive:
         profile = free_pi1_homology(p, status.rank)
-    else:
-        profile = poset_homology(p)
+    else:  # p's certificate is its core's when p is a core
+        profile = _poset_homology(p, status if p.core() is p else None)
     return _record(p, p.dual_code, p.height, profile, label(profile, status), p.is_homogeneous)
 
 

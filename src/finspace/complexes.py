@@ -577,13 +577,21 @@ def poset_homology(p: Poset) -> HomologyProfile:
     over GF(2) follow from it and the core's Betti numbers by
     :func:`boundary_ranks`.
     """
+    return _poset_homology(p, None)
+
+
+def _poset_homology(p: Poset, status: SimplificationStatus | None) -> HomologyProfile:
+    """:func:`poset_homology`, for a caller that may already hold the π1
+    certificate ``status`` of p's core, so that Tietze simplification does
+    not run on it twice; ``None`` computes the certificate if it is needed."""
     f = _chain_counts(p)
     core = p.core()
     cellular = _cellular_complex(core)
     if cellular is not None:
         h = _chain_homology(*cellular)
     else:
-        status = _pi1_certificate(core)
+        if status is None:
+            status = _pi1_certificate(core)
         if status is not None and status.is_conclusive:
             h = free_pi1_homology(core, status.rank)
         else:

@@ -88,6 +88,26 @@ Minimals have no down beat point and tops no up beat point, so the rules
 exclude every beat point.  Each rejects only a candidate with a beat point
 or, in rule 5, an isolated minimal.
 
+Each kept core leaves the generator with the invariants it already has set
+on it (:func:`_kept`), as its canonical code is, so that classification
+recomputes none of them: it is connected (the filter just checked), its
+element heights are the level indices, and a height-1 core is homogeneous.
+The level index is the element height.  A minimal's row is empty, so its
+height is 0.  A middle's row has at least two bits (rule 1), all of them
+minimals, so its height is 1.  A top's row is ``smask << m0 | emask`` with
+``smask >= 1``, so some middle lies below it and its height is at least 2;
+everything below it is a middle or a minimal, so its height is exactly 2.
+The wide height-1 reading puts the narrow middles first, with nothing below
+them (height 0), and each narrow minimal over the middles above it, of
+which there are at least two by the lone-column test (height 1).  The
+heights are thus one tuple per shape, :func:`_stratum_heights`, shared by
+all its cores.  A height-1 core is homogeneous: with n >= 2 a connected
+poset has no isolated point, so every maximal element has height 1, and
+every cover joins a minimal (height 0) to a maximal (height 1), which is
+the test of ``Poset.is_homogeneous``.  At height two a top with an extra
+covers a minimal directly, so the chain from that minimal to the top is
+maximal and too short; homogeneity is left to be computed there.
+
 Height-1 masks take the smaller level as their columns, so a shape with
 more minimals than maximals is not generated on its own.  Its cores are
 the kept cores of the transposed shape, each read once more as the
@@ -339,9 +359,10 @@ def _beaten(tops: tuple[int, ...], top_swaps, m0: int) -> bool:
     return False
 
 
+@cache
 def _stratum_labels(shape: LevelShape) -> tuple[str, ...]:
-    """Labels by level, lowest first.  A tuple, so that every poset built
-    with it shares this one object as its ``labels``."""
+    """Labels by level, lowest first.  One tuple per shape, so that every
+    core of the shape shares this one object as its ``labels``."""
     m2, m1, m0 = shape
     middle = "b" if m2 else "a"
     return (
@@ -351,18 +372,40 @@ def _stratum_labels(shape: LevelShape) -> tuple[str, ...]:
     )
 
 
+@cache
+def _stratum_heights(shape: LevelShape) -> tuple[int, ...]:
+    """The element heights of every core of the shape, lowest level first:
+    the level indices (see the module docstring).  One tuple per shape,
+    shared like the labels."""
+    m2, m1, m0 = shape
+    return (0,) * m0 + (1,) * m1 + (2,) * m2
+
+
+def _kept(down: list[int], up: list[int], shape: LevelShape) -> Poset:
+    """The core of the given shape with masks ``down`` and ``up``, built
+    unchecked, with the invariants the generator already knows set in
+    advance: its element heights and height, that it is connected and, at
+    height one, that it is homogeneous (see the module docstring)."""
+    p = Poset._from_strict(down, up, _stratum_labels(shape))
+    p.element_heights = _stratum_heights(shape)
+    p.height = p.element_heights[-1]
+    p.is_connected = True
+    if p.height == 1:
+        p.is_homogeneous = True
+    return p
+
+
 def _cores_for_shape(shape: LevelShape) -> list[Poset]:
     """One connected core per isomorphism class of the given shape: the
     first candidate of each class.  Candidates are coded from their masks,
     and a poset is built, unchecked, only for a new code."""
-    labels = _stratum_labels(shape)
     found: dict[bytes, Poset] = {}
     for down, up in _shape_candidates(shape):
         if not _connected(down, up):
             continue
         code = _code(down, up)
         if code not in found:
-            p = found[code] = Poset._from_strict(down, up, labels)
+            p = found[code] = _kept(down, up, shape)
             p.canonical_code = code
     return list(found.values())
 
@@ -404,11 +447,10 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
         kept = _cores_for_shape(LevelShape(0, m1, m0))
         shards.append(kept)
         if m0 < m1:  # the wide shape: each kept core read transposed
-            labels = _stratum_labels(LevelShape(0, m0, m1))
             wide = []
             for p in kept:
                 up = [r << m1 for r in p._strict_down[m0:]] + [0] * m0
-                q = Poset._from_strict(_transpose(up), up, labels)
+                q = _kept(_transpose(up), up, LevelShape(0, m0, m1))
                 p.dual_code, q.dual_code = q.canonical_code, p.canonical_code
                 wide.append(q)
             shards.append(wide)

@@ -135,10 +135,14 @@ class Poset:
     ``n``, ``labels`` and the order once, as ``_strict_up[i]``, the bitmask
     of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
     of ``{j : j < i}``; the other attributes are cached invariants, among
-    them ``_core``, set by :meth:`core`, and ``canonical_code`` and
-    ``dual_code``, which a generator that has already coded the poset or
-    its dual may set in advance.  The order is never mutated after
-    construction, so instances are safe to share across threads.
+    them ``_core``, set by :meth:`core`.  A generator that already knows
+    an invariant may set it in advance: ``canonical_code`` and
+    ``dual_code``, when it has coded the poset or its dual, and
+    ``element_heights``, ``height``, ``is_connected`` and
+    ``is_homogeneous``, which the core generator of
+    :mod:`finspace.enumeration` fixes when it builds the rows.  The order
+    is never mutated after construction, so instances are safe to share
+    across threads.
 
     Every public way in checks its input: the constructor (size, labels,
     range, reflexivity, antisymmetry, transitivity), and through it
@@ -474,7 +478,13 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
     each cell by the key (|below x & S|, |above x & S|), pieces in key order.
     A split cell that is not queued itself queues all its pieces but the
     first largest, whose counts follow from the others' (Hopcroft's rule).
-    One pass over the cells applies one splitter and rebuilds the list.
+
+    Most splitters split nothing, so a cell that stays whole is passed over
+    without building anything: under a single-element splitter y it stays
+    whole iff it misses the elements comparable to y, or lies inside those
+    below y or inside those above y.  The list changes only after a
+    splitter that split some cell: each such cell is replaced in place by
+    its pieces.
     """
     n = len(sd)
     pending = set(queue)
@@ -486,33 +496,31 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
             continue
         pending.discard(s)
         single = not s & (s - 1)
-        # the elements above / below some element of s
-        if single:
+        if single:  # the elements above / below y
             y = s.bit_length() - 1
             above, below = su[y], sd[y]
-        else:
-            above = below = 0
+            touched = above | below
+        else:  # the elements comparable to some element of s
+            touched = 0
             for y in _bits(s):
-                above |= su[y]
-                below |= sd[y]
-        touched = above | below
-        out: list[int] = []
+                touched |= su[y] | sd[y]
+        splits: list[tuple[int, list[int]]] = []  # (cell, its pieces)
         for c in cells:
             if not (c & (c - 1) and c & touched):
-                out.append(c)
                 continue
             if single:  # keys (0, 0), (0, 1), (1, 0)
+                if not c & ~below or not c & ~above:
+                    continue
                 pieces = [p for p in (c & ~touched, c & below, c & above) if p]
             else:
                 groups: dict[int, int] = {}
                 for x in _bits(c):
                     key = (sd[x] & s).bit_count() << 7 | (su[x] & s).bit_count()
                     groups[key] = groups.get(key, 0) | 1 << x
-                pieces = [groups[key] for key in sorted(groups)] if len(groups) > 1 else [c]
-            if len(pieces) == 1:
-                out.append(c)
-                continue
-            out += pieces
+                if len(groups) == 1:
+                    continue
+                pieces = [groups[key] for key in sorted(groups)]
+            splits.append((c, pieces))
             skip = -1
             if c in pending:
                 pending.discard(c)
@@ -523,7 +531,9 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
                 if k != skip:
                     queue.append(p)
                     pending.add(p)
-        cells[:] = out
+        for c, pieces in splits:
+            i = cells.index(c)
+            cells[i : i + 1] = pieces
 
 
 def _orbit_roots(
@@ -608,19 +618,29 @@ def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
         return explore_on
 
     def visit(cells: list[int], path: list[int]) -> int:
-        """Search below a node; return the level of the node to resume at."""
-        while True:
-            for i, cell in enumerate(cells):
-                if cell & (cell - 1):
+        """Search below a node, whose ``cells`` list is its own; return the
+        level of the node to resume at.
+
+        One scan finds the cell to branch on, passing over singletons and
+        cells of twins; the twin cells are then split in place, in one go,
+        and only if there are any."""
+        twin_cells: list[tuple[int, Sequence[int]]] = []
+        cell = 0  # the cell to branch on, if any
+        for c in cells:
+            if c & (c - 1):
+                twins = _bits(c)
+                x = twins[0]
+                if any(sd[y] != sd[x] or su[y] != su[x] for y in twins):
+                    cell = c
                     break
-            else:
-                return leaf(cells, path)
-            twins = _bits(cell)
-            x = twins[0]
-            if any(sd[y] != sd[x] or su[y] != su[x] for y in twins):
-                break
-            cells = cells[:i] + [1 << y for y in twins] + cells[i + 1 :]
-            path = [*path, *twins]
+                twin_cells.append((c, twins))
+                path = [*path, *twins]
+        for c, twins in twin_cells:
+            i = cells.index(c)
+            cells[i : i + 1] = [1 << y for y in twins]
+        if not cell:
+            return leaf(cells, path)
+        i = cells.index(cell)
         level = len(path)
         explored: list[int] = []
         known = -1  # automorphisms reflected in roots

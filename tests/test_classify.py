@@ -120,10 +120,10 @@ class TestHomologyFromCertificate:
             assert classify_poset(p).profile == homology(order_complex(p)), p.canonical_code
 
     def test_certified_cores_skip_smith_normal_form(self, monkeypatch):
-        def refuse(p):
+        def refuse(p, status):
             raise AssertionError("certified core reached Smith normal form")
 
-        monkeypatch.setattr(classify, "poset_homology", refuse)
+        monkeypatch.setattr(classify, "_poset_homology", refuse)
         for fid in ("fig14c", "fig17a", "fig05b"):
             assert classify_poset(figures.poset(fid)).wedge.pi1_verified
 

@@ -654,6 +654,24 @@ class TestCertificateRoute:
         assert (prof.betti, prof.torsion) == ((1, 2, 0), ((), (2,), ()))
         assert prof == homology(order_complex(p))
 
+    def test_classification_simplifies_an_inconclusive_core_once(self, monkeypatch):
+        from finspace.classify import classify_poset
+
+        p = rp2_with_loose_point()
+        expected = classify_poset(p)
+        calls = []
+        simplify = complexes.tietze_simplify
+
+        def counted(presentation):
+            calls.append(presentation)
+            return simplify(presentation)
+
+        monkeypatch.setattr(complexes, "tietze_simplify", counted)
+        assert classify_poset(rp2_with_loose_point()) == expected
+        assert len(calls) == 1
+        assert expected.profile == homology(order_complex(p))
+        assert expected.wedge is None  # torsion in H_1
+
 
 def rational_nullspace(m: IntegerMatrix) -> list[list[Fraction]]:
     """Independent oracle: a basis of the kernel over the rationals, one

@@ -262,6 +262,37 @@ class TestUncheckedBuilder:
             assert checked._strict_up == p._strict_up, p.canonical_code
 
 
+class TestSeededInvariants:
+    """The generator sets the element heights, the height, connectivity and,
+    at height one, homogeneity of each core it builds; each must be what the
+    poset would compute for itself."""
+
+    SEEDED = {"element_heights", "height", "is_connected", "is_homogeneous"}
+
+    def check(self, cores) -> None:
+        for p in cores:
+            seeded = self.SEEDED & set(vars(p))
+            assert seeded == self.SEEDED - ({"is_homogeneous"} if p.height == 2 else set()), p.canonical_code
+            fresh = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
+            for name in self.SEEDED:
+                assert getattr(p, name) == getattr(fresh, name), (name, p.canonical_code)
+
+    def test_height2(self):
+        cores = [p for n in range(6, 10) for p in enumerate_height2_cores(n)]
+        assert len(cores) == 1 + 7 + 53 + 451
+        self.check(cores)
+
+    def test_height1_wide_readings_included(self):
+        cores = [p for n in range(4, 11) for p in enumerate_height1_cores(n)]
+        assert len(cores) == 2289
+        self.check(cores)
+
+    def test_heights_are_shared_per_shape(self):
+        for shape in (LevelShape(0, 4, 4), LevelShape(2, 2, 3)):
+            cores = _cores_for_shape(shape)
+            assert all(p.element_heights is cores[0].element_heights for p in cores)
+
+
 class TestHeight2Cores:
     def test_empty_below_six(self):
         for n in range(1, 6):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 
@@ -661,4 +662,27 @@ class TestStronglyRegular:
         # the incidence poset determines the graph
         assert not vertex_edge_incidence(SHRIKHANDE).is_isomorphic(
             vertex_edge_incidence(ROOK_4X4)
+        )
+
+
+class TestCodeBytes:
+    """The exact bytes of codes beyond the generators' output, so that a
+    change to refinement or to the search that keeps every class apart but
+    moves a code shows here."""
+
+    def test_digest_of_random_and_symmetric_posets(self):
+        from conftest import random_poset
+
+        rng = random.Random(2828)
+        posets = [random_poset(rng, n_max=14) for _ in range(2000)]
+        posets += [Poset.chain(n) for n in range(1, 15)] + [Poset.antichain(n) for n in range(1, 15)]
+        posets += [sphere_model(k) for k in range(6)]
+        posets += [cycle_crown(m) for m in range(2, 9)] + [matching_crown(m) for m in range(2, 9)]
+        posets += [build(nbrs) for build in (double_cover, vertex_edge_incidence)
+                   for nbrs in (SHRIKHANDE, ROOK_4X4)]
+        digest = hashlib.sha256()
+        for p in posets:
+            digest.update(p.canonical_code + b"|" + p.dual_code + b"\n")
+        assert digest.hexdigest() == (
+            "8fcc61c7819ef5096b57c4036689cb67bf217de9aa0922bfec40f78b2c5e461c"
         )
