@@ -22,7 +22,11 @@ order until one gives the core's homology:
    :class:`SimplexBudgetExceeded` when it would have more than
    :data:`SIMPLEX_BUDGET` simplices.
 
-One assembler, :func:`_profile`, builds every profile from chain counts,
+One type, :class:`ChainComplex` (an f-vector and the boundary maps),
+holds both complexes that routes 2 and 4 build: the cellular complex, and
+the order complex, whose chains are bitmasks (:func:`order_complex`).  One
+function, :func:`homology`, turns a chain complex into a profile; one
+assembler, :func:`_profile`, builds every profile from chain counts,
 boundary ranks and torsion; one recurrence, :func:`boundary_ranks`, turns
 Betti numbers back into boundary ranks.  Everything is exact.  Boundary
 matrices are sparse from the start: each row maps the columns of its nonzero
@@ -38,7 +42,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -47,64 +50,7 @@ from finspace.presentations import SimplificationStatus, poset_presentation, tie
 
 
 class ComplexError(ValueError):
-    """Malformed simplicial complex data."""
-
-
-class SimplicialComplex:
-    """Simplices stored per dimension as sorted tuples of vertex indices."""
-
-    def __init__(self, n_vertices: int, simplices: list[list[tuple[int, ...]]]):
-        if n_vertices < 0:
-            raise ComplexError("vertex count must be >= 0")
-        by_dim: list[tuple[tuple[int, ...], ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for dim, group in enumerate(simplices):
-            cleaned = sorted(set(group))
-            if len(cleaned) != len(group):
-                raise ComplexError(f"duplicate simplices in dimension {dim}")
-            for s in cleaned:
-                if len(s) != dim + 1:
-                    raise ComplexError(f"{s} is not {dim}-dimensional")
-                if list(s) != sorted(set(s)):
-                    raise ComplexError(f"simplex {s} is not strictly increasing")
-                if s[-1] >= n_vertices or s[0] < 0:
-                    raise ComplexError(f"simplex {s} references missing vertices")
-                seen.add(s)
-            by_dim.append(tuple(cleaned))
-        while by_dim and not by_dim[-1]:
-            by_dim.pop()
-        for dim in range(1, len(by_dim)):
-            for s in by_dim[dim]:
-                for face in combinations(s, dim):
-                    if face not in seen:
-                        raise ComplexError(f"face {face} of {s} is missing")
-        self.n_vertices = n_vertices
-        self.simplices = tuple(by_dim)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.simplices) - 1
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(group) for group in self.simplices)
-
-
-def order_complex(p: Poset) -> SimplicialComplex:
-    """All nonempty chains of ``p``; its dimension equals the poset height."""
-    strict_up = p._strict_up
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(p.height + 1)]
-
-    def grow(chain: list[int], last: int) -> None:
-        by_dim[len(chain) - 1].append(tuple(sorted(chain)))
-        for nxt in _bits(strict_up[last]):
-            chain.append(nxt)
-            grow(chain, nxt)
-            chain.pop()
-
-    for start in range(p.n):
-        grow([start], start)
-    return SimplicialComplex(p.n, by_dim)
+    """Malformed chain complex data."""
 
 
 @dataclass(frozen=True)
@@ -127,22 +73,52 @@ class IntegerMatrix:
             raise ComplexError("matrix shape does not match entries")
 
 
-def boundary_matrices(k: SimplicialComplex) -> list[IntegerMatrix]:
-    """Boundary maps d_1..d_dim under the sorted-vertex orientation.
+@dataclass(frozen=True)
+class ChainComplex:
+    """A free chain complex: ``f_vector[d]`` generators in degree d, and
+    ``boundaries[d - 1]`` the map d_d from degree d to degree d - 1."""
 
-    d_i sends an i-simplex to the alternating sum of its facets; signs come
-    from the position of the dropped vertex, so d_{i} . d_{i+1} = 0.
+    f_vector: tuple[int, ...]
+    boundaries: tuple[IntegerMatrix, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.boundaries) != max(len(self.f_vector) - 1, 0) or any(
+            (b.rows, b.cols) != self.f_vector[d : d + 2] for d, b in enumerate(self.boundaries)
+        ):
+            raise ComplexError("boundary shapes do not match the f-vector")
+
+
+def order_complex(p: Poset) -> ChainComplex:
+    """The order complex of ``p``: one generator per nonempty chain, so its
+    dimension equals the poset height, and generator x of degree 0 is the
+    point x.
+
+    A chain is the bitmask of its points.  The chains of each length are
+    those one shorter, each extended by a point above its top, so every
+    chain is built once.  A face is the chain minus one bit, with sign
+    (-1)^k when k bits of the chain lie below the dropped one: the
+    sorted-vertex orientation, under which d_i . d_(i+1) = 0.
     """
-    out: list[IntegerMatrix] = []
-    for dim in range(1, k.dimension + 1):
-        lower_index = {s: r for r, s in enumerate(k.simplices[dim - 1])}
-        entries: list[dict[int, int]] = [{} for _ in k.simplices[dim - 1]]
-        for c, simplex in enumerate(k.simplices[dim]):
-            for drop in range(dim + 1):
-                face = simplex[:drop] + simplex[drop + 1 :]
-                entries[lower_index[face]][c] = -1 if drop % 2 else 1
-        out.append(IntegerMatrix(len(entries), len(k.simplices[dim]), tuple(entries)))
-    return out
+    up = p._strict_up
+    chains = [1 << x for x in range(p.n)]
+    tops = list(range(p.n))
+    boundaries: list[IntegerMatrix] = []
+    while True:
+        longer: list[int] = []
+        longer_tops: list[int] = []
+        for chain, top in zip(chains, tops):
+            for y in _bits(up[top]):
+                longer.append(chain | 1 << y)
+                longer_tops.append(y)
+        if not longer:
+            return ChainComplex((p.n, *(b.cols for b in boundaries)), tuple(boundaries))
+        row = {chain: r for r, chain in enumerate(chains)}
+        entries: list[dict[int, int]] = [{} for _ in chains]
+        for c, chain in enumerate(longer):
+            for k, x in enumerate(_bits(chain)):
+                entries[row[chain ^ 1 << x]][c] = -1 if k & 1 else 1
+        boundaries.append(IntegerMatrix(len(chains), len(longer), tuple(entries)))
+        chains, tops = longer, longer_tops
 
 
 @dataclass(frozen=True)
@@ -380,23 +356,18 @@ def boundary_ranks(f: tuple[int, ...], betti: tuple[int, ...]) -> tuple[int, ...
     return tuple(ranks[1:])
 
 
-def homology(k: SimplicialComplex) -> HomologyProfile:
-    """Betti numbers and torsion per dimension from Smith normal forms.
+def homology(c: ChainComplex) -> HomologyProfile:
+    """The profile of a chain complex: Betti numbers and torsion per degree
+    from Smith normal forms.
 
     The torsion of H_d is the set of invariant factors of d_{d+1} exceeding
     one; the GF(2) ranks come from :func:`f2_rank` on the same matrices.
     """
-    return _chain_homology(k.f_vector, boundary_matrices(k))
-
-
-def _chain_homology(f: tuple[int, ...], boundaries: list[IntegerMatrix]) -> HomologyProfile:
-    """The profile of the free chain complex with ``f[d]`` generators in
-    degree d and boundary maps d_1..d_dim."""
-    snfs = [smith_normal_form(b) for b in boundaries]
+    snfs = [smith_normal_form(b) for b in c.boundaries]
     return _profile(
-        f,
+        c.f_vector,
         tuple(s.rank for s in snfs),
-        tuple(f2_rank(b) for b in boundaries),
+        tuple(f2_rank(b) for b in c.boundaries),
         tuple(tuple(v for v in s.invariant_factors if v > 1) for s in snfs),
     )
 
@@ -507,9 +478,8 @@ def _sphere_boundary(
     return {x: v for x, v in zip(cells[top], _kernel_vector(m)) if v}
 
 
-def _cellular_complex(p: Poset) -> tuple[tuple[int, ...], list[IntegerMatrix]] | None:
-    """The cellular chain complex of ``p`` (cell counts and boundary maps),
-    or None if p is not cellular.
+def _cellular_complex(p: Poset) -> ChainComplex | None:
+    """The cellular chain complex of ``p``, or None if p is not cellular.
 
     p is cellular when every Û_x, the points strictly below x, has the
     integral homology of the sphere S^(h(x)-1), where h(x) is the height of
@@ -541,21 +511,23 @@ def _cellular_complex(p: Poset) -> tuple[tuple[int, ...], list[IntegerMatrix]] |
                 return None
             boundary[x] = d
     cells = [_bits(m) for m in level]
-    return (
+    return ChainComplex(
         tuple(map(len, cells)),
-        [_cell_matrix(boundary, cells[d - 1], cells[d]) for d in range(1, len(cells))],
+        tuple(_cell_matrix(boundary, cells[d - 1], cells[d]) for d in range(1, len(cells))),
     )
 
 
 SIMPLEX_BUDGET = 20_000
 """The most simplices :func:`poset_homology` builds: the order complex of a
 core that is neither cellular nor certified by its π1 and has more chains
-raises :class:`SimplexBudgetExceeded` before any simplex is built.  Smith
-normal form fills in on large complexes, so the time grows faster than the
-count: iterated suspensions of a three-point antichain, whose cores are not
-cellular, take 0.4 s at 8,747 simplices, 2.3 s at 26,243 and 25 s at 78,731
-(2-CPU Xeon host, Python 3.11).  The core of every fixture and of every
-benchmark query has at most 728 chains."""
+raises :class:`SimplexBudgetExceeded` before any simplex is built.  The
+eliminations, not the complex, take the time, and they fill in on large
+complexes, so the time grows faster than the count.  On iterated
+suspensions of a three-point antichain, whose cores are not cellular, the
+build, Smith normal form and the GF(2) elimination take 0.02, 0.07 and
+0.09 s at 8,747 simplices, 0.08, 0.33 and 0.90 s at 26,243, and 0.29, 1.6
+and 15.0 s at 78,731 (2-CPU Xeon host, Python 3.11).  The core of every
+fixture and of every benchmark query has at most 728 chains."""
 
 
 class SimplexBudgetExceeded(ValueError):
@@ -588,7 +560,7 @@ def _poset_homology(p: Poset, status: SimplificationStatus | None) -> HomologyPr
     core = p.core()
     cellular = _cellular_complex(core)
     if cellular is not None:
-        h = _chain_homology(*cellular)
+        h = homology(cellular)
     else:
         if status is None:
             status = _pi1_certificate(core)

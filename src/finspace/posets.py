@@ -55,10 +55,12 @@ def _bits(mask: int) -> Sequence[int]:
     here, on nearly every row it touches, so this returns a ready sequence
     rather than a generator: a mask below 2^8 gets a shared tuple from a
     byte table, and one below 2^16 the sum of two such tuples.  A wider
-    mask (a poset on more than 16 points, or a neighbour mask of a
-    simplicial complex, which has no 64-vertex cap) gets a fresh list built
-    one set bit at a time, so the result is exact at any width.  The two
-    256-entry tables are all the memory kept; nothing is cached per mask.
+    mask (a row or a chain of a poset on more than 16 points) gets a fresh
+    list built one set bit at a time.  Every mask in the package lies over
+    the at most 64 points of a poset, since no complex wider than 64
+    vertices reaches here; the result is exact at any width all the same.
+    The two 256-entry tables are all the memory kept; nothing is cached per
+    mask.
     """
     if mask < 256:
         return _LOW_BYTE[mask]

@@ -16,10 +16,11 @@ and removes the generator, so the simplifier stops after at most
 general, so it reports ``inconclusive`` when relators are left and no move
 applies; callers must treat that as honest ignorance, not failure.
 
-A simplicial complex (:func:`presentation`) of any dimension gives its
-edges and its triangles, a triangle (u, v, w) being the walk
-u -> v -> w -> u; the fundamental group of a complex is that of its
-2-skeleton.
+The order complex of a poset (:func:`presentation`) gives its comparable
+pairs as edges and its 3-chains as triangles, a triangle u < v < w being
+the walk u -> v -> w -> u; the fundamental group of a complex is that of
+its 2-skeleton.  It is the reference that the tests compare
+:func:`poset_presentation` against.
 
 A poset (:func:`poset_presentation`) of any height is read off its Hasse
 diagram.  Its order complex, whose edges are the comparable pairs and whose
@@ -57,12 +58,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from finspace.posets import Poset, _bits
-
-if TYPE_CHECKING:  # an annotation only: complexes imports this module
-    from finspace.complexes import SimplicialComplex
 
 Word = tuple[int, ...]
 
@@ -128,20 +126,22 @@ class SimplificationStatus:
         return f"free of rank {self.rank}" if self.rank else "trivial group"
 
 
-def presentation(k: SimplicialComplex) -> Presentation:
-    """Edge-path group presentation of a connected complex, built from its
-    2-skeleton.
+def presentation(p: Poset) -> Presentation:
+    """Edge-path group presentation of the order complex of a connected
+    poset, read off its 2-skeleton: the comparable pairs are the edges, and
+    the 3-chains, as sorted tuples in sorted order, are the walks.
 
-    The spanning tree is breadth-first from the least vertex, neighbours
-    visited in increasing order, so the output is deterministic.  The
-    abelianization of the result has rank beta_1.
+    The spanning tree is breadth-first from point 0, neighbours visited in
+    increasing order, so the output is deterministic.  The abelianization
+    of the result has rank beta_1.  Raises :class:`DisconnectedComplex` on
+    a disconnected poset.
     """
-    neighbours = [0] * k.n_vertices
-    for u, v in k.simplices[1] if k.dimension >= 1 else ():
-        neighbours[u] |= 1 << v
-        neighbours[v] |= 1 << u
-    vertices = sum(1 << v for (v,) in k.simplices[0]) if k.simplices else 0
-    return _edge_path(neighbours, vertices, k.simplices[2] if k.dimension >= 2 else ())
+    comparable = [u | d for u, d in zip(p._strict_up, p._strict_down)]
+    above = [row >> (x + 1) << (x + 1) for x, row in enumerate(comparable)]
+    walks = [
+        (a, b, c) for a in range(p.n) for b in _bits(above[a]) for c in _bits(above[b] & above[a])
+    ]
+    return _edge_path(comparable, walks)
 
 
 def poset_presentation(p: Poset) -> Presentation:
@@ -174,41 +174,37 @@ def poset_presentation(p: Poset) -> Presentation:
         below = neighbours[lo] & up[lo] & down[hi]
         return (below & -below).bit_length() - 1
 
-    return _edge_path(neighbours, (1 << p.n) - 1, walks, least_cover)
+    return _edge_path(neighbours, walks, least_cover)
 
 
 def _edge_path(
     neighbours: Sequence[int],
-    vertices: int,
     walks: Iterable[tuple[int, ...]],
     via: Callable[[int, int], int] | None = None,
 ) -> Presentation:
-    """Presentation of the 2-complex whose vertex set is the bitmask
-    ``vertices``, whose edges are given by the neighbour mask of each vertex
-    and whose 2-cells are closed vertex walks, each a tuple v_0, ..., v_m
-    that returns from v_m to v_0: one generator per non-tree edge, numbered
-    in lexicographic edge order, and one relator per walk.  Edge (u, v)
-    with u < v is read as its generator going from u to v, and as the
-    inverse going back.  A step between two vertices that are not
-    neighbours is read as the path through ``via(x, y)``, which must equal
-    ``via(y, x)``, one step at a time; a relator with such a step is
-    cyclically reduced, and dropped if it is empty.  The spanning tree is
-    rooted at the least vertex."""
-    if not vertices:
-        raise ValueError("complex has no vertices")
-    root = (vertices & -vertices).bit_length() - 1
+    """Presentation of the 2-complex on the vertices 0, ..., n - 1, where n
+    is the length of ``neighbours``, whose edges are given by the neighbour
+    mask of each vertex and whose 2-cells are closed vertex walks, each a
+    tuple v_0, ..., v_m that returns from v_m to v_0: one generator per
+    non-tree edge, numbered in lexicographic edge order, and one relator
+    per walk.  Edge (u, v) with u < v is read as its generator going from u
+    to v, and as the inverse going back.  A step between two vertices that
+    are not neighbours is read as the path through ``via(x, y)``, which
+    must equal ``via(y, x)``, one step at a time; a relator with such a
+    step is cyclically reduced, and dropped if it is empty.  The spanning
+    tree is rooted at vertex 0."""
     # upper[u] holds the non-tree edges (u, v) with v > u once the
     # breadth-first search below has cleared the tree edges from it.
     upper = [row >> (u + 1) << (u + 1) for u, row in enumerate(neighbours)]
-    seen = 1 << root
-    queue = [root]
+    seen = 1
+    queue = [0]
     for u in queue:
         new = neighbours[u] & ~seen
         seen |= new
         for w in _bits(new):
             upper[min(u, w)] ^= 1 << max(u, w)
             queue.append(w)
-    if seen != vertices:
+    if seen != (1 << len(neighbours)) - 1:
         raise DisconnectedComplex("complex is not connected")
     # The generator of non-tree edge (u, v) is first[u] plus the number of
     # non-tree edges (u, x) with x < v; first[-1] - 1 counts them all.

@@ -14,7 +14,6 @@ from finspace.classify import (
     min_model_search,
 )
 from finspace.complexes import (
-    boundary_matrices,
     homology,
     order_complex,
     poset_homology,
@@ -209,7 +208,7 @@ def test_criterion_10_property_suites():
 
     failures = 0
     for p in sample:
-        mats = boundary_matrices(order_complex(p))
+        mats = order_complex(p).boundaries
         if not all(composes_to_zero(a, b) for a, b in zip(mats, mats[1:])):
             failures += 1
     for p in sample:

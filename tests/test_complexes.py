@@ -7,11 +7,10 @@ import pytest
 
 from finspace import complexes, figures
 from finspace.complexes import (
+    ChainComplex,
     ComplexError,
     IntegerMatrix,
     SimplexBudgetExceeded,
-    SimplicialComplex,
-    boundary_matrices,
     boundary_ranks,
     f2_rank,
     homology,
@@ -20,7 +19,7 @@ from finspace.complexes import (
     smith_normal_form,
     _betti,
     _cellular_complex,
-    _chain_homology,
+    _chain_counts,
     _dense_snf,
     _kernel_vector,
     _pi1_certificate,
@@ -28,9 +27,11 @@ from finspace.complexes import (
 from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
 from finspace.formats import load_poset
 from finspace.posets import Poset, fence, mobius_band, projective_plane, sphere_model
-from finspace.presentations import poset_presentation
+from finspace.presentations import DisconnectedComplex, poset_presentation, presentation
 from conftest import disjoint_union, product
+from oracle_complex import SimplicialComplex, by_faces, chain_complex
 from oracle_posets import enumerate_posets
+import oracle_complex
 import oracle_tietze
 from oracle_tietze import abelianized_rank, matrix_from_rows
 
@@ -94,6 +95,15 @@ class TestSimplicialComplex:
         assert TRIANGLE_BOUNDARY.f_vector == (3, 3)
 
 
+class TestChainComplex:
+    def test_rejects_boundary_shapes_off_the_f_vector(self):
+        d1 = IntegerMatrix(3, 3, ({0: 1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: -1}))
+        assert homology(ChainComplex((3, 3), (d1,))).betti == (1, 1)
+        for f, boundaries in (((3, 4), (d1,)), ((3, 3), ()), ((3,), (d1,)), ((), (d1,))):
+            with pytest.raises(ComplexError):
+                ChainComplex(f, boundaries)
+
+
 class TestOrderComplex:
     def test_fig17a_f_vector(self):
         k = order_complex(figures.poset("fig17a"))
@@ -113,16 +123,61 @@ class TestOrderComplex:
 
         for _ in range(40):
             p = random_poset(rng)
-            assert order_complex(p).dimension == p.height
+            assert len(order_complex(p).f_vector) == p.height + 1
 
     def test_chain_gives_full_simplex(self):
         k = order_complex(Poset.chain(4))
         assert k.f_vector == (4, 6, 4, 1)
 
 
+def assert_matches_tuple_route(p: Poset, where="") -> None:
+    """The mask route against ``tests/oracle_complex.py``: the order complex
+    has the f-vector of :func:`_chain_counts`, the oracle's boundary maps
+    entry by entry and its profile, and ``presentation(p)`` is the oracle's
+    presentation, or both raise on a disconnected poset."""
+    k = oracle_complex.order_complex(p)
+    masks, tuples = order_complex(p), chain_complex(k)
+    assert masks.f_vector == tuples.f_vector == _chain_counts(p), where
+    assert by_faces(masks) == by_faces(tuples), where
+    assert homology(masks) == homology(tuples), where
+    if p.is_connected:
+        assert presentation(p) == oracle_complex.presentation(k), where
+        return
+    for build in (presentation, lambda q: oracle_complex.presentation(k)):
+        with pytest.raises(DisconnectedComplex):
+            build(p)
+
+
+class TestAgainstTupleRoute:
+    """Equal f-vectors, boundary maps, Betti numbers, torsion, GF(2) ranks
+    and presentations to the tuple route."""
+
+    def test_every_poset_up_to_seven_points(self):
+        for n in range(1, 8):
+            for p in enumerate_posets(n):
+                assert_matches_tuple_route(p, p.canonical_code)
+
+    def test_fixtures(self, fixture_paths):
+        for path in fixture_paths:
+            assert_matches_tuple_route(load_poset(str(path)), path.name)
+
+    def test_sphere_models(self):
+        for k in range(8):
+            assert_matches_tuple_route(sphere_model(k), k)
+
+    def test_face_posets(self):
+        assert_matches_tuple_route(mobius_band())
+        assert_matches_tuple_route(projective_plane())
+        assert homology(order_complex(projective_plane())).torsion == ((), (2,), ())
+
+    def test_suspensions_of_an_antichain(self):
+        for k in range(7):
+            assert_matches_tuple_route(Poset.antichain(3).nh_suspension(k), k)
+
+
 class TestBoundaryMatrices:
     def test_full_triangle_ranks(self):
-        d1, d2 = boundary_matrices(FULL_TRIANGLE)
+        d1, d2 = chain_complex(FULL_TRIANGLE).boundaries
         assert (d1.rows, d1.cols) == (3, 3)
         assert (d2.rows, d2.cols) == (3, 1)
         assert smith_normal_form(d1).rank == 2
@@ -140,7 +195,7 @@ class TestBoundaryMatrices:
         from conftest import composes_to_zero
 
         for fid in figures.all_ids():
-            mats = boundary_matrices(order_complex(figures.poset(fid)))
+            mats = order_complex(figures.poset(fid)).boundaries
             for low, high in zip(mats, mats[1:]):
                 assert composes_to_zero(low, high), fid
 
@@ -188,7 +243,7 @@ class TestSmithNormalForm:
         assert snf.invariant_factors == (1, 6)
 
     def test_fig14c_d2(self):
-        d2 = boundary_matrices(order_complex(figures.poset("fig14c")))[1]
+        d2 = order_complex(figures.poset("fig14c")).boundaries[1]
         snf = smith_normal_form(d2)
         assert snf.rank == 7
         assert all(v == 1 for v in snf.invariant_factors)
@@ -259,10 +314,10 @@ class TestSparseAgainstDenseSNF:
 
     def test_boundary_matrices(self):
         complexes = {fid: order_complex(figures.poset(fid)) for fid in figures.all_ids()}
-        complexes["rp2"] = rp2()
+        complexes["rp2"] = chain_complex(rp2())
         complexes["chain7"] = order_complex(Poset.chain(7))
         for name, k in complexes.items():
-            for d, b in enumerate(boundary_matrices(k), 1):
+            for d, b in enumerate(k.boundaries, 1):
                 assert_matches_dense(b, f"{name} d{d}")
 
     def test_relator_matrices(self, monkeypatch):
@@ -285,7 +340,7 @@ class TestSparseAgainstDenseSNF:
 class TestF2Rank:
     def test_matches_rationals_without_two_torsion(self):
         for fid in ("fig17a", "fig14c", "fig05a", "fig21b"):
-            mats = boundary_matrices(order_complex(figures.poset(fid)))
+            mats = order_complex(figures.poset(fid)).boundaries
             for m in mats:
                 assert f2_rank(m) == rational_rank(m)
 
@@ -315,12 +370,12 @@ class TestHomology:
         assert prof.betti == (1, 0, 1)
 
     def test_rp2_torsion(self):
-        prof = homology(rp2())
+        prof = homology(chain_complex(rp2()))
         assert prof.betti == (1, 0, 0)
         assert prof.torsion == ((), (2,), ())
         assert prof.euler == 1
         # with 2-torsion the GF(2) rank must drop below the rational rank
-        d2 = boundary_matrices(rp2())[1]
+        d2 = chain_complex(rp2()).boundaries[1]
         assert f2_rank(d2) == rational_rank(d2) - 1
 
     def test_rp2_face_poset(self):
@@ -330,7 +385,7 @@ class TestHomology:
         assert p.n == 31 and p.is_core
         prof = poset_homology(p)
         assert prof.f_vector == (31, 90, 60)
-        assert prof.betti == homology(rp2()).betti == (1, 0, 0)
+        assert prof.betti == homology(chain_complex(rp2())).betti == (1, 0, 0)
         assert prof.torsion == ((), (2,), ())
         # GF(2) Betti numbers (1, 1, 1)
         assert prof.f2_ranks == (30, 59)
@@ -341,7 +396,7 @@ class TestHomology:
         assert not prof.has_torsion
 
     def test_circle(self):
-        prof = homology(TRIANGLE_BOUNDARY)
+        prof = homology(chain_complex(TRIANGLE_BOUNDARY))
         assert prof.betti == (1, 1)
         assert prof.euler == 0
 
@@ -353,11 +408,8 @@ class TestHomology:
             p = random_poset(rng, n_max=6)
             k = order_complex(p)
             prof = homology(k)
-            mats = boundary_matrices(k)
-            ranks = [0] + [rational_rank(m) for m in mats] + [0]
-            expected = tuple(
-                k.f_vector[d] - ranks[d] - ranks[d + 1] for d in range(k.dimension + 1)
-            )
+            ranks = [0] + [rational_rank(m) for m in k.boundaries] + [0]
+            expected = tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(k.f_vector))
             assert prof.betti == expected
 
 
@@ -443,9 +495,8 @@ class TestBoundaryRanks:
         for fid in figures.all_ids():
             k = order_complex(figures.poset(fid))
             prof = homology(k)
-            mats = boundary_matrices(k)
             assert boundary_ranks(k.f_vector, prof.betti) == tuple(
-                rational_rank(m) for m in mats
+                rational_rank(m) for m in k.boundaries
             ), fid
             r = (0,) + prof.f2_ranks + (0,)
             f2_betti = [c - r[d] - r[d + 1] for d, c in enumerate(k.f_vector)]
@@ -503,7 +554,7 @@ class TestCellularRoute:
         cellular = _cellular_complex(p)
         if cellular is None:
             return False
-        cell, full = _chain_homology(*cellular), homology(order_complex(p))
+        cell, full = homology(cellular), homology(order_complex(p))
         assert (cell.betti, cell.torsion) == (full.betti, full.torsion), where
         assert _betti(cell.f_vector, cell.f2_ranks) == _betti(full.f_vector, full.f2_ranks), where
         return True
@@ -527,7 +578,7 @@ class TestCellularRoute:
     def test_sphere_models(self):
         for k in range(8):
             assert self.agrees(sphere_model(k), k)
-            assert _cellular_complex(sphere_model(k))[0] == (2,) * (k + 1)
+            assert _cellular_complex(sphere_model(k)).f_vector == (2,) * (k + 1)
 
     def test_face_posets(self):
         # a face poset of a regular CW complex is cellular; the core of the
@@ -535,7 +586,7 @@ class TestCellularRoute:
         assert self.agrees(mobius_band())
         assert not self.agrees(mobius_band().core())
         assert self.agrees(projective_plane())
-        assert _chain_homology(*_cellular_complex(projective_plane())).torsion == ((), (2,), ())
+        assert homology(_cellular_complex(projective_plane())).torsion == ((), (2,), ())
 
     def test_products_of_height_three(self):
         """A product of cellular posets is cellular, so each cellular core in
@@ -737,7 +788,7 @@ class TestKernelVector:
         """The top boundary map of a sphere model's cells below its top point
         has kernel rank 1; its generator is a cycle of the model."""
         for k in range(1, 6):
-            _, maps = _cellular_complex(sphere_model(k))
+            maps = _cellular_complex(sphere_model(k)).boundaries
             self.assert_matches_oracle(maps[-1])
 
     def test_rejects_other_kernel_ranks(self):

@@ -452,7 +452,7 @@ class TestHomogeneity:
         # cover-step criterion agrees with literally enumerating maximal chains
         rng = random.Random(17)
         from conftest import random_poset
-        from finspace.complexes import order_complex
+        from oracle_complex import order_complex
 
         for _ in range(80):
             p = random_poset(rng, n_max=7)

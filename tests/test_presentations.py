@@ -4,7 +4,7 @@ import pytest
 
 from conftest import disjoint_union, product, random_connected_poset
 from finspace import figures
-from finspace.complexes import SimplicialComplex, homology, order_complex, poset_homology
+from finspace.complexes import order_complex, poset_homology
 from finspace.enumeration import enumerate_height2_cores
 from finspace.posets import Poset, fence, sphere_model
 from finspace.presentations import (
@@ -19,11 +19,6 @@ from finspace.presentations import (
 )
 from oracle_posets import enumerate_posets
 from oracle_tietze import abelianized_rank, oracle_tietze
-
-FULL_TRIANGLE = SimplicialComplex(
-    3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
-)
-
 
 def at_every_basepoint(p):
     """One relabelled copy of ``p`` per element x, with x swapped to index 0,
@@ -47,50 +42,33 @@ class TestWords:
 
 class TestPresentation:
     def test_full_triangle_trivial(self):
-        pres = presentation(FULL_TRIANGLE)
+        # the order complex of a 3-chain is a full triangle
+        pres = presentation(Poset.chain(3))
         assert pres.num_generators == 1
         status = tietze_simplify(pres)
         assert status.kind == "trivial"
 
     def test_disconnected_raises(self):
-        for k in (
-            SimplicialComplex(2, [[(0,), (1,)]]),
-            SimplicialComplex(4, [[(0,), (1,), (3,)], [(0, 1)]]),
-            SimplicialComplex(
-                5,
-                [
-                    [(0,), (1,), (2,), (3,), (4,)],
-                    [(0, 1), (0, 2), (1, 2), (3, 4)],
-                    [(0, 1, 2)],
-                ],
-            ),
+        # two points; an edge and a point; a full triangle and an edge
+        for p in (
+            Poset.antichain(2),
+            disjoint_union(Poset.chain(2), Poset.antichain(1)),
+            disjoint_union(Poset.chain(3), Poset.chain(2)),
         ):
             with pytest.raises(DisconnectedComplex):
-                presentation(k)
-
-    def test_empty_complex_raises_value_error(self):
-        k = SimplicialComplex(0, [])
-        assert k.simplices == ()
-        with pytest.raises(ValueError):
-            presentation(k)
-
-    def test_vertex_indices_with_gaps(self):
-        # vertex 1 is missing: the tree still starts at the least vertex,
-        # and no vertex 1 is needed to reach every vertex
-        k = SimplicialComplex(3, [[(0,), (2,)], [(0, 2)]])
-        assert presentation(k) == Presentation(0, ())
+                presentation(p)
 
     def test_triangle_relators_short(self):
         for fid in ("fig17a", "fig14c", "fig05a"):
-            pres = presentation(order_complex(figures.poset(fid)))
+            pres = presentation(figures.poset(fid))
             assert all(len(r) <= 3 for r in pres.relators)
 
     def test_generator_count(self):
         # edges minus spanning-tree edges
         for fid in ("fig17a", "fig04a"):
-            k = order_complex(figures.poset(fid))
-            vertices, edges = k.f_vector[:2]
-            assert presentation(k).num_generators == edges - (vertices - 1)
+            p = figures.poset(fid)
+            vertices, edges = order_complex(p).f_vector[:2]
+            assert presentation(p).num_generators == edges - (vertices - 1)
 
     def test_to_text_golden(self):
         pres = poset_presentation(figures.poset("fig04a"))
@@ -99,23 +77,12 @@ class TestPresentation:
     def test_to_text_no_relators(self):
         assert Presentation(2, ()).to_text() == "⟨g1, g2 | ⟩"
 
-    def test_cycle_wider_than_a_poset(self):
-        # a complex has no 64-vertex cap, so its neighbour masks run past
-        # bit 64 and every set bit of them must be visited
-        n = 100
-        edges = [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)]
-        k = SimplicialComplex(n, [[(v,) for v in range(n)], edges])
-        pres = presentation(k)
-        assert pres.num_generators == 1
-        assert tietze_simplify(pres).describe() == "free of rank 1"
-        assert homology(k).betti == (1, 1)
-
 
 def same_group(p):
     """The presentation read off the Hasse diagram presents the group of the
     order complex: the simplifier reaches the same kind and rank on both."""
     hasse = tietze_simplify(poset_presentation(p))
-    full = tietze_simplify(presentation(order_complex(p)))
+    full = tietze_simplify(presentation(p))
     assert (hasse.kind, hasse.rank) == (full.kind, full.rank), p.canonical_code
     return hasse
 
@@ -129,7 +96,7 @@ class TestPosetPresentation:
             if p.is_connected:
                 same_group(p)
                 continue
-            for build in (poset_presentation, lambda q: presentation(order_complex(q))):
+            for build in (poset_presentation, presentation):
                 with pytest.raises(DisconnectedComplex):
                     build(p)
 

@@ -12,7 +12,6 @@ from conftest import betti_signature, composes_to_zero, random_poset
 from finspace import figures
 from finspace.classify import label
 from finspace.complexes import (
-    boundary_matrices,
     homology,
     order_complex,
 )
@@ -45,7 +44,7 @@ def profiles(pool):
 def test_boundary_of_boundary_vanishes(pool):
     checked = 0
     for p in pool:
-        mats = boundary_matrices(order_complex(p))
+        mats = order_complex(p).boundaries
         for low, high in zip(mats, mats[1:]):
             assert composes_to_zero(low, high)
         checked += 1
