@@ -72,7 +72,9 @@ and an up beat point iff its strict up-set has exactly one minimal one.
    element of the top level: at height one the lone-column test, at
    height two the lone-middle test.  Its strict up-set lies in the top
    level, an antichain, so it is an up beat point iff that set has one
-   element.
+   element.  The lone-middle test is applied early: tops are drawn in
+   non-increasing order, so a middle's count is final once a top below
+   its bit is chosen, and :func:`_orderly_rows` cuts the subtree there.
 4. The minimal elements over a minimal x of a height-2 candidate are the
    middles above x and the tops taking x as an extra, since an extra is
    never below its top's middles.  So a minimal under exactly one middle
@@ -170,29 +172,38 @@ def _all_tied(width: int) -> int:
 
 
 def _orderly_rows(
-    choices: list[int], nrows: int, ties: int
+    choices: list[int], nrows: int, ties: int, lone: int = 0
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield ``(rows, ties)`` for every non-increasing ``nrows``-tuple drawn
-    from the descending list ``choices`` that keeps tied columns ordered.
+    from the descending list ``choices`` that keeps tied columns ordered
+    and sets no column of the mask ``lone`` in exactly one row.
 
     Bit k of ``ties`` says columns k-1 and k are equal over the rows chosen
     so far.  A row with a 1 in column k-1 and a 0 in column k of a tied pair
     is rejected with every extension of it; an accepted row unties each pair
     it tells apart.  The yielded ``ties`` holds the pairs still tied after
-    the last row.
+    the last row.  The rows are non-increasing, so no later row sets a
+    column at or above the highest bit of the last row chosen: a ``lone``
+    column there set in exactly one row rejects the row with every
+    extension of it.
     """
 
-    def extend(prefix: tuple[int, ...], start: int, ties: int):
+    def extend(prefix: tuple[int, ...], start: int, ties: int, once: int, twice: int):
         if len(prefix) == nrows:
             yield prefix, ties
             return
+        last = len(prefix) + 1 == nrows
         for at in range(start, len(choices)):
             row = choices[at]
             if ties & (row << 1) & ~row:
                 continue
-            yield from extend(prefix + (row,), at, ties & ~(row ^ (row << 1)))
+            more = twice | once & row
+            single = (once | row) & ~more & lone  # set in exactly one row
+            if single and (last or single >> row.bit_length()):
+                continue
+            yield from extend(prefix + (row,), at, ties & ~(row ^ (row << 1)), once | row, more)
 
-    return extend((), 0, ties)
+    return extend((), 0, ties, 0, 0)
 
 
 @cache
@@ -288,8 +299,8 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
     One pass over the rows of a level counts, for every column, whether it
     is set in one row and in two.  Over the middles that gives the
     lone-column test and the extras each minimal needs, and over the tops
-    the lone-middle test and the extras they take, before the swap test and
-    before any mask of the candidate is built.
+    the extras they take, before the swap test and before any mask of the
+    candidate is built; the lone-middle test runs while the tops are drawn.
 
     Both levels come from :func:`_orderly_rows`.  The height-1 level starts
     with all minimal columns tied.  The height-2 level starts with the
@@ -333,11 +344,10 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
             if middles[i] == middles[i - 1]:
                 ties |= 1 << (m0 + i)
         need_once, need_twice = once & ~twice, minimals & ~once
-        for chosen, _ in _orderly_rows(tops, m2, ties):
+        for chosen, _ in _orderly_rows(tops, m2, ties, ((1 << m1) - 1) << m0):
             over, twice_over = _column_counts(chosen)
             if (
-                (over & ~twice_over) >> m0
-                or need_once & ~over
+                need_once & ~over
                 or need_twice & ~twice_over
                 or _beaten(chosen, top_swaps, m0)
             ):

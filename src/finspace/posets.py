@@ -119,6 +119,59 @@ def _beat_points(
     return beats
 
 
+def _layers(below: Sequence[int], above: Sequence[int]) -> list[int]:
+    """The elements in layers, as bitmasks: layer 0 holds the elements whose
+    ``below`` mask is empty, and an element joins the first layer after
+    every element of its ``below`` mask, so its layer is its height.
+    ``above`` is the transpose of ``below``: the upper and lower covers, or
+    the strict up- and down-sets.  Each layer is found among the elements
+    above the last one.  An element on or above a cycle of ``below`` is
+    never placed, so the layers hold every element iff ``below`` is
+    acyclic."""
+    layer = 0
+    for i, mask in enumerate(below):
+        if not mask:
+            layer |= 1 << i
+    layers = []
+    placed = 0
+    while layer:
+        layers.append(layer)
+        placed |= layer
+        reach = 0
+        for i in _bits(layer):
+            reach |= above[i]
+        layer = 0
+        for i in _bits(reach):
+            if not below[i] & ~placed:
+                layer |= 1 << i
+    return layers
+
+
+def _renamed(mask: int, bit: Sequence[int]) -> int:
+    """``mask`` with each set bit j replaced by the mask ``bit[j]``."""
+    out = 0
+    for j in _bits(mask):
+        out |= bit[j]
+    return out
+
+
+def _check_size(n: int) -> None:
+    if not 1 <= n <= MAX_ELEMENTS:
+        raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
+
+
+def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
+    """``labels`` as a tuple of ``n`` distinct names; ``x0..x{n-1}`` for None."""
+    if labels is None:
+        return tuple(f"x{i}" for i in range(n))
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise PosetError("label count does not match element count")
+    if len(set(labels)) != n:
+        raise PosetError("element labels must be distinct")
+    return labels
+
+
 @dataclass(frozen=True)
 class RolePartition:
     """Maximal / middle / minimal elements; isolated points appear in both
@@ -146,31 +199,32 @@ class Poset:
     is never mutated after construction, so instances are safe to share
     across threads.
 
-    Every public way in checks its input: the constructor (size, labels,
-    range, reflexivity, antisymmetry, transitivity), and through it
-    :meth:`from_covers` (which adds the cover checks), the parsers of
-    :mod:`finspace.formats`, :meth:`permuted`, :meth:`restricted` and
-    :meth:`nh_suspension`.  The private :meth:`_from_strict` stores strict
-    masks unchecked, and is used only for masks derived from an order
-    already known to be valid: :meth:`dual` swaps a poset's two tuples, and
-    the core generator of :mod:`finspace.enumeration` builds each kept core
-    from down-set rows that name only lower levels, closed downwards, and
-    their transpose, and each wide height-1 core by transposing a kept one.
+    Every public way in checks its input, once.  The constructor checks
+    size, labels, range, reflexivity, antisymmetry and transitivity.
+    :meth:`from_covers`, and through it the parsers of
+    :mod:`finspace.formats`, checks the size, the cover indices, the labels
+    as the constructor does, and that each pair is a cover; it closes
+    acyclic covers layer by layer, which makes them an order by
+    construction, and hands covers with a cycle to the constructor, which
+    names two elements on it.  :meth:`permuted`, :meth:`restricted` and
+    :meth:`nh_suspension` check only their own arguments: a relabelling, an
+    induced subposet and a suspension of an order are orders.
+
+    The private :meth:`_from_strict` stores strict masks unchecked, and is
+    used only for masks derived from an order already known to be valid:
+    the closure of acyclic covers in :meth:`from_covers`; :meth:`dual`,
+    which swaps a poset's two tuples; :meth:`permuted`, :meth:`restricted`
+    (and so :meth:`core`) and :meth:`nh_suspension`; and the core generator
+    of :mod:`finspace.enumeration`, which builds each kept core from
+    down-set rows that name only lower levels, closed downwards, and their
+    transpose, and each wide height-1 core by transposing a kept one.
     Checking those masks again would find nothing.
     """
 
     def __init__(self, up_masks: Sequence[int], labels: Sequence[str] | None = None):
         n = len(up_masks)
-        if not 1 <= n <= MAX_ELEMENTS:
-            raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
-        if labels is None:
-            labels = tuple(f"x{i}" for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise PosetError("label count does not match element count")
-            if len(set(labels)) != n:
-                raise PosetError("element labels must be distinct")
+        _check_size(n)
+        labels = _checked_labels(n, labels)
         full = (1 << n) - 1
         up = []
         for i, row in enumerate(up_masks):
@@ -224,22 +278,44 @@ class Poset:
         antisymmetric, and :class:`NotCover` if a pair is listed twice or
         is implied by the others.  Errors about the order name the elements
         by their labels.
+
+        The covers are peeled into layers (:func:`_layers`).  If every
+        element is placed, the covers are acyclic: up-sets close over the
+        upper covers from the top layer down, down-sets are their
+        transpose, and the result is an order by construction, stored
+        unchecked.  Otherwise the covers hold a cycle (a self-cover
+        counts), and only then are they closed by Warshall's algorithm for
+        the checked constructor, whose errors take precedence over the
+        cover checks.
         """
-        if not 1 <= n <= MAX_ELEMENTS:
-            raise PosetError(f"element count must be 1..{MAX_ELEMENTS}, got {n}")
+        _check_size(n)
         pairs = tuple(pairs)
-        above = [0] * n  # direct successors
+        above = [0] * n  # upper covers
+        below = [0] * n  # lower covers
         for lo, hi in pairs:
             if not (0 <= lo < n and 0 <= hi < n):
                 raise PosetError(f"cover ({lo}, {hi}) out of range for n={n}")
             above[lo] |= 1 << hi
-        up = [1 << i | above[i] for i in range(n)]
-        for k in range(n):  # Warshall: after step k, paths through 0..k are closed
-            bit, row = 1 << k, up[k]
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= row
-        poset = cls(up, labels)
+            below[hi] |= 1 << lo
+        layers = _layers(below, above)
+        if sum(map(int.bit_count, layers)) == n:
+            labels = _checked_labels(n, labels)
+            up = [0] * n
+            for layer in reversed(layers):
+                for i in _bits(layer):
+                    row = above[i]
+                    for j in _bits(above[i]):
+                        row |= up[j]
+                    up[i] = row
+            poset = cls._from_strict(_transpose(up), up, labels)
+        else:
+            up = [1 << i | above[i] for i in range(n)]
+            for k in range(n):  # after step k, paths through 0..k are closed
+                bit, row = 1 << k, up[k]
+                for i in range(n):
+                    if up[i] & bit:
+                        up[i] |= row
+            poset = cls(up, labels)
         name, strict = poset.labels, poset._strict_up
         if sum(map(int.bit_count, above)) < len(pairs):  # one bit per distinct pair
             lo, hi = next(pair for k, pair in enumerate(pairs) if pair in pairs[:k])
@@ -279,12 +355,12 @@ class Poset:
 
     @cached_property
     def element_heights(self) -> tuple[int, ...]:
-        """Longest chain strictly below each element (minimal elements get 0)."""
-        order = sorted(range(self.n), key=lambda i: self._strict_down[i].bit_count())
+        """Longest chain strictly below each element (minimal elements get 0):
+        the index of its layer (:func:`_layers`)."""
         h = [0] * self.n
-        for i in order:
-            below = self._strict_down[i]
-            h[i] = 1 + max((h[j] for j in _bits(below)), default=-1)
+        for k, layer in enumerate(_layers(self._strict_down, self._strict_up)):
+            for i in _bits(layer):
+                h[i] = k
         return tuple(h)
 
     @cached_property
@@ -330,31 +406,38 @@ class Poset:
         return Poset._from_strict(self._strict_up, self._strict_down, self.labels)
 
     def permuted(self, sigma: Sequence[int]) -> "Poset":
-        """Relabelled copy: element i of self becomes element sigma[i]."""
+        """Relabelled copy: element i of self becomes element sigma[i].
+        Raises :class:`PosetError` unless sigma is a permutation of
+        ``0..n-1``."""
         n = self.n
         if sorted(sigma) != list(range(n)):
             raise PosetError("sigma is not a permutation")
-        up = [0] * n
-        labels = [""] * n
-        for i in range(n):
-            mask = 1 << sigma[i]
-            for j in _bits(self._strict_up[i]):
-                mask |= 1 << sigma[j]
-            up[sigma[i]] = mask
-            labels[sigma[i]] = self.labels[i]
-        return Poset(up, labels)
+        bit = [1 << s for s in sigma]
+        up, down, labels = [0] * n, [0] * n, [""] * n
+        for i, s in enumerate(sigma):
+            up[s] = _renamed(self._strict_up[i], bit)
+            down[s] = _renamed(self._strict_down[i], bit)
+            labels[s] = self.labels[i]
+        return Poset._from_strict(down, up, tuple(labels))
 
     def restricted(self, keep: Sequence[int]) -> "Poset":
-        """Induced subposet on the given elements (in the given order)."""
-        pos = {x: k for k, x in enumerate(keep)}
-        up = []
-        for x in keep:
-            mask = 1 << pos[x]
-            for j in _bits(self._strict_up[x]):
-                if j in pos:
-                    mask |= 1 << pos[j]
-            up.append(mask)
-        return Poset(up, [self.labels[x] for x in keep])
+        """Induced subposet on the given elements (in the given order).
+        Raises :class:`PosetError` for an index outside ``0..n-1``, an index
+        listed twice, or no index at all."""
+        n = self.n
+        bit = [0] * n
+        kept = 0
+        for k, x in enumerate(keep):
+            if not 0 <= x < n:
+                raise PosetError(f"element index {x} out of range for n={n}")
+            if kept >> x & 1:
+                raise PosetError(f"element index {x} listed twice")
+            kept |= 1 << x
+            bit[x] = 1 << k
+        _check_size(kept.bit_count())
+        up = [_renamed(self._strict_up[x] & kept, bit) for x in keep]
+        down = [_renamed(self._strict_down[x] & kept, bit) for x in keep]
+        return Poset._from_strict(down, up, tuple(self.labels[x] for x in keep))
 
     # -- beat points and cores -------------------------------------------------
 
@@ -420,10 +503,10 @@ class Poset:
         p = self
         for _ in range(k):
             n = p.n
-            top = (1 << n) | (1 << (n + 1))
-            up = [row | 1 << i | top for i, row in enumerate(p._strict_up)]
-            up.append(1 << n)
-            up.append(1 << (n + 1))
+            _check_size(n + 2)
+            below = (1 << n) - 1
+            up = [row | 3 << n for row in p._strict_up] + [0, 0]
+            down = [*p._strict_down, below, below]
             existing = set(p.labels)
             fresh = []
             t = 0
@@ -432,7 +515,7 @@ class Poset:
                 if name not in existing:
                     fresh.append(name)
                 t += 1
-            p = Poset(up, list(p.labels) + fresh)
+            p = Poset._from_strict(down, up, (*p.labels, *fresh))
         return p
 
     # -- isomorphism ------------------------------------------------------------

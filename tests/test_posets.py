@@ -25,7 +25,7 @@ from finspace.posets import (
 )
 from conftest import disjoint_union
 from oracle_code import oracle_code
-from oracle_posets import enumerate_posets
+from oracle_posets import enumerate_posets, from_covers_reference, longest_chain_heights
 
 
 def build(labels: str, covers: str) -> Poset:
@@ -140,6 +140,152 @@ class TestConstruction:
             p = figures.poset(fid)
             rebuilt = Poset.from_covers(p.n, p.covers, p.labels)
             assert (rebuilt.n, rebuilt.covers) == (p.n, p.covers)
+
+
+def outcome(make, *args):
+    """What ``make(*args)`` gives: the poset's labels and strict masks, or
+    the class and message of the :class:`PosetError` it raises."""
+    try:
+        p = make(*args)
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return p.labels, p._strict_up, p._strict_down
+
+
+def fence_of(n: int) -> tuple[list[tuple[int, int]], Poset]:
+    """The zigzag 0 < 1 > 2 < 3 > ... on n points: its covers, and the
+    poset built from them by the reference."""
+    pairs = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)]
+    return pairs, from_covers_reference(n, pairs)
+
+
+def shuffled_covers(p: Poset, rng: random.Random) -> tuple[list[tuple[int, int]], list[str]]:
+    """p's covers and labels under a random relabelling, the covers in a
+    random order, so that neither follows the index order."""
+    sigma = list(range(p.n))
+    rng.shuffle(sigma)
+    pairs = [(sigma[lo], sigma[hi]) for lo, hi in p.covers]
+    rng.shuffle(pairs)
+    labels = [""] * p.n
+    for i, s in enumerate(sigma):
+        labels[s] = f"e{i}"
+    return pairs, labels
+
+
+def bad_cover_list(rng: random.Random):
+    """``(n, pairs, labels)``: a random poset's covers with one to three
+    faults among a cycle, a self-cover, a repeated pair, an implied pair, an
+    index out of range and bad labels, each at a random place."""
+    from conftest import random_poset
+
+    p = random_poset(rng, n_max=7, n_min=2)
+    n = p.n
+    pairs, labels = shuffled_covers(p, rng)
+    q = from_covers_reference(n, pairs)
+    comparable = [(x, y) for x in range(n) for y in _bits(q._strict_up[x])]
+    implied = [pair for pair in comparable if pair not in pairs]
+    for fault in rng.sample(["cycle", "self", "repeat", "implied", "range", "labels"], rng.randint(1, 3)):
+        if fault == "labels":
+            labels = rng.choice([labels[:-1], labels + ["extra"], [labels[0]] + labels[1:-1] + [labels[0]]])
+            continue
+        if fault == "cycle":
+            x, y = rng.choice(comparable) if comparable else (0, 1)
+            extra = [(y, x)] if comparable else [(0, 1), (1, 0)]
+        elif fault == "self":
+            x = rng.randrange(n)
+            extra = [(x, x)]
+        elif fault == "repeat" and pairs:
+            extra = [rng.choice(pairs)]
+        elif fault == "implied" and implied:
+            extra = [rng.choice(implied)]
+        elif fault == "range":
+            extra = [rng.choice([(rng.randrange(n), n), (-1, rng.randrange(n))])]
+        else:
+            continue
+        for pair in extra:
+            pairs.insert(rng.randint(0, len(pairs)), pair)
+    return n, pairs, labels
+
+
+class TestConstructionPath:
+    """``from_covers`` closes and peels the covers layer by layer, and the
+    derived orders are built unchecked; Warshall's closure handed to the
+    checked constructor (``tests/oracle_posets.py``) is the reference."""
+
+    def test_from_covers_equals_the_reference_up_to_seven_points(self):
+        rng = random.Random(30)
+        for n in range(1, 8):
+            for p in enumerate_posets(n):
+                pairs, labels = shuffled_covers(p, rng)
+                for names in (labels, None):
+                    expected = outcome(from_covers_reference, n, pairs, names)
+                    assert outcome(Poset.from_covers, n, pairs, names) == expected, p.canonical_code
+
+    def test_from_covers_equals_the_reference_on_64_points(self):
+        rng = random.Random(64)
+        sigma = list(range(64))
+        rng.shuffle(sigma)
+        chain = [(sigma[i], sigma[i + 1]) for i in range(63)]
+        rng.shuffle(chain)
+        fence_pairs, _ = fence_of(64)
+        for pairs in (chain, fence_pairs, fence_pairs[::-1]):
+            got = outcome(Poset.from_covers, 64, pairs)
+            assert got == outcome(from_covers_reference, 64, pairs)
+        assert Poset.from_covers(64, chain)._strict_up == Poset.chain(64).permuted(sigma)._strict_up
+
+    def test_element_heights_are_longest_chains(self):
+        from conftest import random_poset
+
+        rng = random.Random(31)
+        posets = [p for n in range(1, 8) for p in enumerate_posets(n)]
+        posets += [random_poset(rng, n_max=14) for _ in range(200)]
+        posets += [Poset.chain(64), fence_of(64)[1], sphere_model(31)]
+        for p in posets:
+            fresh = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
+            assert fresh.element_heights == longest_chain_heights(p), p.canonical_code
+
+    def test_bad_cover_lists_raise_as_the_reference(self):
+        rng = random.Random(2030)
+        raised: dict[type, int] = {}
+        for _ in range(1500):
+            n, pairs, labels = bad_cover_list(rng)
+            expected = outcome(from_covers_reference, n, pairs, labels)
+            assert outcome(Poset.from_covers, n, pairs, labels) == expected, (n, pairs, labels)
+            if isinstance(expected[0], type):
+                raised[expected[0]] = raised.get(expected[0], 0) + 1
+        # every class of error is met, often
+        assert set(raised) == {PosetError, CycleDetected, NotCover}, raised
+        assert min(raised.values()) >= 100, raised
+
+    def test_derived_orders_reject_bad_arguments(self):
+        p = fence()
+        for keep in ([0, 4], [-1, 0], [1, 2, 1], []):
+            with pytest.raises(PosetError):
+                p.restricted(keep)
+        for sigma in ([0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4], [0, 1, 2, 3, 4]):
+            with pytest.raises(PosetError):
+                p.permuted(sigma)
+        with pytest.raises(PosetError, match="got 66"):
+            sphere_model(32)
+
+    def test_no_checked_constructor_on_a_derived_or_acyclic_order(self, monkeypatch):
+        p = figures.poset("fig15a")
+        expected = [
+            (q.labels, q._strict_up, q._strict_down)
+            for q in (p.restricted([3, 0, 2]), p.permuted(list(range(p.n))[::-1]), p.nh_suspension(2))
+        ]
+        copy = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked constructor called")
+
+        monkeypatch.setattr(Poset, "__init__", refuse)
+        built = [copy.restricted([3, 0, 2]), copy.permuted(list(range(p.n))[::-1]), copy.nh_suspension(2)]
+        assert [(q.labels, q._strict_up, q._strict_down) for q in built] == expected
+        assert copy.core().n < p.n
+        assert Poset.from_covers(p.n, p.covers, p.labels)._strict_up == p._strict_up
+        with pytest.raises(AssertionError, match="checked constructor"):
+            Poset.from_covers(2, [(0, 1), (1, 0)])
 
 
 def names(p: Poset, mask: int) -> set[str]:
