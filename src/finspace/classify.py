@@ -59,9 +59,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from finspace import figures
 from finspace.complexes import HomologyProfile, _pi1_certificate, _poset_homology, free_pi1_homology
@@ -70,8 +70,7 @@ from finspace.posets import Poset
 from finspace.presentations import SimplificationStatus
 
 
-@dataclass(frozen=True)
-class WedgeLabel:
+class WedgeLabel(NamedTuple):
     """Homotopy-type label: a wedge of ``circles`` copies of the circle and
     ``spheres`` copies of the 2-sphere; (0, 0) is the contractible label."""
 
@@ -106,8 +105,7 @@ def label(profile: HomologyProfile, status: SimplificationStatus | None) -> Wedg
     return WedgeLabel(circles=p, spheres=q, pi1_verified=verified)
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """One isomorphism class in an inventory, with all computed evidence."""
 
     code: bytes
@@ -169,8 +167,7 @@ def _record(
     )
 
 
-@dataclass(frozen=True)
-class Inventory:
+class Inventory(NamedTuple):
     """Classified cores for one (n, height), sorted by canonical code."""
 
     n: int
@@ -229,8 +226,7 @@ def classify_cores(cores: Iterable[Poset]) -> Iterator[ClassificationRecord]:
         yield rec
 
 
-@dataclass(frozen=True)
-class MinModelResult:
+class MinModelResult(NamedTuple):
     circles: int
     spheres: int
     n_min: int | None

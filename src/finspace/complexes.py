@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from finspace.posets import Poset, _bits
 from finspace.presentations import SimplificationStatus, poset_presentation, tietze_simplify
@@ -53,39 +52,51 @@ class ComplexError(ValueError):
     """Malformed chain complex data."""
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Sparse exact-integer matrix of shape ``rows`` x ``cols``.
-
-    ``entries[i]`` maps the column of each nonzero entry in row i to its
-    value; zeros are never stored.
-    """
-
+class _MatrixFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[dict[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows or any(
-            row and (min(row) < 0 or max(row) >= self.cols or 0 in row.values())
-            for row in self.entries
+
+class IntegerMatrix(_MatrixFields):
+    """Sparse exact-integer matrix of shape ``rows`` x ``cols``.
+
+    ``entries[i]`` maps the column of each nonzero entry in row i to its
+    value; zeros are never stored.  A NamedTuple cannot define ``__new__``,
+    so the fields live in a private base and this subclass checks them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[dict[int, int], ...]) -> IntegerMatrix:
+        if len(entries) != rows or any(
+            row and (min(row) < 0 or max(row) >= cols or 0 in row.values()) for row in entries
         ):
             raise ComplexError("matrix shape does not match entries")
+        return super().__new__(cls, rows, cols, entries)
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """A free chain complex: ``f_vector[d]`` generators in degree d, and
-    ``boundaries[d - 1]`` the map d_d from degree d to degree d - 1."""
-
+class _ComplexFields(NamedTuple):
     f_vector: tuple[int, ...]
     boundaries: tuple[IntegerMatrix, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.boundaries) != max(len(self.f_vector) - 1, 0) or any(
-            (b.rows, b.cols) != self.f_vector[d : d + 2] for d, b in enumerate(self.boundaries)
+
+class ChainComplex(_ComplexFields):
+    """A free chain complex: ``f_vector[d]`` generators in degree d, and
+    ``boundaries[d - 1]`` the map d_d from degree d to degree d - 1.  The
+    constructor checks the shapes, as :class:`IntegerMatrix` checks its
+    entries."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, f_vector: tuple[int, ...], boundaries: tuple[IntegerMatrix, ...]
+    ) -> ChainComplex:
+        if len(boundaries) != max(len(f_vector) - 1, 0) or any(
+            (b.rows, b.cols) != f_vector[d : d + 2] for d, b in enumerate(boundaries)
         ):
             raise ComplexError("boundary shapes do not match the f-vector")
+        return super().__new__(cls, f_vector, boundaries)
 
 
 def order_complex(p: Poset) -> ChainComplex:
@@ -121,8 +132,7 @@ def order_complex(p: Poset) -> ChainComplex:
         chains, tops = longer, longer_tops
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """Invariant factors d_1 | d_2 | ... | d_r (all positive) and rank r."""
 
     invariant_factors: tuple[int, ...]
@@ -301,8 +311,7 @@ def f2_rank(m: IntegerMatrix) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Unreduced integral homology data of a finite complex.
 
     ``betti[d]`` is the rank of H_d, ``torsion[d]`` its invariant factors

@@ -69,12 +69,13 @@ and an up beat point iff its strict up-set has exactly one minimal one.
 2. The maximal elements under a top are its middles and its extras, so a
    top with one middle takes at least one extra.
 3. No element of the level under the top level lies below exactly one
-   element of the top level: at height one the lone-column test, at
-   height two the lone-middle test.  Its strict up-set lies in the top
-   level, an antichain, so it is an up beat point iff that set has one
-   element.  The lone-middle test is applied early: tops are drawn in
-   non-increasing order, so a middle's count is final once a top below
-   its bit is chosen, and :func:`_orderly_rows` cuts the subtree there.
+   element of the top level.  Its strict up-set lies in the top level, an
+   antichain, so it is an up beat point iff that set has one element.
+   One lone-column test serves both heights: the top level's rows are
+   drawn by :func:`_orderly_rows` with the columns of the level under it
+   as ``lone``, the minimals at height one and the middles at height two.
+   Rows are drawn in non-increasing order, so a column's count is final
+   once a row below its bit is chosen, and the subtree is cut there.
 4. The minimal elements over a minimal x of a height-2 candidate are the
    middles above x and the tops taking x as an extra, since an extra is
    never below its top's middles.  So a minimal under exactly one middle
@@ -101,12 +102,12 @@ minimals, so its height is 1.  A top's row is ``smask << m0 | emask`` with
 everything below it is a middle or a minimal, so its height is exactly 2.
 The wide height-1 reading puts the narrow middles first, with nothing below
 them (height 0), and each narrow minimal over the middles above it, of
-which there are at least two by the lone-column test (height 1).  The
-heights are thus one tuple per shape, :func:`_stratum_heights`, shared by
-all its cores.  A height-1 core is homogeneous: with n >= 2 a connected
-poset has no isolated point, so every maximal element has height 1, and
-every cover joins a minimal (height 0) to a maximal (height 1), which is
-the test of ``Poset.is_homogeneous``.  At height two a top with an extra
+which there are at least two by rule 3 (height 1).  The heights are thus
+one tuple per shape, :func:`_stratum_heights`, shared by all its cores.
+A height-1 core is homogeneous: with n >= 2 a connected poset has no
+isolated point, so every maximal element has height 1, and every cover
+joins a minimal (height 0) to a maximal (height 1), which is the test of
+``Poset.is_homogeneous``.  At height two a top with an extra
 covers a minimal directly, so the chain from that minimal to the top is
 maximal and too short; homogeneity is left to be computed there.
 
@@ -296,11 +297,11 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
     two bits).  With ``m2 == 0`` these elements are the top level.
     Otherwise height-2 element k gets the row ``smask << m0 | emask``: the
     height-1 elements below it and the extra minimals it covers directly.
-    One pass over the rows of a level counts, for every column, whether it
-    is set in one row and in two.  Over the middles that gives the
-    lone-column test and the extras each minimal needs, and over the tops
-    the extras they take, before the swap test and before any mask of the
-    candidate is built; the lone-middle test runs while the tops are drawn.
+    The lone-column test of rule 3 runs while the top level's rows are
+    drawn.  At height two one pass over the rows of a level counts, for
+    every column, whether it is set in one row and in two: over the middles
+    that gives the extras each minimal needs, and over the tops the extras
+    they take, before the tops' masks are built.
 
     Both levels come from :func:`_orderly_rows`.  The height-1 level starts
     with all minimal columns tied.  The height-2 level starts with the
@@ -314,10 +315,8 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
     """
     m2, m1, m0 = shape
     minimals = (1 << m0) - 1
-    for middles, ties in _orderly_rows(_descending_masks(m0, 2), m1, _all_tied(m0)):
-        once, twice = _column_counts(middles)
-        if not m2 and once & ~twice:
-            continue
+    lone = 0 if m2 else minimals
+    for middles, ties in _orderly_rows(_descending_masks(m0, 2), m1, _all_tied(m0), lone):
         swaps = _column_swaps(middles, m0)
         if swaps is None:
             continue
@@ -325,6 +324,7 @@ def _shape_candidates(shape: LevelShape) -> Iterator[tuple[list[int], list[int]]
         if not m2:
             yield down, _transpose(down)
             continue
+        once, twice = _column_counts(middles)
         # the swaps keeping the middles, each with its map of middle masks
         top_swaps = [(table, _union_table([1 << at for at in new])) for table, new in swaps]
         unions = _union_table(middles)  # the minimals below the middles in a mask

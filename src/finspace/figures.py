@@ -18,9 +18,9 @@ circles, regardless of how the source text describes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
+from typing import NamedTuple
 
 from finspace.formats import parse_poset_text
 from finspace.posets import Poset
@@ -98,8 +98,7 @@ _CLAIMS: dict[str, tuple[str | None, tuple[int, int] | None]] = {
 }
 
 
-@dataclass(frozen=True)
-class Figure:
+class Figure(NamedTuple):
     id: str
     poset: Poset
     dual: str | None

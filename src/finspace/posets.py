@@ -16,10 +16,9 @@ those masks, which keeps every operation exact and fast for ``n <= 64``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_ELEMENTS = 64
 
@@ -172,8 +171,7 @@ def _checked_labels(n: int, labels: Sequence[str] | None) -> tuple[str, ...]:
     return labels
 
 
-@dataclass(frozen=True)
-class RolePartition:
+class RolePartition(NamedTuple):
     """Maximal / middle / minimal elements; isolated points appear in both
     mxl and mnl."""
 

@@ -56,9 +56,8 @@ Words are tuples of nonzero signed integers: ``+g`` is generator ``g``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from finspace.posets import Poset, _bits
 
@@ -69,8 +68,7 @@ class DisconnectedComplex(ValueError):
     """Presentation requested for a complex that is not connected."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """A group presentation: generators ``g1`` .. ``gN`` and relator words."""
 
     num_generators: int
@@ -84,8 +82,7 @@ class Presentation:
         return f"⟨{gens} | {', '.join(word or '1' for word in words)}⟩"
 
 
-@dataclass(frozen=True)
-class SimplificationStatus:
+class SimplificationStatus(NamedTuple):
     """Outcome of :func:`tietze_simplify`: the group is free of ``rank``
     generators (trivial when ``rank`` is 0), or ``rank`` is ``None`` and
     ``remaining`` holds the stuck presentation.

@@ -13,8 +13,7 @@ Core classes the source states no counts for are reported observed-only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from finspace import figures
 from finspace.classify import (
@@ -31,8 +30,7 @@ from finspace.posets import fence, mobius_band, projective_plane
 from finspace.presentations import poset_presentation, tietze_simplify
 
 
-@dataclass(frozen=True)
-class ModelCountClaim:
+class ModelCountClaim(NamedTuple):
     """One published count: the wedge (circles, spheres) has exactly
     ``expected`` minimal models on ``n`` points."""
 
@@ -75,8 +73,7 @@ FIXTURE_NUMBERS = {
 TRIVIAL_PI1_FIXTURES = ("fig05a", "fig05astar", "fig05b")
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(NamedTuple):
     check: str
     expected: object
     observed: object
@@ -93,8 +90,7 @@ class CheckLine:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckLine, ...]
 
     @property

@@ -6,7 +6,10 @@ attaching a new maximal element above each order ideal, deduplicated by
 canonical code at each step.  It knows nothing of levels, ties or beat
 points, which is what makes it an independent check of
 :mod:`finspace.enumeration`.  The work grows with the number of order
-ideals, so it is capped at seven points.
+ideals, so it is capped at seven points.  :func:`all_posets` grows the same
+way on masks, with no ``Poset`` built and no cap, and reaches every poset
+on eight points in tier-1 time and on nine in a slow test;
+:func:`connected_cores` picks out the cores among them, at every height.
 
 Construction from covers by Warshall's closure and the checked constructor
 (:func:`from_covers_reference`), and element heights by longest chains
@@ -15,7 +18,9 @@ Construction from covers by Warshall's closure and the checked constructor
 """
 
 from finspace.enumeration import SizeTooLarge
-from finspace.posets import CycleDetected, NotCover, Poset, PosetError, _bits
+from finspace.posets import (
+    CycleDetected, NotCover, Poset, PosetError, _beat_points, _bits, _code, _connected,
+)
 
 
 def from_covers_reference(n: int, pairs, labels=None) -> Poset:
@@ -100,3 +105,52 @@ def enumerate_posets(n: int) -> list[Poset]:
                 grown.setdefault(q.canonical_code, q)
         current = grown
     return [current[c] for c in sorted(current)]
+
+
+def all_posets(n: int) -> dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every poset on n points up to isomorphism, on masks: the canonical
+    code of each class mapped to the strict down- and up-set masks of one
+    member.
+
+    The growth of :func:`enumerate_posets`: a poset on k + 1 points is one
+    on k with a new maximal element k above an order ideal, and the classes
+    are deduplicated by ``posets._code`` at each step.  Every element is
+    added above lower indices only, so the indices are a linear extension,
+    and the order ideals are grown element by element: an ideal of the
+    elements below i extends by i when it holds i's down-set.  The class
+    counts equal the number of unlabelled posets (OEIS A000112; 16,999 on
+    8 points and 183,231 on 9), a check that the dedupe neither merges nor
+    splits classes.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    current = {_code((0,), (0,)): ((0,), (0,))}
+    for k in range(1, n):
+        grown: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        new_bit = 1 << k
+        for down, up in current.values():
+            ideals = [0]
+            for i, below in enumerate(down):
+                ideals += [ideal | 1 << i for ideal in ideals if ideal & below == below]
+            for ideal in ideals:
+                new_down = down + (ideal,)
+                new_up = tuple(
+                    row | new_bit if ideal >> i & 1 else row for i, row in enumerate(up)
+                ) + (0,)
+                code = _code(new_down, new_up)
+                if code not in grown:
+                    grown[code] = (new_down, new_up)
+        current = grown
+    return current
+
+
+def connected_cores(classes) -> dict[int, dict[bytes, Poset]]:
+    """The connected beat-point-free classes of :func:`all_posets`, by
+    height: each code mapped to its poset, built by the checked
+    constructor."""
+    out: dict[int, dict[bytes, Poset]] = {}
+    for code, (down, up) in classes.items():
+        if _connected(down, up) and not _beat_points(down, up):
+            p = Poset([row | 1 << i for i, row in enumerate(up)])
+            out.setdefault(p.height, {})[code] = p
+    return out

@@ -1,0 +1,48 @@
+"""Checks past the tier-1 sizes, skipped unless ``FINSPACE_SLOW=1``.
+
+Run them with ``FINSPACE_SLOW=1 python -m pytest tests/test_beyond_tier1.py``.
+The CI workflow runs each by node id under a ``timeout``.
+"""
+
+import os
+
+import pytest
+
+from finspace.complexes import poset_homology
+from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
+from finspace.presentations import poset_presentation, tietze_simplify
+from oracle_posets import all_posets, connected_cores
+
+pytestmark = pytest.mark.skipif(
+    os.environ.get("FINSPACE_SLOW") != "1", reason="past the tier-1 sizes; set FINSPACE_SLOW=1"
+)
+
+# The wedge types (circles, spheres) whose first models at height 1 or 2
+# have 9 points; test_classify.py pins them as
+# test_wedge_types_first_modelled_on_nine_points.
+FIRST_ON_NINE = (
+    (0, 5), (0, 6), (0, 8), (1, 3), (1, 4), (2, 3),
+    (2, 4), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1),
+)
+
+
+def test_all_heights_on_nine_points():
+    """Every poset on 9 points, at every height.  Its cores of height 1 and
+    2 are the generators'.  Each of the 21 cores of height 3 has a conclusive
+    pi1 certificate and no torsion, and none has the Betti numbers of a
+    point, of the wedge of seven 2-spheres, which has no model on 9 points
+    at height 2, or of a wedge type first modelled on 9 points: so those
+    first models are minimal over all finite spaces."""
+    classes = all_posets(9)
+    assert len(classes) == 183231  # OEIS A000112
+    cores = connected_cores(classes)
+    assert {height: len(found) for height, found in cores.items()} == {1: 320, 2: 451, 3: 21}
+    assert set(cores[1]) == {p.canonical_code for p in enumerate_height1_cores(9)}
+    assert set(cores[2]) == {p.canonical_code for p in enumerate_height2_cores(9)}
+    # the order complex of a height-3 core has dimension 3
+    absent = {(1, circles, spheres, 0) for circles, spheres in FIRST_ON_NINE + ((0, 7), (0, 0))}
+    for code, p in cores[3].items():
+        assert tietze_simplify(poset_presentation(p)).is_conclusive, code
+        profile = poset_homology(p)
+        assert not profile.has_torsion, code
+        assert profile.betti not in absent, code

@@ -497,3 +497,27 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, "verify-paper")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestStartUp:
+    def test_import_loads_no_dataclasses(self):
+        """A fresh interpreter that imports the command line never loads
+        ``dataclasses``.  The package's record types are NamedTuples: a
+        dataclass generates and compiles its methods when its module loads,
+        and importing ``dataclasses`` brings ``inspect`` with it, all of
+        which every command would pay for before any work."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        code = (
+            "import sys, finspace.cli; "
+            "print(finspace.cli.__file__); print('dataclasses' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        path, loaded = done.stdout.splitlines()
+        assert Path(path).resolve().parent == SRC / "finspace"
+        assert loaded == "False"

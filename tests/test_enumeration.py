@@ -17,9 +17,9 @@ from finspace.enumeration import (
     enumerate_height2_cores,
     level_shapes,
 )
-from finspace.posets import Poset, _beat_points, _bits, fence
+from finspace.posets import Poset, _beat_points, _bits, fence, sphere_model
 from oracle_burnside import core_counts
-from oracle_posets import enumerate_posets
+from oracle_posets import all_posets, connected_cores, enumerate_posets
 
 
 def brute_force_posets(n: int) -> set[bytes]:
@@ -107,6 +107,34 @@ class TestOracleAtSeven:
                 for x in range(p.n)
             )
             assert p.is_core == (not beat)
+
+
+@pytest.fixture(scope="module")
+def classes8():
+    return all_posets(8)
+
+
+class TestAllHeightsAtEight:
+    """Every poset on 8 points, at every height, from the mask-level oracle.
+    Its cores of height 1 and 2 are the generators' and the one of height 3
+    is the minimal model of S^3, so the published counts of minimal models
+    on 7 and 8 points hold over all finite spaces, not only heights 1 and
+    2."""
+
+    def test_same_classes_as_the_poset_oracle(self, posets7):
+        for n in range(1, 7):
+            assert set(all_posets(n)) == {p.canonical_code for p in enumerate_posets(n)}
+        assert set(all_posets(7)) == {p.canonical_code for p in posets7}
+
+    def test_count(self, classes8):
+        assert len(classes8) == 16999  # OEIS A000112
+
+    def test_cores_by_height(self, classes8):
+        cores = connected_cores(classes8)
+        assert {height: len(found) for height, found in cores.items()} == {1: 69, 2: 53, 3: 1}
+        assert set(cores[1]) == {p.canonical_code for p in enumerate_height1_cores(8)}
+        assert set(cores[2]) == {p.canonical_code for p in enumerate_height2_cores(8)}
+        assert set(cores[3]) == {sphere_model(3).canonical_code}
 
 
 def _tied_column_perms(width: int, ties: int) -> list[list[int]]:
