@@ -580,7 +580,7 @@ def _poset_homology(p: Poset, status: SimplificationStatus | None) -> HomologyPr
         if status is None:
             status = _pi1_certificate(core)
         if status is not None and status.is_conclusive:
-            h = free_pi1_homology(core, status.rank)
+            h = _free_profile(f if core is p else _chain_counts(core), status.rank)
         else:
             count = sum(f if core is p else _chain_counts(core))
             if count > SIMPLEX_BUDGET:
@@ -604,7 +604,11 @@ def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:
     """
     if p.height > 2 or not p.is_connected:
         raise ValueError("needs a connected poset of height <= 2")
-    f = _chain_counts(p)
+    return _free_profile(_chain_counts(p), rank)
+
+
+def _free_profile(f: tuple[int, ...], rank: int) -> HomologyProfile:
+    """The profile of :func:`free_pi1_homology` from the chain counts ``f``."""
     ranks = boundary_ranks(f, (1, rank))
     return _profile(f, ranks, ranks, ())
 

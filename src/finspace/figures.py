@@ -120,8 +120,11 @@ class Figure(NamedTuple):
         return self.wedge is not None
 
 
+_CATALOG = files(__package__).joinpath("catalog")
+
+
 def _load(fid: str) -> Poset:
-    path = files(__package__).joinpath("catalog", f"{fid}.poset")
+    path = _CATALOG.joinpath(f"{fid}.poset")
     return parse_poset_text(path.read_text(encoding="utf-8"))
 
 

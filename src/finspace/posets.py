@@ -97,24 +97,46 @@ def _connected(down: Sequence[int], up: Sequence[int]) -> bool:
     return seen == (1 << len(down)) - 1
 
 
-def _beat_points(
-    down: Sequence[int], up: Sequence[int], among: int | None = None
-) -> int:
+def _beat_points(down: Sequence[int], up: Sequence[int]) -> int:
     """Bitmask of the beat points of the poset whose strict down- and up-set
-    masks are ``down`` and ``up``, checking only the elements in the mask
-    ``among`` (default: all).
+    masks are ``down`` and ``up``.
 
     x is a down beat point iff its strict down-set has a maximum m, that is,
     the set minus m lies below m; dually for up beat points.
     """
     beats = 0
     for rows in (down, up):
-        hats = enumerate(rows) if among is None else ((x, rows[x]) for x in _bits(among))
-        for x, hat in hats:
+        for x, hat in enumerate(rows):
             for m in _bits(hat):
                 if hat & ~rows[m] == 1 << m:
                     beats |= 1 << x
                     break
+    return beats
+
+
+def _lower_covers(down: Sequence[int]) -> tuple[int, ...]:
+    """The lower covers of each element, as bitmasks, from the strict
+    down-set masks ``down``: the elements below x that lie below no other
+    element below x.  Read from the strict up-set masks, the upper covers."""
+    out = []
+    for hat in down:
+        under = 0
+        for y in _bits(hat):
+            under |= down[y]
+        out.append(hat & ~under)
+    return tuple(out)
+
+
+def _cover_beat_points(below: Sequence[int], above: Sequence[int], among: int) -> int:
+    """Bitmask of the beat points in the mask ``among`` of the poset whose
+    lower and upper covers are ``below`` and ``above``: the elements with
+    exactly one lower or exactly one upper cover.  The maximal elements of
+    the strict down-set of x are its lower covers, so that set has a
+    maximum iff x has one lower cover; dually above."""
+    beats = 0
+    for x in _bits(among):
+        if below[x].bit_count() == 1 or above[x].bit_count() == 1:
+            beats |= 1 << x
     return beats
 
 
@@ -188,10 +210,12 @@ class Poset:
     ``n``, ``labels`` and the order once, as ``_strict_up[i]``, the bitmask
     of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
     of ``{j : j < i}``; the other attributes are cached invariants, among
-    them ``_core``, set by :meth:`core`.  A generator that already knows
-    an invariant may set it in advance: ``canonical_code`` and
-    ``dual_code``, when it has coded the poset or its dual, and
-    ``element_heights``, ``height``, ``is_connected`` and
+    them ``_core``, set by :meth:`core`, and ``_cover_masks``, the lower-
+    and upper-cover masks :meth:`core` reads.  A constructor or generator
+    that already knows an invariant may set it in advance:
+    :meth:`from_covers` keeps the cover masks it has built and checked;
+    ``canonical_code`` and ``dual_code``, when it has coded the poset or
+    its dual, and ``element_heights``, ``height``, ``is_connected`` and
     ``is_homogeneous``, which the core generator of
     :mod:`finspace.enumeration` fixes when it builds the rows.  The order
     is never mutated after construction, so instances are safe to share
@@ -325,6 +349,7 @@ class Poset:
             if between:
                 through = name[_bits(between)[0]]
                 raise NotCover(f"pair ({name[lo]}, {name[hi]}) is implied through element {through}")
+        poset._cover_masks = tuple(below), tuple(above)
         return poset
 
     @classmethod
@@ -337,6 +362,12 @@ class Poset:
         return cls([full & ~((1 << i) - 1) for i in range(n)], labels)
 
     # -- basic accessors -----------------------------------------------------
+
+    @cached_property
+    def _cover_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The Hasse diagram as two tuples of bitmasks: the lower covers and
+        the upper covers of each element."""
+        return _lower_covers(self._strict_down), _lower_covers(self._strict_up)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -453,10 +484,13 @@ class Poset:
         remain.  The result is the same up to isomorphism whatever the order;
         the index rule makes this particular output deterministic.
 
-        The removal runs on copies of the strict masks.  Removing x changes
-        the punctured down- and up-sets only of the elements comparable to
-        x, so only those are checked again; the subposet is built once, at
-        the end.
+        The removal runs on a copy of the Hasse diagram, as lower- and
+        upper-cover masks, and finds beat points by their cover counts
+        (:func:`_cover_beat_points`).  Removing x changes the covers only of
+        its lower covers z and upper covers y: z and y become a cover pair
+        iff no element left lies strictly between them.  So only those
+        neighbours are checked again; the strict masks are only read, and
+        the subposet is built once, at the end.
 
         The result is kept, so every later call returns it at once.  A
         poset that is already a core returns itself and keeps ``None``
@@ -469,20 +503,25 @@ class Poset:
             pass
         else:
             return self if core is None else core
-        down = list(self._strict_down)
-        up = list(self._strict_up)
-        beats = _beat_points(down, up)
+        below, above = map(list, self._cover_masks)
+        sd, su = self._strict_down, self._strict_up
+        beats = _cover_beat_points(below, above, (1 << self.n) - 1)
         removed = 0
         while beats:
             low = beats & -beats
             x = low.bit_length() - 1
             removed |= low
-            for y in _bits(down[x]):
-                up[y] ^= low
-            for y in _bits(up[x]):
-                down[y] ^= low
-            near = down[x] | up[x]
-            beats = beats & ~low & ~near | _beat_points(down, up, near)
+            lower, upper = below[x], above[x]
+            for z in _bits(lower):
+                above[z] ^= low
+                for y in _bits(upper):
+                    if not su[z] & sd[y] & ~removed:
+                        above[z] |= 1 << y
+                        below[y] |= 1 << z
+            for y in _bits(upper):
+                below[y] ^= low
+            near = lower | upper
+            beats = beats & ~low & ~near | _cover_beat_points(below, above, near)
         if not removed:
             self._core = None
             return self

@@ -9,7 +9,13 @@ import os
 import pytest
 
 from finspace.complexes import poset_homology
-from finspace.enumeration import enumerate_height1_cores, enumerate_height2_cores
+from finspace.enumeration import (
+    LevelShape,
+    _shape_candidates,
+    enumerate_height1_cores,
+    enumerate_height2_cores,
+)
+from finspace.posets import _beat_points
 from finspace.presentations import poset_presentation, tietze_simplify
 from oracle_posets import all_posets, connected_cores
 
@@ -46,3 +52,13 @@ def test_all_heights_on_nine_points():
         profile = poset_homology(p)
         assert not profile.has_torsion, code
         assert profile.betti not in absent, code
+
+
+def test_height1_candidates_on_twelve_points_are_beat_point_free():
+    """Every height-1 candidate on 12 points, the cap, is beat-point free."""
+    count = 0
+    for m0 in range(2, 12 // 2 + 1):
+        for down, up in _shape_candidates(LevelShape(0, 12 - m0, m0)):
+            assert _beat_points(down, up) == 0, (m0, down)
+            count += 1
+    assert count == 160351, count

@@ -17,8 +17,8 @@ from finspace.posets import (
     NotCover,
     Poset,
     PosetError,
-    _beat_points,
     _bits,
+    _cover_beat_points,
     fence,
     sphere_model,
     two_point_discrete,
@@ -444,6 +444,36 @@ class TestBeatPoints:
         assert p.is_connected and not p.beat_points()
 
 
+class TestCoverCounts:
+    """``core()`` finds beat points by cover counts; ``beat_points()`` by the
+    definition.  The two must agree, and the cover masks that
+    ``from_covers`` keeps must be the Hasse diagram."""
+
+    @staticmethod
+    def by_cover_counts(p: Poset) -> frozenset[int]:
+        return frozenset(_bits(_cover_beat_points(*p._cover_masks, (1 << p.n) - 1)))
+
+    def test_equals_definition_on_small_posets(self):
+        for n in range(1, 8):
+            for p in enumerate_posets(n):
+                assert self.by_cover_counts(p) == p.beat_points(), p.canonical_code
+
+    def test_equals_definition_on_random_posets(self):
+        from conftest import random_poset
+
+        rng = random.Random(61)
+        for _ in range(2000):
+            p = random_poset(rng, n_max=14)
+            assert self.by_cover_counts(p) == p.beat_points(), p.canonical_code
+
+    def test_kept_masks_equal_computed_masks(self, fixture_paths):
+        posets = [(path.name, load_poset(str(path))) for path in fixture_paths]
+        posets += [(fid, figures.poset(fid)) for fid in figures.all_ids()]
+        for where, p in posets:
+            fresh = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
+            assert vars(p)["_cover_masks"] == fresh._cover_masks, where
+
+
 def core_one_at_a_time(p: Poset) -> Poset:
     """Oracle for :meth:`Poset.core`: find all beat points, restrict away the
     lowest-index one, and start again on the smaller poset."""
@@ -462,7 +492,7 @@ class TestCore:
         assert (core.labels, core._strict_up) == (expected.labels, expected._strict_up), where
 
     def test_against_oracle_on_small_posets(self):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for p in enumerate_posets(n):
                 self.assert_matches_oracle(p, p.canonical_code)
 
@@ -529,9 +559,9 @@ class TestCoreKept:
 
         def counted(*args):
             calls.append(args)
-            return _beat_points(*args)
+            return _cover_beat_points(*args)
 
-        monkeypatch.setattr("finspace.posets._beat_points", counted)
+        monkeypatch.setattr("finspace.posets._cover_beat_points", counted)
         rng = random.Random(59)
         for _ in range(20):
             p = random_poset(rng, n_max=10, n_min=5)
