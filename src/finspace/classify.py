@@ -10,24 +10,21 @@ height at most 1 by an edge count (below).  Labelling is invariant-based
 evidence, not a weak-equivalence proof, and asphericity is never checked;
 downstream consumers see exactly how much was certified.
 
-For a connected core of height at most 2 the certificate also fixes the
-homology, so no order complex is built and no Smith normal form is run.
-The order complex carries the weak homotopy type of the space (McCord
-1966) and has dimension at most 2.  If pi1 is certified free of rank p,
-then H_1, its abelianization, is Z^p with no torsion; H_2 of a 2-complex is
-free, and the Euler characteristic gives beta_2 = chi - 1 + p.  Chain
-counts come from the order bitmasks (see
-:func:`~finspace.complexes.free_pi1_homology`).  The certificate is
-decided in one place, :func:`~finspace.complexes._pi1_certificate`, which
-:func:`~finspace.complexes.poset_homology` calls too, so ``finspace
-homology`` and ``verify-paper`` read the same cores' homology off the same
-certificates.  Every other core, and every core whose simplification is
-inconclusive, gets its homology from
-:func:`~finspace.complexes.poset_homology`: the cellular route first, then
-the order complex and Smith normal form under the simplex budget.  An
-inconclusive certificate of a core is handed to that route, which would
-otherwise compute the same certificate again, so Tietze simplification
-runs once per classified core.
+The homology and the certificate come from one call,
+:func:`~finspace.complexes._homology_and_pi1`, the function behind
+:func:`~finspace.complexes.poset_homology`, which takes its routes in one
+order (see :mod:`finspace.complexes`): a connected core of height at most
+2 whose pi1 is certified free reads its homology off the certificate, with
+no order complex and no Smith normal form.  The order complex carries the weak
+homotopy type of the space (McCord 1966) and has dimension at most 2.  If
+pi1 is certified free of rank p, then H_1, its abelianization, is Z^p with
+no torsion; H_2 of a 2-complex is free, and the Euler characteristic gives
+beta_2 = chi - 1 + p.  Every other core, and every core whose
+simplification is inconclusive, takes the cellular route, then the order
+complex and Smith normal form under the simplex budget, and the label reads
+the same certificate, so ``finspace homology``, ``verify-paper`` and
+classification agree and Tietze simplification runs once per classified
+core.
 
 At height 2 the simplified presentation is
 :func:`~finspace.presentations.poset_presentation`: the Hasse diagram's
@@ -64,7 +61,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from finspace import figures
-from finspace.complexes import HomologyProfile, _pi1_certificate, _poset_homology, free_pi1_homology
+from finspace.complexes import HomologyProfile, _homology_and_pi1
 from finspace.enumeration import check_cap, enumerate_height1_cores, enumerate_height2_cores
 from finspace.posets import Poset
 from finspace.presentations import SimplificationStatus
@@ -146,11 +143,7 @@ class ClassificationRecord(NamedTuple):
 
 def classify_poset(p: Poset) -> ClassificationRecord:
     """Full record for one core: homology, pi1 certification, label, dual."""
-    status = _pi1_certificate(p)
-    if status is not None and status.is_conclusive:
-        profile = free_pi1_homology(p, status.rank)
-    else:  # p's certificate is its core's when p is a core
-        profile = _poset_homology(p, status if p.core() is p else None)
+    profile, status = _homology_and_pi1(p)
     return _record(p, p.dual_code, p.height, profile, label(profile, status), p.is_homogeneous)
 
 

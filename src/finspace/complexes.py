@@ -10,20 +10,24 @@ order until one gives the core's homology:
 1. the core: ``Poset.core()``, computed once per poset, has the same
    homology, and the poset's own chains are only counted, on its order
    bitmasks;
-2. the cellular route: a core whose every Û_x has the homology of a sphere
-   of dimension h(x) - 1 gets its homology from a chain complex with one
-   cell per point, built by height without a single simplex;
-3. the π1 certificate: a connected core of height at most 2 whose
+2. the π1 certificate: a connected core of height at most 2 whose
    fundamental group is certified free of rank r (an edge count at height
    at most 1, Tietze simplification of the Hasse-diagram presentation at
-   height 2) has H_1 = Z^r, a free H_2 and no torsion, which with its
-   chain counts fixes the profile (:func:`free_pi1_homology`);
+   height 2) has H_1 = Z^r, a free H_2 and no torsion, which with the
+   chain counts fixes the profile;
+3. the cellular route: a core whose every Û_x has the homology of a sphere
+   of dimension h(x) - 1 gets its homology from a chain complex with one
+   cell per point, built by height without a single simplex;
 4. the order complex of the core, refused with
    :class:`SimplexBudgetExceeded` when it would have more than
    :data:`SIMPLEX_BUDGET` simplices.
 
+Classification reads the same routes, and the certificate of step 2, from
+one private function, :func:`_homology_and_pi1`, so Tietze simplification
+runs once per classified core.
+
 One type, :class:`ChainComplex` (an f-vector and the boundary maps),
-holds both complexes that routes 2 and 4 build: the cellular complex, and
+holds both complexes that routes 3 and 4 build: the cellular complex, and
 the order complex, whose chains are bitmasks (:func:`order_complex`).  One
 function, :func:`homology`, turns a chain complex into a profile; one
 assembler, :func:`_profile`, builds every profile from chain counts,
@@ -555,62 +559,47 @@ def poset_homology(p: Poset) -> HomologyProfile:
     Computed on the core: removing a beat point is a strong deformation
     retract, so p and its core have the same Betti numbers, torsion and
     GF(2) Betti numbers.  The core's homology comes from the first route
-    that answers: its cellular chain complex if it is cellular, else its
-    π1 certificate if it is connected, of height at most 2 and certified
-    free (:func:`_pi1_certificate`), else its order complex, which raises
+    that answers: its π1 certificate if it is connected, of height at most
+    2 and certified free (:func:`_pi1_certificate`), else its cellular
+    chain complex if it is cellular, else its order complex, which raises
     :class:`SimplexBudgetExceeded` if it would have more than
     :data:`SIMPLEX_BUDGET` simplices.  The f-vector is p's, from
     :func:`_chain_counts`, and p's boundary ranks over the integers and
     over GF(2) follow from it and the core's Betti numbers by
     :func:`boundary_ranks`.
     """
-    return _poset_homology(p, None)
+    return _homology_and_pi1(p)[0]
 
 
-def _poset_homology(p: Poset, status: SimplificationStatus | None) -> HomologyProfile:
-    """:func:`poset_homology`, for a caller that may already hold the π1
-    certificate ``status`` of p's core, so that Tietze simplification does
-    not run on it twice; ``None`` computes the certificate if it is needed."""
+def _homology_and_pi1(p: Poset) -> tuple[HomologyProfile, SimplificationStatus | None]:
+    """:func:`poset_homology` and the π1 certificate of p's core that it
+    read, so that classification labels p without simplifying again.
+
+    A certificate free of rank r fixes the homology: H_1, the
+    abelianization of π1, is Z^r; H_2 of a 2-complex is free, with rank
+    χ - 1 + r by the Euler characteristic, which p shares with its core;
+    nothing has torsion, so the GF(2) ranks equal the integer ranks.
+    """
     f = _chain_counts(p)
     core = p.core()
-    cellular = _cellular_complex(core)
-    if cellular is not None:
-        h = homology(cellular)
-    else:
-        if status is None:
-            status = _pi1_certificate(core)
-        if status is not None and status.is_conclusive:
-            h = _free_profile(f if core is p else _chain_counts(core), status.rank)
-        else:
-            count = sum(f if core is p else _chain_counts(core))
-            if count > SIMPLEX_BUDGET:
-                raise SimplexBudgetExceeded(
-                    f"the {core.n}-point core is neither cellular nor certified by its π1, "
-                    f"and its order complex has {count} simplices, over the budget of "
-                    f"{SIMPLEX_BUDGET}"
-                )
-            h = homology(order_complex(core))
+    status = _pi1_certificate(core)
+    if status is not None and status.is_conclusive:
+        euler = sum((-1) ** d * c for d, c in enumerate(f))
+        ranks = boundary_ranks(f, (1, status.rank, euler - 1 + status.rank))
+        return _profile(f, ranks, ranks, ()), status
+    chains = _cellular_complex(core)
+    if chains is None:
+        count = sum(f if core is p else _chain_counts(core))
+        if count > SIMPLEX_BUDGET:
+            raise SimplexBudgetExceeded(
+                f"the {core.n}-point core is neither cellular nor certified by its π1, "
+                f"and its order complex has {count} simplices, over the budget of "
+                f"{SIMPLEX_BUDGET}"
+            )
+        chains = order_complex(core)
+    h = homology(chains)
     f2_betti = _betti(h.f_vector, h.f2_ranks)
-    return _profile(f, boundary_ranks(f, h.betti), boundary_ranks(f, f2_betti), h.torsion)
-
-
-def free_pi1_homology(p: Poset, rank: int) -> HomologyProfile:
-    """Homology of a connected poset of height <= 2 whose fundamental group
-    is certified free of the given rank, from chain counts alone.
-
-    H_1 is the abelianization of pi1, so it is free of that rank; H_2 of a
-    2-complex is free.  Hence the Betti numbers start (1, rank), with no
-    torsion anywhere, and GF(2) ranks equal the integer ranks.
-    """
-    if p.height > 2 or not p.is_connected:
-        raise ValueError("needs a connected poset of height <= 2")
-    return _free_profile(_chain_counts(p), rank)
-
-
-def _free_profile(f: tuple[int, ...], rank: int) -> HomologyProfile:
-    """The profile of :func:`free_pi1_homology` from the chain counts ``f``."""
-    ranks = boundary_ranks(f, (1, rank))
-    return _profile(f, ranks, ranks, ())
+    return _profile(f, boundary_ranks(f, h.betti), boundary_ranks(f, f2_betti), h.torsion), status
 
 
 def _pi1_certificate(p: Poset) -> SimplificationStatus | None:

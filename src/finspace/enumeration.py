@@ -93,7 +93,9 @@ or, in rule 5, an isolated minimal.
 
 Each kept core leaves the generator with the invariants it already has set
 on it (:func:`_kept`), as its canonical code is, so that classification
-recomputes none of them: it is connected (the filter just checked), its
+recomputes none of them: it is connected (the filter just checked), it
+is its own core (the row rules leave no beat point, and ``_core`` is
+``None``, as :meth:`~finspace.posets.Poset.core` leaves it on a core), its
 element heights are the level indices, and a height-1 core is homogeneous.
 The level index is the element height.  A minimal's row is empty, so its
 height is 0.  A middle's row has at least two bits (rule 1), all of them
@@ -394,12 +396,14 @@ def _stratum_heights(shape: LevelShape) -> tuple[int, ...]:
 def _kept(down: list[int], up: list[int], shape: LevelShape) -> Poset:
     """The core of the given shape with masks ``down`` and ``up``, built
     unchecked, with the invariants the generator already knows set in
-    advance: its element heights and height, that it is connected and, at
-    height one, that it is homogeneous (see the module docstring)."""
+    advance: its element heights and height, that it is connected, that it
+    is its own core and, at height one, that it is homogeneous (see the
+    module docstring)."""
     p = Poset._from_strict(down, up, _stratum_labels(shape))
     p.element_heights = _stratum_heights(shape)
     p.height = p.element_heights[-1]
     p.is_connected = True
+    p._core = None
     if p.height == 1:
         p.is_homogeneous = True
     return p

@@ -215,8 +215,8 @@ class Poset:
     that already knows an invariant may set it in advance:
     :meth:`from_covers` keeps the cover masks it has built and checked;
     ``canonical_code`` and ``dual_code``, when it has coded the poset or
-    its dual, and ``element_heights``, ``height``, ``is_connected`` and
-    ``is_homogeneous``, which the core generator of
+    its dual, and ``element_heights``, ``height``, ``is_connected``,
+    ``is_homogeneous`` and ``_core``, which the core generator of
     :mod:`finspace.enumeration` fixes when it builds the rows.  The order
     is never mutated after construction, so instances are safe to share
     across threads.

@@ -8,14 +8,15 @@ import os
 
 import pytest
 
-from finspace.complexes import poset_homology
+from finspace.classify import classify_poset
+from finspace.complexes import homology, order_complex, poset_homology
 from finspace.enumeration import (
     LevelShape,
     _shape_candidates,
     enumerate_height1_cores,
     enumerate_height2_cores,
 )
-from finspace.posets import _beat_points
+from finspace.posets import Poset, _beat_points
 from finspace.presentations import poset_presentation, tietze_simplify
 from oracle_posets import all_posets, connected_cores
 
@@ -62,3 +63,35 @@ def test_height1_candidates_on_twelve_points_are_beat_point_free():
             assert _beat_points(down, up) == 0, (m0, down)
             count += 1
     assert count == 160351, count
+
+
+def test_certificate_homology_equals_smith_normal_form_on_ten_points():
+    """Every core on 10 points, at heights 2 and 1: the homology that
+    ``poset_homology`` and classification read off the pi1 certificate is
+    the Smith normal form homology of the order complex."""
+    for height, cores, count in (
+        (2, enumerate_height2_cores(10), 4675), (1, enumerate_height1_cores(10), 1873)
+    ):
+        assert len(cores) == count, (height, len(cores))
+        for p in cores:
+            reference = homology(order_complex(p))
+            assert poset_homology(p) == reference, p.canonical_code
+            assert classify_poset(p).profile == reference, p.canonical_code
+
+
+def test_seeded_invariants_on_ten_and_eleven_points():
+    """The invariants the generator sets on the height-2 cores on 10 points
+    and the height-1 cores on 11 equal those of a fresh unchecked copy, and
+    each core, like its copy, is its own core."""
+    names = ("element_heights", "height", "is_connected", "is_homogeneous")
+    for height, cores, count in (
+        (2, enumerate_height2_cores(10), 4675), (1, enumerate_height1_cores(11), 13912)
+    ):
+        assert len(cores) == count, (height, len(cores))
+        for p in cores:
+            assert all(name in vars(p) for name in names[: 3 + (height == 1)]), p.canonical_code
+            fresh = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
+            for name in names:
+                assert getattr(p, name) == getattr(fresh, name), (name, p.canonical_code)
+            assert vars(p)["_core"] is None and p.core() is p, p.canonical_code
+            assert fresh.core() is fresh, p.canonical_code

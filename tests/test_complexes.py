@@ -658,10 +658,26 @@ def rp2_with_loose_point() -> Poset:
     return Poset(up, [*p.labels, "x"])
 
 
+def chain_above(p: Poset, label: str, k: int) -> Poset:
+    """``p`` with a chain of k new points stacked on the point ``label``:
+    each new point lies above that point, everything below it and the new
+    points before it.  The chain's points go one by one as beat points, so
+    the core of the result is the core of p, and the result is k taller
+    when ``label`` is maximal."""
+    n, x = p.n, p.labels.index(label)
+    chain = (1 << n + k) - (1 << n)
+    up = [
+        row | 1 << i | (chain if i == x or row >> x & 1 else 0)
+        for i, row in enumerate(p._strict_up)
+    ]
+    up += [(1 << n + k) - (1 << n + i) for i in range(k)]
+    return Poset(up, [*p.labels, *(f"z{i}" for i in range(k))])
+
+
 class TestCertificateRoute:
-    """A connected core of height at most 2 that is not cellular gets its
-    homology from its π1 certificate, when that is conclusive, and builds no
-    order complex; only an inconclusive one falls back to it."""
+    """A connected core of height at most 2 gets its homology from its π1
+    certificate, when that is conclusive, before the cellular route and
+    without an order complex; only an inconclusive one falls back to them."""
 
     @staticmethod
     def generated_cores() -> list[Poset]:
@@ -722,6 +738,66 @@ class TestCertificateRoute:
         assert len(calls) == 1
         assert expected.profile == homology(order_complex(p))
         assert expected.wedge is None  # torsion in H_1
+
+    @pytest.mark.parametrize(
+        "p, height, core_n, f_vector, betti",
+        [
+            (
+                chain_above(sphere_model(2), "s3", 3), 5, 6,
+                (9, 30, 48, 41, 20, 4), (1, 0, 1, 0, 0, 0),
+            ),
+            (chain_above(fence(), "a1", 3), 4, 4, (7, 16, 16, 9, 2), (1, 1, 0, 0, 0)),
+        ],
+        ids=["sphere", "fence"],
+    )
+    def test_taller_than_its_certified_core(self, p, height, core_n, f_vector, betti, monkeypatch):
+        """The certificate fixes b_2 of the core; p's own chain counts, not
+        the core's, then give p's boundary ranks up to p's height."""
+        assert p.height == height and p.core().n == core_n
+        assert _pi1_certificate(p.core()).is_conclusive
+        expected = homology(order_complex(p))
+
+        def refuse(m):
+            raise AssertionError("Smith normal form ran")
+
+        monkeypatch.setattr(complexes, "smith_normal_form", refuse)
+        prof = poset_homology(p)
+        assert prof == expected
+        assert (prof.f_vector, prof.betti) == (f_vector, betti)
+
+    @pytest.mark.parametrize(
+        "p", [sphere_model(2), figures.poset("fig06")], ids=["sphere", "fig06"]
+    )
+    def test_certificate_comes_before_the_cellular_route(self, p, monkeypatch):
+        """Both are cellular cores with a conclusive certificate (fig05b,
+        also certified, is not cellular)."""
+        assert p.is_core and _cellular_complex(p) is not None
+        assert _pi1_certificate(p).is_conclusive
+        expected = homology(order_complex(p))
+
+        def refuse(q):
+            raise AssertionError("cellular complex built")
+
+        monkeypatch.setattr(complexes, "_cellular_complex", refuse)
+        assert poset_homology(p) == expected
+
+    def test_inconclusive_certificate_takes_the_cellular_route(self, monkeypatch):
+        p = projective_plane()
+        assert _pi1_certificate(p).kind == "inconclusive"
+
+        def refuse(q):
+            raise AssertionError("order complex built")
+
+        monkeypatch.setattr(complexes, "order_complex", refuse)
+        assert poset_homology(p).torsion == ((), (2,), ())
+
+    def test_classification_reads_the_same_profile(self):
+        from finspace.classify import classify_poset
+
+        posets = [mobius_band().core()] + [figures.poset(fid) for fid in figures.all_ids()]
+        assert len(posets) == 59
+        for p in posets:
+            assert classify_poset(p).profile == poset_homology(p), p.canonical_code
 
 
 def rational_nullspace(m: IntegerMatrix) -> list[list[Fraction]]:

@@ -315,6 +315,15 @@ class TestSeededInvariants:
         assert len(cores) == 2289
         self.check(cores)
 
+    def test_cores_are_their_own_cores(self):
+        """The generator seeds ``_core``; a fresh copy finds no beat point."""
+        cores = [p for n in range(6, 10) for p in enumerate_height2_cores(n)]
+        cores += [p for n in range(4, 11) for p in enumerate_height1_cores(n)]
+        for p in cores:
+            assert vars(p)["_core"] is None and p.core() is p, p.canonical_code
+            fresh = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
+            assert fresh.core() is fresh, p.canonical_code
+
     def test_heights_are_shared_per_shape(self):
         for shape in (LevelShape(0, 4, 4), LevelShape(2, 2, 3)):
             cores = _cores_for_shape(shape)
