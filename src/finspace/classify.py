@@ -261,7 +261,6 @@ def circle_wedge_size(n: int) -> int:
     best = None
     for i in range(2, n + 3):
         j = n // (i - 1) + (1 if n % (i - 1) else 0) + 1
-        j = max(j, 2)
         total = i + j
         if best is None or total < best:
             best = total

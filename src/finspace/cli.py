@@ -228,7 +228,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     """Count labels, and verified labels, as the records come; no record is
     kept, and each core is dropped once it is classified."""
-    check_cap(args.n, args.height)
     generate = enumerate_height1_cores if args.height == 1 else enumerate_height2_cores
     counts = Counter()
     verified = Counter()

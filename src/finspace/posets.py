@@ -140,32 +140,34 @@ def _cover_beat_points(below: Sequence[int], above: Sequence[int], among: int) -
     return beats
 
 
-def _layers(below: Sequence[int], above: Sequence[int]) -> list[int]:
-    """The elements in layers, as bitmasks: layer 0 holds the elements whose
-    ``below`` mask is empty, and an element joins the first layer after
-    every element of its ``below`` mask, so its layer is its height.
-    ``above`` is the transpose of ``below``: the upper and lower covers, or
-    the strict up- and down-sets.  Each layer is found among the elements
-    above the last one.  An element on or above a cycle of ``below`` is
-    never placed, so the layers hold every element iff ``below`` is
-    acyclic."""
+def _heights(below: Sequence[int], above: Sequence[int]) -> list[int]:
+    """The height of each element, peeled layer by layer: layer 0 holds the
+    elements whose ``below`` mask is empty, and an element joins the first
+    layer after every element of its ``below`` mask, so its layer is its
+    height.  ``above`` is the transpose of ``below``: the upper and lower
+    covers, or the strict up- and down-sets.  Each layer is found among the
+    elements above the last one.  An element on or above a cycle of
+    ``below`` is never placed and gets -1, so no height is -1 iff
+    ``below`` is acyclic."""
+    heights = [-1] * len(below)
     layer = 0
     for i, mask in enumerate(below):
         if not mask:
             layer |= 1 << i
-    layers = []
     placed = 0
+    k = 0
     while layer:
-        layers.append(layer)
         placed |= layer
         reach = 0
         for i in _bits(layer):
+            heights[i] = k
             reach |= above[i]
         layer = 0
         for i in _bits(reach):
             if not below[i] & ~placed:
                 layer |= 1 << i
-    return layers
+        k += 1
+    return heights
 
 
 def _renamed(mask: int, bit: Sequence[int]) -> int:
@@ -213,7 +215,8 @@ class Poset:
     them ``_core``, set by :meth:`core`, and ``_cover_masks``, the lower-
     and upper-cover masks :meth:`core` reads.  A constructor or generator
     that already knows an invariant may set it in advance:
-    :meth:`from_covers` keeps the cover masks it has built and checked;
+    :meth:`from_covers` keeps the cover masks it has built and checked,
+    and ``element_heights``, the heights it peeled them into;
     ``canonical_code`` and ``dual_code``, when it has coded the poset or
     its dual, and ``element_heights``, ``height``, ``is_connected``,
     ``is_homogeneous`` and ``_core``, which the core generator of
@@ -301,14 +304,14 @@ class Poset:
         is implied by the others.  Errors about the order name the elements
         by their labels.
 
-        The covers are peeled into layers (:func:`_layers`).  If every
-        element is placed, the covers are acyclic: up-sets close over the
-        upper covers from the top layer down, down-sets are their
+        The covers are peeled into layers (:func:`_heights`).  If every
+        element gets a height, the covers are acyclic: up-sets close over
+        the upper covers in descending height, down-sets are their
         transpose, and the result is an order by construction, stored
-        unchecked.  Otherwise the covers hold a cycle (a self-cover
-        counts), and only then are they closed by Warshall's algorithm for
-        the checked constructor, whose errors take precedence over the
-        cover checks.
+        unchecked with those heights as ``element_heights``.  Otherwise
+        the covers hold a cycle (a self-cover counts), and only then are
+        they closed by Warshall's algorithm for the checked constructor,
+        whose errors take precedence over the cover checks.
         """
         _check_size(n)
         pairs = tuple(pairs)
@@ -319,17 +322,17 @@ class Poset:
                 raise PosetError(f"cover ({lo}, {hi}) out of range for n={n}")
             above[lo] |= 1 << hi
             below[hi] |= 1 << lo
-        layers = _layers(below, above)
-        if sum(map(int.bit_count, layers)) == n:
+        heights = _heights(below, above)
+        if -1 not in heights:
             labels = _checked_labels(n, labels)
             up = [0] * n
-            for layer in reversed(layers):
-                for i in _bits(layer):
-                    row = above[i]
-                    for j in _bits(above[i]):
-                        row |= up[j]
-                    up[i] = row
+            for i in sorted(range(n), key=heights.__getitem__, reverse=True):
+                row = above[i]
+                for j in _bits(above[i]):
+                    row |= up[j]
+                up[i] = row
             poset = cls._from_strict(_transpose(up), up, labels)
+            poset.element_heights = tuple(heights)
         else:
             up = [1 << i | above[i] for i in range(n)]
             for k in range(n):  # after step k, paths through 0..k are closed
@@ -384,13 +387,10 @@ class Poset:
 
     @cached_property
     def element_heights(self) -> tuple[int, ...]:
-        """Longest chain strictly below each element (minimal elements get 0):
-        the index of its layer (:func:`_layers`)."""
-        h = [0] * self.n
-        for k, layer in enumerate(_layers(self._strict_down, self._strict_up)):
-            for i in _bits(layer):
-                h[i] = k
-        return tuple(h)
+        """Longest chain strictly below each element (minimal elements get 0),
+        peeled off the strict masks (:func:`_heights`); :meth:`from_covers`
+        sets it from the covers it peels."""
+        return tuple(_heights(self._strict_down, self._strict_up))
 
     @cached_property
     def height(self) -> int:

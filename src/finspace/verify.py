@@ -8,6 +8,9 @@ characteristics, fundamental-group ranks, duality statements, fixture
 membership, and the height-1 size law).  The enumeration is the oracle: a
 mismatch is reported with the offending canonical codes, never suppressed.
 Core classes the source states no counts for are reported observed-only.
+Every minimal-model size, the height-1 size law's included, is found by
+:func:`~finspace.classify.min_model_search`, the search behind
+``finspace min-model``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from finspace.classify import (
     inventory,
     min_model_search,
 )
-from finspace.complexes import boundary_ranks, homology, order_complex, poset_homology
-from finspace.enumeration import enumerate_height1_cores
+from finspace.complexes import boundary_ranks, homology, order_complex
 from finspace.posets import fence, mobius_band, projective_plane
 from finspace.presentations import poset_presentation, tietze_simplify
 
@@ -114,11 +116,6 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _betti3(profile) -> tuple[int, int, int]:
-    b = profile.betti + (0,) * (3 - len(profile.betti))
-    return b[:3]
-
-
 def _gf2_mismatches(prof) -> list[str]:
     """Each d_{d+1} whose GF(2) rank is not its integer rank minus its even
     invariant factors, which are the even torsion of H_d."""
@@ -191,7 +188,7 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
         prof = homology(k)
         emit(f"{fid} f_vector", numbers["f_vector"], k.f_vector)
         emit(f"{fid} boundary ranks over GF(2)", numbers["f2_ranks"], prof.f2_ranks)
-        emit(f"{fid} betti", numbers["betti"], _betti3(prof))
+        emit(f"{fid} betti", numbers["betti"], prof.betti)
         emit(f"{fid} euler", numbers["euler"], prof.euler)
         emit(f"{fid} torsion-free", True, not prof.has_torsion)
         status = tietze_simplify(poset_presentation(p))
@@ -284,28 +281,14 @@ def verify_paper(progress: Callable[[str], None] | None = None) -> VerificationR
     )
 
     # -- height-1 size law -------------------------------------------------------------
-    height1 = {n: enumerate_height1_cores(n) for n in range(2, 8)}
     for n_circles in range(1, 7):
         law = circle_wedge_size(n_circles)
-        observed_min = None
-        minimizers_ok = True
-        for size in range(2, 8):
-            hits = [
-                p
-                for p in height1[size]
-                if poset_homology(p).betti[1] == n_circles
-            ]
-            if hits:
-                observed_min = size
-                minimizers_ok = all(
-                    len(p.covers) == size + n_circles - 1 for p in hits
-                )
-                break
-        emit(f"height-1 law: wedge of {n_circles} circles needs", law, observed_min)
+        res = min_model_search(n_circles, 0, 7)
+        emit(f"height-1 law: wedge of {n_circles} circles needs", law, res.n_min)
         emit(
             f"height-1 minimizers for {n_circles} circles have points+{n_circles}-1 edges",
             True,
-            minimizers_ok,
+            all(len(r.covers) == r.n + n_circles - 1 for r in res.records),
         )
         for rounding in ("ceil", "floor"):
             emit_observed(

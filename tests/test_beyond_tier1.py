@@ -5,6 +5,10 @@ The CI workflow runs each by node id under a ``timeout``.
 """
 
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from oracle_posets import all_posets, connected_cores
 pytestmark = pytest.mark.skipif(
     os.environ.get("FINSPACE_SLOW") != "1", reason="past the tier-1 sizes; set FINSPACE_SLOW=1"
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The wedge types (circles, spheres) whose first models at height 1 or 2
 # have 9 points; test_classify.py pins them as
@@ -95,3 +101,47 @@ def test_seeded_invariants_on_ten_and_eleven_points():
                 assert getattr(p, name) == getattr(fresh, name), (name, p.canonical_code)
             assert vars(p)["_core"] is None and p.core() is p, p.canonical_code
             assert fresh.core() is fresh, p.canonical_code
+
+
+def classify_rows(n: int, height: int) -> tuple[str, list[str]]:
+    """The head line and the label lines of ``finspace classify``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = ["classify", "--n", str(n), "--height", str(height)]
+    done = subprocess.run(
+        [sys.executable, "-m", "finspace.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    head, *rows = done.stdout.splitlines()
+    return head, rows
+
+
+def test_height1_classification_on_eleven_points():
+    """Height-1 classification on 11 points, with pi1 verified for every core."""
+    head, rows = classify_rows(11, 1)
+    assert head == "cores: 13912", head
+    total = 0
+    for row in rows:
+        m = re.fullmatch(r"\d+ circles, 0 spheres: (\d+) \(pi1 verified for (\d+)\)", row)
+        assert m and m[1] == m[2], row
+        total += int(m[1])
+    assert total == 13912, total
+
+
+def test_height2_classification_on_ten_points():
+    """Height-2 classification on 10 points, with pi1 verified for every core."""
+    head, rows = classify_rows(10, 2)
+    assert head == "cores: 4675", head
+    total = 0
+    for row in rows:
+        m = re.fullmatch(r"\d+ circles, \d+ spheres: (\d+) \(pi1 verified for (\d+)\)", row)
+        assert m and m[1] == m[2], row
+        total += int(m[1])
+    assert total == 4675, total
+    # homotopically trivial non-contractible cores, and sphere-only types
+    # out of order: (0,12) has models on 10 points, (0,11) none
+    assert "0 circles, 0 spheres: 10 (pi1 verified for 10)" in rows, rows
+    assert "0 circles, 12 spheres: 3 (pi1 verified for 3)" in rows, rows
+    assert not any(row.startswith("0 circles, 11 spheres:") for row in rows), rows

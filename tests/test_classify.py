@@ -412,6 +412,18 @@ class TestMinModelSearch:
             res = min_model_search(n_circles, 0, 8)
             assert res.n_min == circle_wedge_size(n_circles)
 
+    @pytest.mark.parametrize("circles", range(1, 7))
+    def test_circle_wedges_up_to_seven_points(self, circles):
+        """The searches behind the height-1 size law of ``verify-paper``:
+        each minimal model of a wedge of c circles is labelled (c, 0) and
+        has n + c - 1 covers."""
+        res = min_model_search(circles, 0, 7)
+        assert res.n_min == circle_wedge_size(circles)
+        assert res.records
+        for rec in res.records:
+            assert rec.label_key == (circles, 0), rec.code
+            assert len(rec.covers) == rec.n + circles - 1, rec.code
+
 
 class TestCircleWedgeSize:
     def test_known_values(self):

@@ -254,6 +254,17 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert (code, out, err) == (2, "", expected)
 
+    @pytest.mark.parametrize(
+        "n, height, cap", [("13", "1", 12), ("11", "2", 10)], ids=["height1", "height2"]
+    )
+    def test_classify_cap(self, capsys, n, height, cap):
+        """A size past the cap of its height is a usage error with one
+        ``error:`` line and no output, like ``enumerate``."""
+        code, out, err = run(capsys, "classify", "--n", n, "--height", height)
+        assert (code, out, err) == (
+            2, "", f"error: height-{height} core enumeration is capped at {cap}\n"
+        )
+
     def test_enumerate_unwritable_jsonl(self, capsys, tmp_path, monkeypatch):
         """An output path that cannot be opened is a usage error, reported
         before any enumeration and without a traceback."""

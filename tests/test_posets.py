@@ -244,6 +244,19 @@ class TestConstructionPath:
             fresh = Poset._from_strict(p._strict_down, p._strict_up, p.labels)
             assert fresh.element_heights == longest_chain_heights(p), p.canonical_code
 
+    def test_from_covers_keeps_the_heights_it_peels(self, fixture_paths):
+        from conftest import random_poset
+
+        rng = random.Random(31)
+        posets = [p for n in range(1, 8) for p in enumerate_posets(n)]
+        posets += [random_poset(rng, n_max=14) for _ in range(200)]
+        posets += [load_poset(str(path)) for path in fixture_paths]
+        posets += [figures.poset(fid) for fid in figures.all_ids()]
+        for p in posets:
+            q = Poset.from_covers(p.n, p.covers, p.labels)
+            assert "element_heights" in vars(q), p.canonical_code
+            assert q.element_heights == longest_chain_heights(q), p.canonical_code
+
     def test_bad_cover_lists_raise_as_the_reference(self):
         rng = random.Random(2030)
         raised: dict[type, int] = {}
