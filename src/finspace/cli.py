@@ -11,7 +11,9 @@ Exit status: 0 success, 1 failed verification checks, 2 usage errors,
 takes a connected poset of any height and reads its presentation off the
 Hasse diagram), 4 a homology profile whose order complex would exceed
 ``complexes.SIMPLEX_BUDGET`` simplices (a core that is too large and is
-neither cellular nor, at height at most 2, certified by its pi1).  Machine
+neither cellular nor, at height at most 2, certified by its pi1), 141
+(128 + SIGPIPE, as a shell reports a process killed by it) when standard
+output is closed before the output ends, as by ``| head``.  Machine
 output (JSON, JSON lines, DOT) is byte-stable across runs; progress
 counters go to standard error.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from collections import Counter
 
@@ -47,6 +50,7 @@ from finspace.verify import verify_paper
 USAGE_ERROR = 2
 DATA_ERROR = 3
 BUDGET_EXCEEDED = 4
+BROKEN_PIPE = 141
 
 
 def _int_at_least(low: int):
@@ -302,7 +306,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the exit flush would raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except PosetFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

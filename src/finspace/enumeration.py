@@ -124,6 +124,9 @@ each class, the one generating the wide shape on its own would keep, is
 the reading of the first narrow member.  The reading is the narrow core's
 dual, so it also hands each of the two classes its partner's canonical
 code (``Poset.dual_code``), and classifying them codes nothing again.  A
+poset and its dual have the same automorphisms, so the reading's search
+starts from those the narrow core's search found, moved to the wide
+positions, and they are dropped once the reading is coded.  A
 square shape (as many minimals as maximals) has no wide reading; its
 cores, like the height-2 cores, code their duals when first asked, and
 classification asks once per dual pair.  No dual ``Poset`` is built at
@@ -409,19 +412,27 @@ def _kept(down: list[int], up: list[int], shape: LevelShape) -> Poset:
     return p
 
 
-def _cores_for_shape(shape: LevelShape) -> list[Poset]:
-    """One connected core per isomorphism class of the given shape: the
-    first candidate of each class.  Candidates are coded from their masks,
-    and a poset is built, unchecked, only for a new code."""
-    found: dict[bytes, Poset] = {}
+def _classes(shape: LevelShape) -> Iterator[tuple[Poset, list[list[int]]]]:
+    """One connected core per isomorphism class of the given shape, the
+    first candidate of each class, with the automorphisms its canonical
+    search found.  Candidates are coded from their masks, and a poset is
+    built, unchecked, only for a new code."""
+    found: set[bytes] = set()
     for down, up in _shape_candidates(shape):
         if not _connected(down, up):
             continue
-        code = _code(down, up)
+        gens: list[list[int]] = []
+        code = _code(down, up, gens)
         if code not in found:
-            p = found[code] = _kept(down, up, shape)
+            found.add(code)
+            p = _kept(down, up, shape)
             p.canonical_code = code
-    return list(found.values())
+            yield p, gens
+
+
+def _cores_for_shape(shape: LevelShape) -> list[Poset]:
+    """The cores of :func:`_classes`, without their automorphisms."""
+    return [p for p, _ in _classes(shape)]
 
 
 def _merged(shards) -> list[Poset]:
@@ -458,14 +469,16 @@ def enumerate_height1_cores(n: int) -> list[Poset]:
     # rows run over the larger level, so masks stay narrow
     for m0 in range(2, n // 2 + 1):
         m1 = n - m0
-        kept = _cores_for_shape(LevelShape(0, m1, m0))
-        shards.append(kept)
-        if m0 < m1:  # the wide shape: each kept core read transposed
-            wide = []
-            for p in kept:
+        kept, wide = [], []
+        for p, gens in _classes(LevelShape(0, m1, m0)):
+            kept.append(p)
+            if m0 < m1:  # the wide shape: each kept core read transposed
                 up = [r << m1 for r in p._strict_down[m0:]] + [0] * m0
                 q = _kept(_transpose(up), up, LevelShape(0, m0, m1))
+                # p's automorphisms, with narrow element x at wide position (x - m0) % n
+                seed = [[(x - m0) % n for x in g[m0:] + g[:m0]] for g in gens]
+                q.canonical_code = _code(q._strict_down, q._strict_up, seed)
                 p.dual_code, q.dual_code = q.canonical_code, p.canonical_code
                 wide.append(q)
-            shards.append(wide)
+        shards += [kept, wide]
     return _merged(shards)

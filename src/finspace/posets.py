@@ -374,14 +374,15 @@ class Poset:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """The Hasse diagram edge set, sorted."""
+        """The Hasse diagram edge set, sorted: the loops run over i, then over
+        j in increasing order."""
         out = []
         for i in range(self.n):
             for j in _bits(self._strict_up[i]):
                 between = self._strict_up[i] & self._strict_down[j]
                 if not between:
                     out.append((i, j))
-        return tuple(sorted(out))
+        return tuple(out)
 
     # -- heights and roles ---------------------------------------------------
 
@@ -684,44 +685,99 @@ def _orbit_roots(
     return {x: find(x) for x in _bits(cell)}
 
 
-def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
+def _scan(
+    cells: list[int], sd: Sequence[int], su: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Read the ordered partition ``cells`` up to the cell to branch on: the
+    first cell with more than one element that are not all twins (equal
+    strict down- and up-sets).  Return ``(order, twins, cell)``: the
+    elements of the cells before it in cell order, a twin cell's in
+    increasing order; the twins among them; and the cell, or 0 if there is
+    none, when ``order`` is the leaf order.  If there is one, the twin cells
+    before it are split into singletons in place, so that it sits at
+    ``cells[len(order)]``."""
+    order: list[int] = []
+    twins: list[int] = []
+    for i, c in enumerate(cells):
+        if not c & (c - 1):
+            order.append(c.bit_length() - 1)
+            continue
+        elements = _bits(c)
+        x = elements[0]
+        if any(sd[y] != sd[x] or su[y] != su[x] for y in elements):
+            if twins:
+                cells[:i] = [1 << y for y in order]
+            return order, twins, c
+        twins += elements
+        order += elements
+    return order, twins, 0
+
+
+def _leaf_rows(order: list[int], su: Sequence[int]) -> list[int]:
+    """The certificate of a leaf: the strict up-set of each element, in the
+    leaf ``order``, with elements renamed by their position in it."""
+    renamed = [0] * len(order)  # renamed[x]: the bit of x's position
+    for p, x in enumerate(order):
+        renamed[x] = 1 << p
+    rows = []
+    for x in order:
+        r = 0
+        for y in _bits(su[x]):
+            r |= renamed[y]
+        rows.append(r)
+    return rows
+
+
+def _canonical_rows(
+    sd: Sequence[int], su: Sequence[int], gens: list[list[int]] | None = None
+) -> list[int]:
     """Least certificate over the individualization-refinement tree.
 
-    The root is the equitable refinement of the unit partition.  A node
-    branches on its first non-singleton cell: each child individualizes one
-    element (it becomes a singleton cell just before the rest of the cell)
-    and refines.  A cell whose elements are all twins (equal strict down- and
-    up-sets) is split into singletons without branching, since any order of
-    twins gives the same certificate.  At a leaf every cell is a singleton;
-    the certificate lists each element's strict up-set with elements renamed
-    by cell position, and the code is the least certificate.
+    The root is the equitable refinement of the unit partition.  Its first
+    split, by the unit cell, is read off each element's (|down|, |up|)
+    counts, and :func:`_refine` goes on from there.  A node branches on its
+    first cell with more than one element (:func:`_scan`): each child
+    individualizes one element (it becomes a singleton cell just before the
+    rest of the cell) and refines.  A cell whose elements are all twins is
+    split into singletons without branching, since any order of twins gives
+    the same certificate.  At a leaf every cell is a singleton; the
+    certificate lists each element's strict up-set with elements renamed by
+    cell position (:func:`_leaf_rows`), and the code is the least
+    certificate.  A root of singletons and twin cells is the only leaf, and
+    its certificate is returned without a search.
 
     A leaf whose certificate equals the first or the best leaf's gives an
-    automorphism.  A node skips a child in the orbit of a child it already
-    explored, under the automorphisms found so far that fix the node's path,
-    and the search jumps back to the node where the new leaf's path left the
-    matching leaf's path, whose subtree maps onto the one just searched.
+    automorphism, appended to ``gens`` (g[x] is the image of x).  A caller
+    may pass automorphisms of the poset already known in ``gens``, such as
+    those its dual's search found, since Aut(p) = Aut(p^op); they only
+    prune, so the certificate is the same.  A node skips a child in the
+    orbit of a child it already explored, under the automorphisms known so
+    far that fix the node's path, and the search jumps back to the node
+    where the new leaf's path left the matching leaf's path, whose subtree
+    maps onto the one just searched.
     """
     n = len(sd)
-    cells = [(1 << n) - 1]
-    _refine(cells, cells[:], sd, su)
-    gens: list[list[int]] = []  # automorphisms, g[x] = image of x
+    groups: dict[int, int] = {}
+    for x in range(n):
+        key = sd[x].bit_count() << 7 | su[x].bit_count()
+        groups[key] = groups.get(key, 0) | 1 << x
+    cells = [groups[key] for key in sorted(groups)]
+    if len(cells) > 1:  # queue every piece but the first largest
+        sizes = [c.bit_count() for c in cells]
+        skip = sizes.index(max(sizes))
+        _refine(cells, cells[:skip] + cells[skip + 1 :], sd, su)
+    order, path, cell = _scan(cells, sd, su)
+    if not cell:
+        return _leaf_rows(order, su)
+    if gens is None:
+        gens = []
     first: tuple[list[int], list[int], list[int]] | None = None  # rows, order, path
     best = first
     explore_on = n + 1  # returned when no jump is due
 
-    def leaf(cells: list[int], path: list[int]) -> int:
+    def leaf(order: list[int], path: list[int]) -> int:
         nonlocal first, best
-        order = [c.bit_length() - 1 for c in cells]
-        renamed = [0] * n  # renamed[x]: the bit of x's cell position
-        for p, x in enumerate(order):
-            renamed[x] = 1 << p
-        rows = []
-        for x in order:
-            r = 0
-            for y in _bits(su[x]):
-                r |= renamed[y]
-            rows.append(r)
+        rows = _leaf_rows(order, su)
         if first is None:
             first = best = (rows, order, path)
             return explore_on
@@ -739,30 +795,10 @@ def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
             best = (rows, order, path)
         return explore_on
 
-    def visit(cells: list[int], path: list[int]) -> int:
-        """Search below a node, whose ``cells`` list is its own; return the
-        level of the node to resume at.
-
-        One scan finds the cell to branch on, passing over singletons and
-        cells of twins; the twin cells are then split in place, in one go,
-        and only if there are any."""
-        twin_cells: list[tuple[int, Sequence[int]]] = []
-        cell = 0  # the cell to branch on, if any
-        for c in cells:
-            if c & (c - 1):
-                twins = _bits(c)
-                x = twins[0]
-                if any(sd[y] != sd[x] or su[y] != su[x] for y in twins):
-                    cell = c
-                    break
-                twin_cells.append((c, twins))
-                path = [*path, *twins]
-        for c, twins in twin_cells:
-            i = cells.index(c)
-            cells[i : i + 1] = [1 << y for y in twins]
-        if not cell:
-            return leaf(cells, path)
-        i = cells.index(cell)
+    def visit(cells: list[int], path: list[int], i: int, cell: int) -> int:
+        """Search below a node, whose ``cells`` list is its own and branches
+        on ``cell``, at ``cells[i]``; return the level of the node to resume
+        at."""
         level = len(path)
         explored: list[int] = []
         known = -1  # automorphisms reflected in roots
@@ -777,23 +813,26 @@ def _canonical_rows(sd: Sequence[int], su: Sequence[int]) -> list[int]:
             explored.append(x)
             child = cells[:i] + [1 << x, cell & ~(1 << x)] + cells[i + 1 :]
             _refine(child, [1 << x], sd, su)
-            resume = visit(child, path + [x])
+            order, twins, branch = _scan(child, sd, su)
+            below = [*path, x, *twins]
+            resume = visit(child, below, len(order), branch) if branch else leaf(order, below)
             if resume < level:
                 return resume
         return explore_on
 
-    visit(cells, [])
+    visit(cells, path, len(order), cell)
     assert best is not None
     return best[0]
 
 
-def _code(sd: Sequence[int], su: Sequence[int]) -> bytes:
+def _code(sd: Sequence[int], su: Sequence[int], gens: list[list[int]] | None = None) -> bytes:
     """The canonical code of the poset with strict down- and up-set masks
     ``sd`` and ``su``: ``"<n>:<rows>"``, where rows are the strict up-set
     masks, in hex, under the canonical labelling of :func:`_canonical_rows`.
-    Swapping the arguments gives the code of the dual."""
-    rows = _canonical_rows(sd, su)
-    return (f"{len(sd)}:" + ",".join(f"{r:x}" for r in rows)).encode("ascii")
+    Swapping the arguments gives the code of the dual.  ``gens`` holds
+    automorphisms known in advance and receives those the search finds."""
+    rows = _canonical_rows(sd, su, gens)
+    return (f"{len(sd)}:" + ",".join([format(r, "x") for r in rows])).encode("ascii")
 
 
 def fence() -> Poset:

@@ -4,6 +4,7 @@ Run them with ``FINSPACE_SLOW=1 python -m pytest tests/test_beyond_tier1.py``.
 The CI workflow runs each by node id under a ``timeout``.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -103,19 +104,35 @@ def test_seeded_invariants_on_ten_and_eleven_points():
             assert fresh.core() is fresh, p.canonical_code
 
 
-def classify_rows(n: int, height: int) -> tuple[str, list[str]]:
-    """The head line and the label lines of ``finspace classify``."""
+def cli_stdout(*argv: str) -> bytes:
+    """The standard output of ``finspace <argv>``, run as a subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    argv = ["classify", "--n", str(n), "--height", str(height)]
     done = subprocess.run(
         [sys.executable, "-m", "finspace.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, env=env, timeout=120, check=True,
     )
-    head, *rows = done.stdout.splitlines()
+    return done.stdout
+
+
+def classify_rows(n: int, height: int) -> tuple[str, list[str]]:
+    """The head line and the label lines of ``finspace classify``."""
+    out = cli_stdout("classify", "--n", str(n), "--height", str(height))
+    head, *rows = out.decode().splitlines()
     return head, rows
+
+
+def test_height1_enumeration_on_twelve_points():
+    """Every height-1 core on 12 points, the cap, wide readings included:
+    one line per class, and the bytes of every line (the canonical codes
+    and the covers) pinned."""
+    out = cli_stdout("enumerate", "--n", "12", "--height", "1")
+    assert out.count(b"\n") == 133369
+    assert hashlib.sha256(out).hexdigest() == (
+        "6b2e028a9acee11c7015d591d82c5874ec25fda583d330ba70b4a92eb585383d"
+    )
 
 
 def test_height1_classification_on_eleven_points():

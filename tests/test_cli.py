@@ -281,6 +281,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert str(out_path) in err and "Traceback" not in err
 
+    def test_closed_stdout(self):
+        """A reader that stops after one line, as ``| head -1`` does, ends
+        the run with exit 141 (128 + SIGPIPE) and no traceback.  The output,
+        about 245 kB, outgrows a pipe, so the run writes after the close."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "finspace.cli", "enumerate", "--n", "10", "--height", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first.startswith(b"10:") and err == b"1873 cores\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -461,6 +461,24 @@ class TestHeight1Cores:
         assert len(enumerate_height1_cores(9)) == 320
         assert len(calls) <= 323
 
+    def test_wide_readings_start_from_the_narrow_automorphisms(self, monkeypatch):
+        """Each wide reading is coded with the automorphisms its narrow
+        core's search found as a seed.  On 10 points the codes equal those
+        of unseeded searches, and the seeds save refinements."""
+        calls = []
+        refine = posets._refine
+        monkeypatch.setattr(posets, "_refine", lambda *args: calls.append(1) or refine(*args))
+        seeded = [p.canonical_code for p in enumerate_height1_cores(10)]
+        with_seeds = len(calls)
+        code = posets._code
+        # a non-empty seed is dropped; the narrow searches still fill theirs
+        monkeypatch.setattr(
+            enumeration, "_code", lambda sd, su, gens=None: code(sd, su, [] if gens else gens)
+        )
+        calls.clear()
+        assert [p.canonical_code for p in enumerate_height1_cores(10)] == seeded
+        assert with_seeds < len(calls), (with_seeds, len(calls))
+
     def test_dual_codes_passed_along(self, monkeypatch):
         """Each core of a non-square shape holds the code of its dual, which
         the enumerator coded anyway; only a square core (as many minimals

@@ -18,6 +18,7 @@ from finspace.posets import (
     Poset,
     PosetError,
     _bits,
+    _code,
     _cover_beat_points,
     fence,
     sphere_model,
@@ -140,6 +141,12 @@ class TestConstruction:
             p = figures.poset(fid)
             rebuilt = Poset.from_covers(p.n, p.covers, p.labels)
             assert (rebuilt.n, rebuilt.covers) == (p.n, p.covers)
+
+    def test_covers_are_sorted(self, fixture_paths):
+        posets = [p for n in range(1, 8) for p in enumerate_posets(n)]
+        posets += [load_poset(path) for path in fixture_paths]
+        for p in posets:
+            assert list(p.covers) == sorted(p.covers), p.covers
 
 
 def outcome(make, *args):
@@ -852,6 +859,81 @@ class TestStronglyRegular:
         assert not vertex_edge_incidence(SHRIKHANDE).is_isomorphic(
             vertex_edge_incidence(ROOK_4X4)
         )
+
+
+def complete_bipartite(m: int, k: int) -> Poset:
+    """K_{m,k}: each of m minimals lies below each of k maximals."""
+    return Poset([1 << i | ((1 << k) - 1) << m if i < m else 1 << i for i in range(m + k)])
+
+
+@pytest.fixture
+def refine_calls(monkeypatch) -> list:
+    """A list that gets one entry per call of ``posets._refine``."""
+    from finspace import posets
+
+    calls = []
+    refine = posets._refine
+    monkeypatch.setattr(posets, "_refine", lambda *args: calls.append(1) or refine(*args))
+    return calls
+
+
+class TestSeededSearch:
+    """A search seeded with automorphisms, as the wide height-1 reading is
+    with those its narrow reading found (Aut(p) = Aut(p^op)), gives the
+    code of a plain search."""
+
+    @staticmethod
+    def seeded_code(p: Poset, sigma: list[int]) -> tuple[bytes, int]:
+        """The code of the dual of ``p`` relabelled by ``sigma``, seeded with
+        the automorphisms that coding ``p`` found, mapped across; and the
+        seed's size."""
+        gens = []
+        _code(p._strict_down, p._strict_up, gens)
+        seed = []
+        for g in gens:
+            mapped = [0] * p.n
+            for x, image in enumerate(g):
+                mapped[sigma[x]] = sigma[image]
+            seed.append(mapped)
+        q = p.dual().permuted(sigma)
+        return _code(q._strict_down, q._strict_up, seed), len(seed)
+
+    def test_equals_the_plain_code(self):
+        posets = [p for n in range(1, 7) for p in enumerate_posets(n)]
+        posets += [crown(m) for crown in (cycle_crown, matching_crown) for m in range(2, 9)]
+        posets += [complete_bipartite(m, k) for m in range(1, 6) for k in range(1, 6)]
+        posets += [build(nbrs) for build in (double_cover, vertex_edge_incidence)
+                   for nbrs in (SHRIKHANDE, ROOK_4X4)]
+        rng = random.Random(35)
+        seeded = 0
+        for p in posets:
+            for a in (p, p.dual()):
+                sigma = list(range(p.n))
+                rng.shuffle(sigma)
+                code, size = self.seeded_code(a, sigma)
+                assert code == a.dual().canonical_code, a.canonical_code
+                seeded += size > 0
+        assert seeded > 100, seeded
+
+    def test_a_one_leaf_root_refines_once(self, refine_calls):
+        for p in (fence(), complete_bipartite(3, 3)):
+            refine_calls.clear()
+            _code(p._strict_down, p._strict_up)
+            assert len(refine_calls) == 1, p
+
+    def test_a_seeded_wide_search_refines_less(self, refine_calls):
+        """The vertex-edge incidence poset of K4 (4 minimals, 6 maximals,
+        the 24 symmetries of the tetrahedron) is a narrow height-1 core;
+        its wide reading is its dual."""
+        p = vertex_edge_incidence([0b1110, 0b1101, 0b1011, 0b0111])
+        gens = []
+        _code(p._strict_down, p._strict_up, gens)
+        refine_calls.clear()
+        plain = _code(p._strict_up, p._strict_down)
+        unseeded = len(refine_calls)
+        refine_calls.clear()
+        assert _code(p._strict_up, p._strict_down, gens) == plain
+        assert gens and len(refine_calls) < unseeded, (len(refine_calls), unseeded)
 
 
 class TestCodeBytes:
