@@ -233,9 +233,12 @@ class MinModelResult(NamedTuple):
 def min_model_search(p: int, q: int, n_max: int) -> MinModelResult:
     """Smallest point count carrying a core labelled (p, q), with all models.
 
-    Wedges of circles only need height-1 cores; any type with a sphere needs
-    height 2.  The contractible target (0, 0) is the one-point space.  An
-    ``n_max`` above the cap of the searched height raises
+    Wedges of circles are searched among height-1 cores.  A type with a
+    sphere is searched among height-2 cores only: its models have height at
+    least 2, since the order complex of a height-1 core is a graph, and a
+    smaller model of height 3 or more would not be found.  The contractible
+    target (0, 0) is the one-point space.  An ``n_max`` above the cap of
+    the searched height raises
     :class:`~finspace.enumeration.SizeTooLarge` before any enumeration.
     """
     if p < 0 or q < 0:

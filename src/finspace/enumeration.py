@@ -144,7 +144,7 @@ from typing import Iterator, NamedTuple
 
 from finspace.posets import Poset, _code, _connected, _transpose
 
-HEIGHT2_CAP = 10
+HEIGHT2_CAP = 11
 HEIGHT1_CAP = 12
 
 
@@ -154,7 +154,10 @@ class SizeTooLarge(ValueError):
 
 def check_cap(n: int, height: int) -> None:
     """Raise :class:`SizeTooLarge` if ``n`` exceeds the cap of the
-    height-``height`` core generator (height 1 or 2)."""
+    height-``height`` core generator, and :class:`ValueError` for a height
+    other than 1 or 2, which no generator serves."""
+    if height not in (1, 2):
+        raise ValueError("height must be 1 or 2")
     cap = HEIGHT1_CAP if height == 1 else HEIGHT2_CAP
     if n > cap:
         raise SizeTooLarge(f"height-{height} core enumeration is capped at {cap}")

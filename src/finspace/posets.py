@@ -97,36 +97,6 @@ def _connected(down: Sequence[int], up: Sequence[int]) -> bool:
     return seen == (1 << len(down)) - 1
 
 
-def _beat_points(down: Sequence[int], up: Sequence[int]) -> int:
-    """Bitmask of the beat points of the poset whose strict down- and up-set
-    masks are ``down`` and ``up``.
-
-    x is a down beat point iff its strict down-set has a maximum m, that is,
-    the set minus m lies below m; dually for up beat points.
-    """
-    beats = 0
-    for rows in (down, up):
-        for x, hat in enumerate(rows):
-            for m in _bits(hat):
-                if hat & ~rows[m] == 1 << m:
-                    beats |= 1 << x
-                    break
-    return beats
-
-
-def _lower_covers(down: Sequence[int]) -> tuple[int, ...]:
-    """The lower covers of each element, as bitmasks, from the strict
-    down-set masks ``down``: the elements below x that lie below no other
-    element below x.  Read from the strict up-set masks, the upper covers."""
-    out = []
-    for hat in down:
-        under = 0
-        for y in _bits(hat):
-            under |= down[y]
-        out.append(hat & ~under)
-    return tuple(out)
-
-
 def _cover_beat_points(below: Sequence[int], above: Sequence[int], among: int) -> int:
     """Bitmask of the beat points in the mask ``among`` of the poset whose
     lower and upper covers are ``below`` and ``above``: the elements with
@@ -213,7 +183,9 @@ class Poset:
     of ``{j : i < j}``, and its transpose ``_strict_down[i]``, the bitmask
     of ``{j : j < i}``; the other attributes are cached invariants, among
     them ``_core``, set by :meth:`core`, and ``_cover_masks``, the lower-
-    and upper-cover masks :meth:`core` reads.  A constructor or generator
+    and upper-cover masks.  Covers are decided once, by :attr:`covers`;
+    the cover masks are read off them, and beat points, :meth:`core` and
+    the pi1 presentation read the masks.  A constructor or generator
     that already knows an invariant may set it in advance:
     :meth:`from_covers` keeps the cover masks it has built and checked,
     and ``element_heights``, the heights it peeled them into;
@@ -367,15 +339,10 @@ class Poset:
     # -- basic accessors -----------------------------------------------------
 
     @cached_property
-    def _cover_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The Hasse diagram as two tuples of bitmasks: the lower covers and
-        the upper covers of each element."""
-        return _lower_covers(self._strict_down), _lower_covers(self._strict_up)
-
-    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse diagram edge set, sorted: the loops run over i, then over
-        j in increasing order."""
+        j in increasing order.  This is the one place that decides whether a
+        comparable pair is a cover: i < j with nothing strictly between."""
         out = []
         for i in range(self.n):
             for j in _bits(self._strict_up[i]):
@@ -383,6 +350,18 @@ class Poset:
                 if not between:
                     out.append((i, j))
         return tuple(out)
+
+    @cached_property
+    def _cover_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The Hasse diagram as two tuples of bitmasks, the lower covers and
+        the upper covers of each element, read off :attr:`covers` (or kept
+        by :meth:`from_covers`).  Beat points, :meth:`core` and the pi1
+        presentation of :mod:`finspace.presentations` read covers here."""
+        below, above = [0] * self.n, [0] * self.n
+        for lo, hi in self.covers:
+            above[lo] |= 1 << hi
+            below[hi] |= 1 << lo
+        return tuple(below), tuple(above)
 
     # -- heights and roles ---------------------------------------------------
 
@@ -473,8 +452,9 @@ class Poset:
 
     def beat_points(self) -> frozenset[int]:
         """Elements whose punctured down-set has a maximum or whose punctured
-        up-set has a minimum."""
-        return frozenset(_bits(_beat_points(self._strict_down, self._strict_up)))
+        up-set has a minimum: those with exactly one lower or exactly one
+        upper cover (:func:`_cover_beat_points`)."""
+        return frozenset(_bits(_cover_beat_points(*self._cover_masks, (1 << self.n) - 1)))
 
     @cached_property
     def is_core(self) -> bool:

@@ -148,28 +148,25 @@ def poset_presentation(p: Poset) -> Presentation:
     a -> b_{i-1} -> c -> b_i -> a for i = 2..k.  A step along a non-cover
     pair x < y follows the least cover of x below y, and so on up to y (see
     the module docstring for why this presents the group of the order
-    complex).
+    complex).  The covers are read from the poset's cover masks, which
+    :attr:`Poset.covers` decides; nothing here tests a pair again.
 
     Raises :class:`DisconnectedComplex` on a disconnected poset.
     """
     up, down = p._strict_up, p._strict_down
-    neighbours = [0] * p.n
+    below, above = p._cover_masks
+    neighbours = [lower | upper for lower, upper in zip(below, above)]
     walks = []
     for a, row in enumerate(up):
-        for c in _bits(row):
-            middles = row & down[c]
-            if not middles:
-                neighbours[a] |= 1 << c
-                neighbours[c] |= 1 << a
-                continue
-            bs = _bits(middles)
+        for c in _bits(row & ~above[a]):
+            bs = _bits(row & down[c])
             walks.extend((a, bs[i - 1], c, bs[i]) for i in range(1, len(bs)))
 
     def least_cover(x: int, y: int) -> int:
         """The least cover of the lower of x and y below the upper one."""
         lo, hi = (x, y) if up[x] >> y & 1 else (y, x)
-        below = neighbours[lo] & up[lo] & down[hi]
-        return (below & -below).bit_length() - 1
+        covers = above[lo] & down[hi]
+        return (covers & -covers).bit_length() - 1
 
     return _edge_path(neighbours, walks, least_cover)
 

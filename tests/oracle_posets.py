@@ -11,6 +11,10 @@ way on masks, with no ``Poset`` built and no cap, and reaches every poset
 on eight points in tier-1 time and on nine in a slow test;
 :func:`connected_cores` picks out the cores among them, at every height.
 
+Beat points by their definition (:func:`_beat_points`), the oracle of
+``Poset.beat_points`` and ``Poset.core``, which count covers instead, and
+of the row rules of the core generator.
+
 Construction from covers by Warshall's closure and the checked constructor
 (:func:`from_covers_reference`), and element heights by longest chains
 (:func:`longest_chain_heights`), the oracles of ``Poset.from_covers`` and
@@ -18,9 +22,26 @@ Construction from covers by Warshall's closure and the checked constructor
 """
 
 from finspace.enumeration import SizeTooLarge
-from finspace.posets import (
-    CycleDetected, NotCover, Poset, PosetError, _beat_points, _bits, _code, _connected,
-)
+from finspace.posets import CycleDetected, NotCover, Poset, PosetError, _bits, _code, _connected
+
+
+def _beat_points(down, up) -> int:
+    """Bitmask of the beat points of the poset whose strict down- and up-set
+    masks are ``down`` and ``up``, by the definition.
+
+    x is a down beat point iff its strict down-set has a maximum m, that is,
+    the set minus m lies below m; dually for up beat points.  The package
+    counts covers instead (``posets._cover_beat_points``); this is the
+    oracle it is checked against.
+    """
+    beats = 0
+    for rows in (down, up):
+        for x, hat in enumerate(rows):
+            for m in _bits(hat):
+                if hat & ~rows[m] == 1 << m:
+                    beats |= 1 << x
+                    break
+    return beats
 
 
 def from_covers_reference(n: int, pairs, labels=None) -> Poset:

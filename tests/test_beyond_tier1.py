@@ -5,25 +5,31 @@ The CI workflow runs each by node id under a ``timeout``.
 """
 
 import hashlib
+import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from finspace.classify import classify_poset
-from finspace.complexes import homology, order_complex, poset_homology
+from finspace.complexes import (
+    _chain_counts, boundary_ranks, f2_rank, homology, order_complex, poset_homology,
+)
 from finspace.enumeration import (
     LevelShape,
     _shape_candidates,
     enumerate_height1_cores,
     enumerate_height2_cores,
 )
-from finspace.posets import Poset, _beat_points
+from finspace.formats import poset_to_text
+from finspace.posets import Poset, mobius_band, projective_plane, sphere_model
 from finspace.presentations import poset_presentation, tietze_simplify
-from oracle_posets import all_posets, connected_cores
+import oracle_complex
+from oracle_posets import _beat_points, all_posets, connected_cores
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("FINSPACE_SLOW") != "1", reason="past the tier-1 sizes; set FINSPACE_SLOW=1"
@@ -104,15 +110,77 @@ def test_seeded_invariants_on_ten_and_eleven_points():
             assert fresh.core() is fresh, p.canonical_code
 
 
-def cli_stdout(*argv: str) -> bytes:
-    """The standard output of ``finspace <argv>``, run as a subprocess."""
+def test_order_complex_from_chain_masks_equals_tuple_route():
+    """The order complex built from chain masks equals the tuple route of
+    ``tests/oracle_complex.py`` past the tier-1 sizes: f-vectors, faces and
+    homology, with the 2-torsion of the projective plane."""
+    posets = {f"suspension{k}": Poset.antichain(3).nh_suspension(k) for k in (7, 8)}
+    posets.update(mobius=mobius_band(), rp2=projective_plane())
+    posets.update({f"sphere{k}": sphere_model(k) for k in range(8)})
+    for name, p in posets.items():
+        masks = order_complex(p)
+        tuples = oracle_complex.chain_complex(oracle_complex.order_complex(p))
+        assert masks.f_vector == tuples.f_vector == _chain_counts(p), name
+        assert oracle_complex.by_faces(masks) == oracle_complex.by_faces(tuples), name
+        profile = homology(masks)
+        assert profile == homology(tuples), name
+        if name == "rp2":
+            assert profile.torsion == ((), (2,), ()), profile.torsion
+
+
+def test_f2_ranks_of_the_large_suspensions():
+    """GF(2) ranks of the 26,243- and 78,731-chain suspensions of three
+    points equal the ranks the Betti numbers give, and the larger takes
+    under 5 s."""
+    profile = homology(order_complex(Poset.antichain(3).nh_suspension(8)))
+    assert sum(profile.f_vector) == 26243, profile.f_vector
+    assert profile.betti == (1,) + (0,) * 7 + (2,), profile.betti
+    ranks = boundary_ranks(profile.f_vector, profile.betti)
+    assert profile.f2_ranks == ranks, (profile.f2_ranks, ranks)
+    # about 0.5 s on a 2-CPU Xeon; a reduction whose columns fill in takes 15-20 s
+    complex9 = order_complex(Poset.antichain(3).nh_suspension(9))
+    start = time.perf_counter()
+    f2_ranks = tuple(f2_rank(b) for b in complex9.boundaries)
+    seconds = time.perf_counter() - start
+    assert seconds < 5, seconds
+    assert f2_ranks == boundary_ranks(complex9.f_vector, (1,) + (0,) * 8 + (2,)), f2_ranks
+
+
+@pytest.fixture
+def s30_file(tmp_path) -> str:
+    """The 62-point model of S^30 written as a poset file."""
+    path = tmp_path / "s30.poset"
+    path.write_text(poset_to_text(sphere_model(30)))
+    return str(path)
+
+
+def test_homology_of_the_s30_model(s30_file):
+    """``finspace homology`` of the 62-point model of S^30, which needs the
+    cellular route, within 20 s."""
+    profile = json.loads(cli_stdout("homology", s30_file, timeout=20))
+    assert profile["betti"] == [1] + [0] * 29 + [1], profile["betti"]
+
+
+def test_pi1_of_the_s30_model(s30_file):
+    """``finspace pi1`` of the same model, a poset of height 30, read off its
+    Hasse diagram within 20 s: one generator per cover outside the spanning
+    tree (120 - 62 + 1 = 59), and the trivial group."""
+    lines = cli_stdout("pi1", s30_file, timeout=20).decode().splitlines()
+    assert lines[-1] == "trivial group", lines[-1]
+    assert re.search(r"\bg59\b", lines[0])
+    assert "g60" not in lines[0]
+
+
+def cli_stdout(*argv: str, timeout: float = 120) -> bytes:
+    """The standard output of ``finspace <argv>``, run as a subprocess that
+    is stopped after ``timeout`` seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
         [sys.executable, "-m", "finspace.cli", *argv],
-        capture_output=True, env=env, timeout=120, check=True,
+        capture_output=True, env=env, timeout=timeout, check=True,
     )
     return done.stdout
 
@@ -162,3 +230,20 @@ def test_height2_classification_on_ten_points():
     assert "0 circles, 0 spheres: 10 (pi1 verified for 10)" in rows, rows
     assert "0 circles, 12 spheres: 3 (pi1 verified for 3)" in rows, rows
     assert not any(row.startswith("0 circles, 11 spheres:") for row in rows), rows
+
+
+def test_height2_classification_on_eleven_points():
+    """Height-2 classification on 11 points, the cap, with pi1 verified for
+    every core and no unrecognized core: 78 homotopically trivial
+    non-contractible cores, and the first 26 models of the wedge of eleven
+    2-spheres."""
+    head, rows = classify_rows(11, 2)
+    assert head == "cores: 60969", head
+    total = 0
+    for row in rows:
+        m = re.fullmatch(r"\d+ circles, \d+ spheres: (\d+) \(pi1 verified for (\d+)\)", row)
+        assert m and m[1] == m[2], row
+        total += int(m[1])
+    assert total == 60969, total
+    assert "0 circles, 0 spheres: 78 (pi1 verified for 78)" in rows, rows
+    assert "0 circles, 11 spheres: 26 (pi1 verified for 26)" in rows, rows

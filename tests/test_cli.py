@@ -255,7 +255,7 @@ class TestExitCodes:
             assert (code, out, err) == (2, "", expected)
 
     @pytest.mark.parametrize(
-        "n, height, cap", [("13", "1", 12), ("11", "2", 10)], ids=["height1", "height2"]
+        "n, height, cap", [("13", "1", 12), ("12", "2", 11)], ids=["height1", "height2"]
     )
     def test_classify_cap(self, capsys, n, height, cap):
         """A size past the cap of its height is a usage error with one

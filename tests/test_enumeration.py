@@ -13,13 +13,14 @@ from finspace.enumeration import (
     _column_swaps,
     _cores_for_shape,
     _orderly_rows,
+    check_cap,
     enumerate_height1_cores,
     enumerate_height2_cores,
     level_shapes,
 )
-from finspace.posets import Poset, _beat_points, _bits, fence, sphere_model
+from finspace.posets import Poset, _bits, fence, sphere_model
 from oracle_burnside import core_counts
-from oracle_posets import all_posets, connected_cores, enumerate_posets
+from oracle_posets import _beat_points, all_posets, connected_cores, enumerate_posets
 
 
 def brute_force_posets(n: int) -> set[bytes]:
@@ -44,6 +45,17 @@ def brute_force_posets(n: int) -> set[bytes]:
         if ok:
             codes.add(Poset(rel).canonical_code)
     return codes
+
+
+class TestCheckCap:
+    @pytest.mark.parametrize("n", [5, 11])
+    @pytest.mark.parametrize("height", [0, 3])
+    def test_height_other_than_one_or_two(self, n, height):
+        """No generator serves heights other than 1 and 2, below the caps
+        or above them."""
+        with pytest.raises(ValueError, match="^height must be 1 or 2$") as caught:
+            check_cap(n, height)
+        assert not isinstance(caught.value, SizeTooLarge)
 
 
 class TestEnumeratePosets:
@@ -392,7 +404,7 @@ class TestHeight2Cores:
 
     def test_cap(self):
         with pytest.raises(SizeTooLarge):
-            enumerate_height2_cores(11)
+            enumerate_height2_cores(12)
 
     def test_codes_about_once_per_class(self, monkeypatch):
         """Candidates that a swap of two minimal columns beats are dropped

@@ -26,7 +26,9 @@ from finspace.posets import (
 )
 from conftest import disjoint_union
 from oracle_code import oracle_code
-from oracle_posets import enumerate_posets, from_covers_reference, longest_chain_heights
+from oracle_posets import (
+    _beat_points, enumerate_posets, from_covers_reference, longest_chain_heights,
+)
 
 
 def build(labels: str, covers: str) -> Poset:
@@ -465,18 +467,14 @@ class TestBeatPoints:
 
 
 class TestCoverCounts:
-    """``core()`` finds beat points by cover counts; ``beat_points()`` by the
-    definition.  The two must agree, and the cover masks that
-    ``from_covers`` keeps must be the Hasse diagram."""
-
-    @staticmethod
-    def by_cover_counts(p: Poset) -> frozenset[int]:
-        return frozenset(_bits(_cover_beat_points(*p._cover_masks, (1 << p.n) - 1)))
+    """``beat_points()`` and ``core()`` find beat points by cover counts,
+    which must agree with the definition (the oracle ``_beat_points``), and
+    the cover masks that ``from_covers`` keeps must be the Hasse diagram."""
 
     def test_equals_definition_on_small_posets(self):
         for n in range(1, 8):
             for p in enumerate_posets(n):
-                assert self.by_cover_counts(p) == p.beat_points(), p.canonical_code
+                assert p.beat_points() == by_definition(p), p.canonical_code
 
     def test_equals_definition_on_random_posets(self):
         from conftest import random_poset
@@ -484,7 +482,7 @@ class TestCoverCounts:
         rng = random.Random(61)
         for _ in range(2000):
             p = random_poset(rng, n_max=14)
-            assert self.by_cover_counts(p) == p.beat_points(), p.canonical_code
+            assert p.beat_points() == by_definition(p), p.canonical_code
 
     def test_kept_masks_equal_computed_masks(self, fixture_paths):
         posets = [(path.name, load_poset(str(path))) for path in fixture_paths]
@@ -494,11 +492,17 @@ class TestCoverCounts:
             assert vars(p)["_cover_masks"] == fresh._cover_masks, where
 
 
+def by_definition(p: Poset) -> frozenset[int]:
+    """The beat points of ``p``, by the oracle ``_beat_points``."""
+    return frozenset(_bits(_beat_points(p._strict_down, p._strict_up)))
+
+
 def core_one_at_a_time(p: Poset) -> Poset:
-    """Oracle for :meth:`Poset.core`: find all beat points, restrict away the
-    lowest-index one, and start again on the smaller poset."""
+    """Oracle for :meth:`Poset.core`: find all beat points by their
+    definition, restrict away the lowest-index one, and start again on the
+    smaller poset."""
     while True:
-        beats = p.beat_points()
+        beats = by_definition(p)
         if not beats:
             return p
         victim = min(beats)

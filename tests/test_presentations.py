@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from conftest import disjoint_union, product, random_connected_poset
 from finspace import figures
 from finspace.complexes import order_complex, poset_homology
 from finspace.enumeration import enumerate_height2_cores
-from finspace.posets import Poset, fence, sphere_model
+from finspace.formats import load_poset
+from finspace.posets import Poset, fence, mobius_band, projective_plane, sphere_model
 from finspace.presentations import (
     DisconnectedComplex,
     Presentation,
@@ -188,6 +190,27 @@ class TestHassePresentation:
     def test_disconnected(self):
         with pytest.raises(DisconnectedComplex):
             poset_presentation(disjoint_union(fence(), sphere_model(1)))
+
+    def test_output_pinned(self, fixture_paths):
+        """The covers and the presentation text of every connected poset on
+        at most 7 points, every fixture and catalog file, the sphere models
+        of dimension 0 to 11 and 30, the Moebius band, the projective plane
+        and 300 seeded random posets of up to 20 points: pinned by sha256."""
+        posets = [p for n in range(1, 8) for p in enumerate_posets(n)]
+        posets += [load_poset(str(path)) for path in fixture_paths]
+        posets += [sphere_model(k) for k in (*range(12), 30)] + [mobius_band(), projective_plane()]
+        rng = random.Random(71)
+        posets += [random_connected_poset(rng, n_max=20) for _ in range(300)]
+        digest = hashlib.sha256()
+        count = 0
+        for p in posets:
+            if p.is_connected:
+                digest.update(repr((p.covers, poset_presentation(p).to_text())).encode())
+                count += 1
+        assert count == 2320
+        assert digest.hexdigest() == (
+            "73784a7c56179c181eb52c4835463c5ed865654ffb86c4623ed8c29d07195315"
+        )
 
 
 class TestTietze:
