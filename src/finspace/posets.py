@@ -174,6 +174,22 @@ class RolePartition(NamedTuple):
     mnl: frozenset[int]
 
 
+class _lazy(cached_property):
+    """A :func:`functools.cached_property` that computes and stores its value
+    without a lock.  Before Python 3.12, ``cached_property`` takes a
+    per-property lock on every first access to any instance; an
+    invariant is a function of the immutable order, so two threads racing
+    on one instance at worst compute it twice and store equal values.  It
+    stays a ``cached_property``, so tools that recognise one (such as a
+    tracer that rewraps ``func``) still do."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Poset:
     """An immutable finite poset on elements ``0..n-1``.
 
@@ -194,7 +210,9 @@ class Poset:
     ``is_homogeneous`` and ``_core``, which the core generator of
     :mod:`finspace.enumeration` fixes when it builds the rows.  The order
     is never mutated after construction, so instances are safe to share
-    across threads.
+    across threads: two threads that read an invariant first at the same
+    time may each compute it (:class:`_lazy` takes no lock), and store
+    equal values.
 
     Every public way in checks its input, once.  The constructor checks
     size, labels, range, reflexivity, antisymmetry and transitivity.
@@ -338,7 +356,7 @@ class Poset:
 
     # -- basic accessors -----------------------------------------------------
 
-    @cached_property
+    @_lazy
     def covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse diagram edge set, sorted: the loops run over i, then over
         j in increasing order.  This is the one place that decides whether a
@@ -351,7 +369,7 @@ class Poset:
                     out.append((i, j))
         return tuple(out)
 
-    @cached_property
+    @_lazy
     def _cover_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The Hasse diagram as two tuples of bitmasks, the lower covers and
         the upper covers of each element, read off :attr:`covers` (or kept
@@ -365,22 +383,22 @@ class Poset:
 
     # -- heights and roles ---------------------------------------------------
 
-    @cached_property
+    @_lazy
     def element_heights(self) -> tuple[int, ...]:
         """Longest chain strictly below each element (minimal elements get 0),
         peeled off the strict masks (:func:`_heights`); :meth:`from_covers`
         sets it from the covers it peels."""
         return tuple(_heights(self._strict_down, self._strict_up))
 
-    @cached_property
+    @_lazy
     def height(self) -> int:
         return max(self.element_heights)
 
-    @cached_property
+    @_lazy
     def maximal_elements(self) -> frozenset[int]:
         return frozenset(i for i in range(self.n) if not self._strict_up[i])
 
-    @cached_property
+    @_lazy
     def minimal_elements(self) -> frozenset[int]:
         return frozenset(i for i in range(self.n) if not self._strict_down[i])
 
@@ -390,12 +408,12 @@ class Poset:
         middle = frozenset(range(self.n)) - mxl - mnl
         return RolePartition(mxl=mxl, middle=middle, mnl=mnl)
 
-    @cached_property
+    @_lazy
     def is_connected(self) -> bool:
         """True iff the comparability graph is connected."""
         return _connected(self._strict_down, self._strict_up)
 
-    @cached_property
+    @_lazy
     def is_homogeneous(self) -> bool:
         """True iff every maximal chain has the same length.
 
@@ -456,7 +474,7 @@ class Poset:
         upper cover (:func:`_cover_beat_points`)."""
         return frozenset(_bits(_cover_beat_points(*self._cover_masks, (1 << self.n) - 1)))
 
-    @cached_property
+    @_lazy
     def is_core(self) -> bool:
         return not self.beat_points()
 
@@ -538,13 +556,13 @@ class Poset:
 
     # -- isomorphism ------------------------------------------------------------
 
-    @cached_property
+    @_lazy
     def canonical_code(self) -> bytes:
         """A byte string equal for two posets iff they are isomorphic
         (:func:`_code`)."""
         return _code(self._strict_down, self._strict_up)
 
-    @cached_property
+    @_lazy
     def dual_code(self) -> bytes:
         """The canonical code of :meth:`dual`, coded from this poset's own
         masks read the other way round; no dual is built.  A generator that
@@ -587,7 +605,9 @@ def _refine(cells: list[int], queue: list[int], sd: Sequence[int], su: Sequence[
     whole iff it misses the elements comparable to y, or lies inside those
     below y or inside those above y.  The list changes only after a
     splitter that split some cell: each such cell is replaced in place by
-    its pieces.
+    its pieces.  An equitable ``cells`` comes back unchanged, so
+    :func:`_canonical_rows` does not refine a root whose cells all hold
+    twins.
     """
     n = len(sd)
     pending = set(queue)
@@ -665,6 +685,18 @@ def _orbit_roots(
     return {x: find(x) for x in _bits(cell)}
 
 
+def _twins(elements: Sequence[int], sd: Sequence[int], su: Sequence[int]) -> bool:
+    """True iff the ``elements`` are twins: they have equal strict down-sets
+    and equal strict up-sets.  A cell of twins needs no refinement and no
+    branching, since any order of twins gives the same certificate."""
+    x = elements[0]
+    down, up = sd[x], su[x]
+    for y in elements:
+        if sd[y] != down or su[y] != up:
+            return False
+    return True
+
+
 def _scan(
     cells: list[int], sd: Sequence[int], su: Sequence[int]
 ) -> tuple[list[int], list[int], int]:
@@ -683,8 +715,7 @@ def _scan(
             order.append(c.bit_length() - 1)
             continue
         elements = _bits(c)
-        x = elements[0]
-        if any(sd[y] != sd[x] or su[y] != su[x] for y in elements):
+        if not _twins(elements, sd, su):
             if twins:
                 cells[:i] = [1 << y for y in order]
             return order, twins, c
@@ -715,7 +746,11 @@ def _canonical_rows(
 
     The root is the equitable refinement of the unit partition.  Its first
     split, by the unit cell, is read off each element's (|down|, |up|)
-    counts, and :func:`_refine` goes on from there.  A node branches on its
+    counts.  If each cell of that split holds twins (:func:`_twins`), as a
+    singleton does, the split is already equitable, and refining an
+    equitable partition returns it unchanged (McKay & Piperno 2014), so it
+    is the root and :func:`_refine` is not called; otherwise
+    :func:`_refine` goes on from there.  A node branches on its
     first cell with more than one element (:func:`_scan`): each child
     individualizes one element (it becomes a singleton cell just before the
     rest of the cell) and refines.  A cell whose elements are all twins is
@@ -742,10 +777,14 @@ def _canonical_rows(
         key = sd[x].bit_count() << 7 | su[x].bit_count()
         groups[key] = groups.get(key, 0) | 1 << x
     cells = [groups[key] for key in sorted(groups)]
-    if len(cells) > 1:  # queue every piece but the first largest
-        sizes = [c.bit_count() for c in cells]
-        skip = sizes.index(max(sizes))
-        _refine(cells, cells[:skip] + cells[skip + 1 :], sd, su)
+    for c in cells:
+        if c & (c - 1) and not _twins(_bits(c), sd, su):
+            # not equitable: refine in place, queueing every piece but the
+            # first largest
+            sizes = [c.bit_count() for c in cells]
+            skip = sizes.index(max(sizes))
+            _refine(cells, cells[:skip] + cells[skip + 1 :], sd, su)
+            break
     order, path, cell = _scan(cells, sd, su)
     if not cell:
         return _leaf_rows(order, su)

@@ -131,18 +131,24 @@ def test_order_complex_from_chain_masks_equals_tuple_route():
 def test_f2_ranks_of_the_large_suspensions():
     """GF(2) ranks of the 26,243- and 78,731-chain suspensions of three
     points equal the ranks the Betti numbers give, and the larger takes
-    under 5 s."""
+    under 5 s and under 4 times as long as building its order complex."""
     profile = homology(order_complex(Poset.antichain(3).nh_suspension(8)))
     assert sum(profile.f_vector) == 26243, profile.f_vector
     assert profile.betti == (1,) + (0,) * 7 + (2,), profile.betti
     ranks = boundary_ranks(profile.f_vector, profile.betti)
     assert profile.f2_ranks == ranks, (profile.f2_ranks, ranks)
-    # about 0.5 s on a 2-CPU Xeon; a reduction whose columns fill in takes 15-20 s
-    complex9 = order_complex(Poset.antichain(3).nh_suspension(9))
+    # about 0.5 s on a 2-CPU Xeon, about as long as the build; a reduction
+    # whose columns fill in takes 15-20 s, and one keyed by the lowest set
+    # bit 3 s, 10 times the build
+    suspension9 = Poset.antichain(3).nh_suspension(9)
+    start = time.perf_counter()
+    complex9 = order_complex(suspension9)
+    build = time.perf_counter() - start
     start = time.perf_counter()
     f2_ranks = tuple(f2_rank(b) for b in complex9.boundaries)
     seconds = time.perf_counter() - start
     assert seconds < 5, seconds
+    assert seconds < 4 * build, (seconds, build)
     assert f2_ranks == boundary_ranks(complex9.f_vector, (1,) + (0,) * 8 + (2,)), f2_ranks
 
 

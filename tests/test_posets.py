@@ -1,3 +1,5 @@
+import collections
+import functools
 import gc
 import hashlib
 import random
@@ -27,7 +29,7 @@ from finspace.posets import (
 from conftest import disjoint_union
 from oracle_code import oracle_code
 from oracle_posets import (
-    _beat_points, enumerate_posets, from_covers_reference, longest_chain_heights,
+    _beat_points, all_posets, enumerate_posets, from_covers_reference, longest_chain_heights,
 )
 
 
@@ -694,6 +696,37 @@ class TestIsomorphism:
         assert a.dual().is_isomorphic(b)
 
 
+class TestLazyInvariants:
+    """Poset's lazy invariants are ``functools.cached_property`` instances,
+    which a tracer recognises to rewrap their functions, and each function
+    runs once per instance."""
+
+    def test_codes_are_cached_properties(self):
+        for name in ("canonical_code", "dual_code"):
+            assert isinstance(Poset.__dict__[name], functools.cached_property), name
+
+    def test_each_invariant_runs_once_per_instance(self, monkeypatch):
+        lazy = {
+            name: prop for name, prop in vars(Poset).items()
+            if isinstance(prop, functools.cached_property)
+        }
+        assert {"covers", "element_heights", "is_core", "canonical_code"} <= set(lazy)
+        runs = collections.Counter()
+        for name, prop in lazy.items():
+            def counted(p, name=name, func=prop.func):
+                runs[id(p), name] += 1
+                return func(p)
+
+            monkeypatch.setattr(prop, "func", counted)
+        # built with nothing preset, as from_covers presets some invariants
+        posets = [complete_bipartite(2, 2), complete_bipartite(2, 2), sphere_model(2).dual()]
+        for p in posets:
+            for _ in range(2):
+                for name in lazy:
+                    getattr(p, name)
+        assert runs == {(id(p), name): 1 for p in posets for name in lazy}
+
+
 def _codes_agree(posets) -> bool:
     """True iff canonical_code and the oracle split ``posets`` alike:
     two posets share a code iff they share an oracle code."""
@@ -872,12 +905,15 @@ def complete_bipartite(m: int, k: int) -> Poset:
 
 @pytest.fixture
 def refine_calls(monkeypatch) -> list:
-    """A list that gets one entry per call of ``posets._refine``."""
+    """A list that gets one entry per call of ``posets._refine``: a copy of
+    the cells it was called with."""
     from finspace import posets
 
     calls = []
     refine = posets._refine
-    monkeypatch.setattr(posets, "_refine", lambda *args: calls.append(1) or refine(*args))
+    monkeypatch.setattr(
+        posets, "_refine", lambda *args: calls.append(list(args[0])) or refine(*args)
+    )
     return calls
 
 
@@ -920,10 +956,41 @@ class TestSeededSearch:
         assert seeded > 100, seeded
 
     def test_a_one_leaf_root_refines_once(self, refine_calls):
+        """A root that is the one leaf refines once, unless the (|down|, |up|)
+        grouping is already equitable: every cell of fence() and of K_{3,3}
+        is a twin cell, so they refine 0 times.  In 0 < 2 < 4, 1 < 3, 1 < 4
+        the minimals 0 and 1 share the counts (0, 2) but are not twins, and
+        one refinement splits them into the one leaf."""
         for p in (fence(), complete_bipartite(3, 3)):
             refine_calls.clear()
             _code(p._strict_down, p._strict_up)
-            assert len(refine_calls) == 1, p
+            assert len(refine_calls) == 0, p
+        p = Poset.from_covers(5, [(0, 2), (1, 3), (1, 4), (2, 4)])
+        refine_calls.clear()
+        _code(p._strict_down, p._strict_up)
+        assert len(refine_calls) == 1, refine_calls
+
+    def test_the_root_refines_iff_a_count_cell_is_not_twins(self, refine_calls):
+        """Over every poset on at most 6 points, and its dual: the root calls
+        ``_refine`` on the (|down|, |up|) grouping exactly when some cell of
+        it holds two elements that are not twins.  A later call refines a
+        child, whose cells outnumber the grouping's."""
+        seen = set()
+        for n in range(1, 7):
+            for sd, su in all_posets(n).values():
+                for down, up in ((sd, su), (su, sd)):
+                    cells: dict[tuple[int, int], list[int]] = {}
+                    for x in range(n):
+                        key = bin(down[x]).count("1"), bin(up[x]).count("1")
+                        cells.setdefault(key, []).append(x)
+                    grouping = [sum(1 << x for x in cells[key]) for key in sorted(cells)]
+                    not_twins = any(len({(down[x], up[x]) for x in c}) > 1 for c in cells.values())
+                    refine_calls.clear()
+                    _code(down, up)
+                    refined = bool(refine_calls) and refine_calls[0] == grouping
+                    assert refined == not_twins, (down, up)
+                    seen.add(not_twins)
+        assert seen == {False, True}
 
     def test_a_seeded_wide_search_refines_less(self, refine_calls):
         """The vertex-edge incidence poset of K4 (4 minimals, 6 maximals,
