@@ -29,16 +29,24 @@ class PosetFormatError(ValueError):
 
 
 def parse_poset_text(text: str) -> Poset:
+    """Parse the text format.  Each line is split once: ``#`` starts a
+    comment, whitespace separates fields, and a line with no field is
+    skipped."""
     n: int | None = None
     elements: list[str] | None = None
     covers: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         fields = line.split()
+        if not fields:
+            continue
         keyword = fields[0]
-        if keyword == "poset":
+        if keyword == "cover":
+            if len(fields) != 3:
+                raise PosetFormatError(f"line {lineno}: expected 'cover <lower> <upper>'")
+            covers.append((fields[1], fields[2]))
+        elif keyword == "poset":
             if n is not None:
                 raise PosetFormatError(f"line {lineno}: repeated poset header")
             if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
@@ -54,10 +62,6 @@ def parse_poset_text(text: str) -> Poset:
                 raise PosetFormatError(
                     f"line {lineno}: expected {n} element names, got {len(elements)}"
                 )
-        elif keyword == "cover":
-            if len(fields) != 3:
-                raise PosetFormatError(f"line {lineno}: expected 'cover <lower> <upper>'")
-            covers.append((fields[1], fields[2]))
         else:
             raise PosetFormatError(f"line {lineno}: unknown keyword {keyword!r}")
     if n is None or elements is None:
@@ -69,11 +73,11 @@ def _build(n: int, elements: list[str], covers: list[tuple[str, str]]) -> Poset:
     index = {name: i for i, name in enumerate(elements)}
     if len(index) != len(elements):
         raise PosetFormatError("duplicate element names")
-    pairs = []
-    for lo, hi in covers:
-        if lo not in index or hi not in index:
-            raise PosetFormatError(f"cover ({lo}, {hi}) names unknown elements")
-        pairs.append((index[lo], index[hi]))
+    try:
+        pairs = [(index[lo], index[hi]) for lo, hi in covers]
+    except KeyError:
+        lo, hi = next((lo, hi) for lo, hi in covers if lo not in index or hi not in index)
+        raise PosetFormatError(f"cover ({lo}, {hi}) names unknown elements") from None
     try:
         return Poset.from_covers(n, pairs, elements)
     except PosetError as exc:

@@ -296,12 +296,18 @@ class Poset:
 
         The covers are peeled into layers (:func:`_heights`).  If every
         element gets a height, the covers are acyclic: up-sets close over
-        the upper covers in descending height, down-sets are their
-        transpose, and the result is an order by construction, stored
-        unchecked with those heights as ``element_heights``.  Otherwise
-        the covers hold a cycle (a self-cover counts), and only then are
-        they closed by Warshall's algorithm for the checked constructor,
-        whose errors take precedence over the cover checks.
+        the upper covers in descending height, and down-sets over the lower
+        covers in ascending height, so the result is an order by
+        construction, stored unchecked with those heights as
+        ``element_heights``.  The covers are checked inside that closure: a
+        listed upper cover of x inside the up-set of another upper cover of
+        x has a middle element, so it is implied.  A list with no duplicate
+        and no implied pair is kept as the cover masks.  If some element
+        gets no height, the covers hold a cycle (a self-cover counts), and
+        only then are they closed by Warshall's algorithm for the checked
+        constructor, whose errors take precedence over the cover checks.
+        A bad list of either kind is then checked pair by pair, to name its
+        first error.
         """
         _check_size(n)
         pairs = tuple(pairs)
@@ -315,14 +321,26 @@ class Poset:
         heights = _heights(below, above)
         if -1 not in heights:
             labels = _checked_labels(n, labels)
+            order = sorted(range(n), key=heights.__getitem__)
             up = [0] * n
-            for i in sorted(range(n), key=heights.__getitem__, reverse=True):
-                row = above[i]
+            implied = 0
+            for i in reversed(order):
+                row = 0
                 for j in _bits(above[i]):
                     row |= up[j]
-                up[i] = row
-            poset = cls._from_strict(_transpose(up), up, labels)
-            poset.element_heights = tuple(heights)
+                implied |= row & above[i]
+                up[i] = row | above[i]
+            down = [0] * n
+            for i in order:
+                row = below[i]
+                for j in _bits(below[i]):
+                    row |= down[j]
+                down[i] = row
+            poset = cls._from_strict(down, up, labels)
+            if not implied and sum(map(int.bit_count, above)) == len(pairs):
+                poset.element_heights = tuple(heights)
+                poset._cover_masks = tuple(below), tuple(above)
+                return poset
         else:
             up = [1 << i | above[i] for i in range(n)]
             for k in range(n):  # after step k, paths through 0..k are closed
@@ -331,6 +349,8 @@ class Poset:
                     if up[i] & bit:
                         up[i] |= row
             poset = cls(up, labels)
+        # Only a bad list gets here: a cycle through two or more elements
+        # has made the constructor raise, and so the list holds one of these.
         name, strict = poset.labels, poset._strict_up
         if sum(map(int.bit_count, above)) < len(pairs):  # one bit per distinct pair
             lo, hi = next(pair for k, pair in enumerate(pairs) if pair in pairs[:k])
@@ -342,8 +362,7 @@ class Poset:
             if between:
                 through = name[_bits(between)[0]]
                 raise NotCover(f"pair ({name[lo]}, {name[hi]}) is implied through element {through}")
-        poset._cover_masks = tuple(below), tuple(above)
-        return poset
+        raise AssertionError("a cover list that fails no check was not kept")
 
     @classmethod
     def antichain(cls, n: int, labels: Sequence[str] | None = None) -> "Poset":

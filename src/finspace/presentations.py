@@ -9,12 +9,17 @@ order; every walk contributes one relator, its non-tree edges read in walk
 order.  The simplifier then tries to certify the group free of some rank by
 eliminating generators with two Tietze moves: a length-1 relator kills its
 generator, and a generator occurring exactly once in a relator is solved
-for and substituted.  Each move rewrites, cyclically reduces or drops only
-the relators containing the generator, found through an occurrence index,
-and removes the generator, so the simplifier stops after at most
-``num_generators`` moves.  Free-group recognition is undecidable in
-general, so it reports ``inconclusive`` when relators are left and no move
-applies; callers must treat that as honest ignorance, not failure.
+for and substituted.  When every relator names distinct generators, unit
+moves change no relator but by deleting letters, so a unit phase first
+makes them on one bitmask of generators per relator; if they empty every
+relator, that is the answer the word moves would reach, and no word is
+rewritten.  Otherwise the word loop runs on the input as given: each move
+rewrites, cyclically reduces or drops only the relators containing the
+generator, found through an occurrence index, and removes the generator,
+so the simplifier stops after at most ``num_generators`` moves.
+Free-group recognition is undecidable in general, so it reports
+``inconclusive`` when relators are left and no move applies; callers must
+treat that as honest ignorance, not failure.
 
 The order complex of a poset (:func:`presentation`) gives its comparable
 pairs as edges and its 3-chains as triangles, a triangle u < v < w being
@@ -293,12 +298,59 @@ def _lone_move(relators: Iterable[Word]) -> tuple[int, Word] | None:
     return abs(rel[pos]), solved
 
 
+def _unit_kills(pres: Presentation) -> int | None:
+    """The number of generators that unit moves alone kill, if those moves
+    empty every relator; ``None`` if they leave one, or if some relator
+    names a generator twice, or one outside ``1..num_generators``.
+
+    Each relator is read as the bitmask of its generators.  A relator with
+    exactly one generator not yet killed kills it, until no relator has
+    one; every relator whose generators are all killed is then empty."""
+    top = pres.num_generators
+    live = []
+    for rel in pres.relators:
+        mask = 0
+        for v in rel:
+            if not -top <= v <= top:
+                return None
+            mask |= 1 << abs(v)
+        if mask & 1 or mask.bit_count() != len(rel):  # a letter 0, or a generator named twice
+            return None
+        live.append(mask)
+    killed = 0
+    while live:
+        units = 0
+        rest = []
+        for mask in live:
+            mask &= ~killed
+            if mask & (mask - 1):
+                rest.append(mask)
+            else:
+                units |= mask
+        if rest and not units:
+            return None
+        killed |= units
+        live = rest
+    return killed.bit_count()
+
+
 def tietze_simplify(pres: Presentation) -> SimplificationStatus:
     """Eliminate generators by Tietze moves until no relator is left or no
     move applies.
 
-    Relators are kept cyclically reduced, by id, with the ids of the
-    relators that contain each generator.  A length-1 relator forces its
+    A unit phase runs first, on generator bitmasks (:func:`_unit_kills`),
+    and answers when every relator names distinct generators in range and
+    unit moves alone empty them all: the group is then free on the
+    generators left.  That is the word loop's answer.  With distinct
+    letters no reduction cancels anything, so a unit move only deletes
+    its generator from the relators, and the word loop, which makes no
+    other move while a length-1 relator is pending, kills the same
+    generators whatever their order: a generator that one relator leaves
+    alone stays alone, or is killed, as other generators are.  Every other
+    input goes to the word loop as given.
+
+    The word loop keeps relators cyclically reduced, by id, with the ids of
+    the relators that contain each generator.  A length-1 relator forces its
     generator trivial; otherwise the shortest relator in which a generator
     occurs once is solved for it.  Either move removes the generator and
     rewrites only the relators that contain it, dropping any that become
@@ -310,6 +362,9 @@ def tietze_simplify(pres: Presentation) -> SimplificationStatus:
     rotation of a relator B g A, or of its inverse; substituting g from one
     copy reduces the other to the empty word.
     """
+    kills = _unit_kills(pres)
+    if kills is not None:
+        return SimplificationStatus.free_of_rank(pres.num_generators - kills)
     relators: dict[int, Word] = {}
     occ: dict[int, set[int]] = {g: set() for g in range(1, pres.num_generators + 1)}
     units: list[int] = []  # ids of relators that were of length 1

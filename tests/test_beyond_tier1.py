@@ -30,6 +30,7 @@ from finspace.posets import Poset, mobius_band, projective_plane, sphere_model
 from finspace.presentations import poset_presentation, tietze_simplify
 import oracle_complex
 from oracle_posets import _beat_points, all_posets, connected_cores
+from oracle_tietze import oracle_tietze
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("FINSPACE_SLOW") != "1", reason="past the tier-1 sizes; set FINSPACE_SLOW=1"
@@ -90,6 +91,18 @@ def test_certificate_homology_equals_smith_normal_form_on_ten_points():
             reference = homology(order_complex(p))
             assert poset_homology(p) == reference, p.canonical_code
             assert classify_poset(p).profile == reference, p.canonical_code
+
+
+def test_tietze_matches_the_restart_oracle_on_ten_points():
+    """On the Hasse presentation of every height-2 core on 10 points, the
+    simplifier, unit phase and word loop alike, reaches the outcome of the
+    restart-scan oracle."""
+    cores = enumerate_height2_cores(10)
+    assert len(cores) == 4675, len(cores)
+    for p in cores:
+        pres = poset_presentation(p)
+        status, expected = tietze_simplify(pres), oracle_tietze(pres)
+        assert (status.kind, status.rank) == (expected.kind, expected.rank), p.canonical_code
 
 
 def test_seeded_invariants_on_ten_and_eleven_points():

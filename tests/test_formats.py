@@ -47,6 +47,72 @@ class TestTextFormat:
         with pytest.raises(PosetFormatError):
             parse_poset_text("poset 2\nelements a b\ncover a b\ncover b a\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("poset 2\nposet 2\n", "line 2: repeated poset header"),
+            ("elements a b\n", "line 1: elements before poset header"),
+            ("poset 2\nelements a b\nelements a b\n", "line 3: repeated elements line"),
+            ("poset 3\nelements a b\n", "line 2: expected 3 element names, got 2"),
+            ("poset 2 3\n", "line 1: expected 'poset <n>'"),
+            ("poset 2\n", "missing poset or elements line"),
+            ("poset 1\nelements a\nedge a a\n", "line 3: unknown keyword 'edge'"),
+            (
+                "poset 2\nelements a b # names\ncover a b # first\ncover b a x\n",
+                "line 4: expected 'cover <lower> <upper>'",
+            ),
+            ("poset\t2\nelements\ta\tb\ncover a\tb\n\tbogus\n", "line 4: unknown keyword 'bogus'"),
+            ("\n# only a comment\n   \n\t\nposet two\n", "line 5: expected 'poset <n>'"),
+            (
+                "  # indented comment\n\nposet 2\nelements a b\n#\ncover a\n",
+                "line 6: expected 'cover <lower> <upper>'",
+            ),
+            ("poset 2\r\nelements a b\r\ncover a b\r\nfoo\r\n", "line 4: unknown keyword 'foo'"),
+            ("poset 2\nelements a b\ncover a b\x0bx\n", "line 4: unknown keyword 'x'"),
+            ("poset 2\nelements a b\ncover a z\ncover a b\n", "cover (a, z) names unknown elements"),
+            ("poset 2\nelements a b\ncover a b\ncover z a\n", "cover (z, a) names unknown elements"),
+            ("poset 2\nelements a a\ncover a z\n", "duplicate element names"),
+            ("poset 3\nelements a a b\ncover q z\n", "duplicate element names"),
+            ("poset 2\nelements a b\ncover a b\ncover a b\n", "pair (a, b) is listed twice"),
+            (
+                "poset 3\nelements a b c\ncover a b\ncover b c\ncover a c\n",
+                "pair (a, c) is implied through element b",
+            ),
+            ("poset 2\nelements a b\ncover a b\ncover b a\n", "elements a and b lie on a cycle"),
+            ("poset 1\nelements a\ncover a a\n", "cover (a, a) relates an element to itself"),
+            ("poset 0\nelements\n", "element count must be 1..64, got 0"),
+        ],
+        ids=[
+            "repeated-header",
+            "elements-before-header",
+            "repeated-elements",
+            "wrong-name-count",
+            "header-two-numbers",
+            "no-elements",
+            "unknown-keyword",
+            "hash-mid-line",
+            "tabs",
+            "comment-lines-before-error",
+            "indented-comment-before-error",
+            "crlf",
+            "vertical-tab-breaks-line",
+            "unknown-name-first-cover",
+            "unknown-name-later-cover",
+            "duplicate-names-before-unknown-name",
+            "duplicate-names-before-unknown-pair",
+            "pair-twice",
+            "pair-implied",
+            "cycle",
+            "self-cover",
+            "empty",
+        ],
+    )
+    def test_error_messages(self, text, message):
+        """The exact message of each malformed text."""
+        with pytest.raises(PosetFormatError) as info:
+            parse_poset_text(text)
+        assert str(info.value) == message
+
 
 class TestJsonFormat:
     def test_round_trip(self):

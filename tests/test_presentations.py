@@ -213,7 +213,40 @@ class TestHassePresentation:
         )
 
 
+def hasse_pin_posets(fixture_paths):
+    """The posets of :meth:`TestHassePresentation.test_output_pinned`, in
+    its order, connected or not."""
+    posets = [p for n in range(1, 8) for p in enumerate_posets(n)]
+    posets += [load_poset(str(path)) for path in fixture_paths]
+    posets += [sphere_model(k) for k in (*range(12), 30)] + [mobius_band(), projective_plane()]
+    rng = random.Random(71)
+    posets += [random_connected_poset(rng, n_max=20) for _ in range(300)]
+    return posets
+
+
 class TestTietze:
+    def test_output_pinned(self, fixture_paths):
+        """The full status, ``remaining`` of inconclusive runs included, of
+        the Hasse presentation of each connected poset pinned by
+        :meth:`TestHassePresentation.test_output_pinned`, and of the order
+        complex presentation of every connected poset on at most 6 points:
+        pinned by sha256."""
+        digest = hashlib.sha256()
+        count = 0
+        for p in hasse_pin_posets(fixture_paths):
+            if p.is_connected:
+                digest.update(repr(tietze_simplify(poset_presentation(p))).encode())
+                count += 1
+        for n in range(1, 7):
+            for p in enumerate_posets(n):
+                if p.is_connected:
+                    digest.update(repr(tietze_simplify(presentation(p))).encode())
+                    count += 1
+        assert count == 2617
+        assert digest.hexdigest() == (
+            "c12f2e5799fc95355cfbe9a41b775945a0316bfb58086644337dc4c6dbfbb34a"
+        )
+
     def test_single_relator_kills_generator(self):
         status = tietze_simplify(Presentation(1, ((1,),)))
         assert status.kind == "trivial"
@@ -242,6 +275,57 @@ class TestTietze:
     def test_proper_power_is_inconclusive(self):
         status = tietze_simplify(Presentation(1, ((1, 1),)))
         assert status.describe() == "inconclusive (1 generators, 1 relators left)"
+
+    def test_proper_power_keeps_its_relator(self):
+        """<a | a a> names a twice, so the word loop runs, and is stuck."""
+        status = tietze_simplify(Presentation(1, ((1, 1),)))
+        assert status.remaining == Presentation(1, ((1, 1),))
+
+    @pytest.mark.parametrize(
+        "pres, rank",
+        [
+            (Presentation(2, ((1, 2, -1), (2,))), 1),
+            (Presentation(2, ((1, 2), (2,))), 0),
+            (Presentation(3, ((1, 2, 3), (1,))), 1),
+            (Presentation(2, ((), (1,), ())), 1),
+            (Presentation(1, ((0, 0),)), 1),
+            (Presentation(1, ((2, -2),)), 1),
+        ],
+        ids=[
+            "repeated-generator",
+            "unit-then-unit",
+            "unit-then-lone-move",
+            "empty-relators",
+            "letter-0-cancelled",
+            "letter-too-large-cancelled",
+        ],
+    )
+    def test_unit_phase_edges(self, pres, rank):
+        """Ranks as the word loop alone gives them.  A relator naming a
+        generator twice goes to the word loop, where a b a^-1 reduces to b;
+        a unit phase that took it as a relator in a and b would kill a as
+        well and call the group trivial.  Letters out of range that reduce
+        away are never looked up."""
+        assert tietze_simplify(pres) == SimplificationStatus.free_of_rank(rank)
+
+    @pytest.mark.parametrize(
+        "pres, letter",
+        [
+            (Presentation(1, ((0,),)), 0),
+            (Presentation(1, ((2,),)), 2),
+            (Presentation(2, ((1, 3),)), 3),
+            (Presentation(2, ((-3,),)), 3),
+            (Presentation(2, ((1,), (0, 2))), 0),
+            (Presentation(1, ((10**12,),)), 10**12),
+        ],
+        ids=["zero", "above", "above-in-pair", "inverse-above", "zero-after-unit", "huge"],
+    )
+    def test_letters_out_of_range(self, pres, letter):
+        """A letter 0 or above ``num_generators`` that stays in its reduced
+        relator is a missing generator."""
+        with pytest.raises(KeyError) as info:
+            tietze_simplify(pres)
+        assert info.value.args == (letter,)
 
     def test_fig04a_rank_one(self):
         status = tietze_simplify(poset_presentation(figures.poset("fig04a")))
